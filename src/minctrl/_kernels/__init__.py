@@ -1,28 +1,10 @@
-"""Integer rank kernels: compiled fast path with a pure-Python fallback.
+"""Integer rank kernel: fraction-free elimination over Python integers.
 
-The compiled extension is selected at import time when present; set
-``MINCTRL_PURE=1`` to force the pure implementation. Both produce identical
-results, so callers never need to care which one is active.
+``ACTIVE_KERNEL`` names the implementation in use, for provenance records.
 """
 
-from __future__ import annotations
+from minctrl._kernels.pure import integer_rank
 
-import os
+ACTIVE_KERNEL = "pure"
 
-from minctrl._kernels import pure
-
-_compiled = None
-if not os.environ.get("MINCTRL_PURE"):
-    try:
-        from minctrl._kernels import _fastrank as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
-
-ACTIVE_KERNEL = "compiled" if _compiled is not None else "pure"
-
-
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix (list of row lists), exact over the integers."""
-    if _compiled is not None:
-        return _compiled.integer_rank(rows)
-    return pure.integer_rank(rows)
+__all__ = ["ACTIVE_KERNEL", "integer_rank"]

@@ -1,6 +1,5 @@
 """Pure-Python integer rank kernel (fraction-free elimination).
 
-Reference implementation for the compiled extension; always available.
 Arbitrary-precision Python ints, so there is no overflow to guard against.
 """
 

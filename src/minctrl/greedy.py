@@ -1,24 +1,26 @@
 """Greedy actuator-selection solvers.
 
-Three solvers, all built on the same sweep structure: repeatedly scan the
-unused coordinates, score each candidate by the rank increase it gives the
-controllability matrix, and commit the best one (ties go to the lowest
-index, then the lowest probe value). A sweep that cannot increase the rank
-ends the solve.
+All three solvers run one sweep loop, starting from the zero input at rank
+0: scan the unused coordinates, score each candidate by the rank increase it
+gives the controllability matrix, and commit the best one (ties go to the
+lowest index, then the lowest probe value). A sweep that cannot increase the
+rank ends the solve. The solvers differ only in their probes and in how a
+candidate is scored:
 
-* ``randomized_greedy_vector`` -- scores coordinate ``j`` with a fresh
-  standard-normal draw placed at ``j`` (seeded, reproducible).
-* ``deterministic_greedy_vector`` -- replaces the random draw by probing the
-  values ``1..2n+1``; a nonzero rank-increase polynomial of degree <= 2n
-  cannot vanish on all of them, so the best probe attains the generic
-  increase.
-* ``greedy_diagonal`` -- grows a diagonal input matrix one unit entry at a
-  time.
+* ``randomized_greedy_vector`` -- one fresh standard-normal draw per
+  coordinate (seeded, reproducible), scored as a new entry of the input
+  vector.
+* ``deterministic_greedy_vector`` -- probes the values ``1..2n+1``; a nonzero
+  rank-increase polynomial of degree <= 2n cannot vanish on all of them, so
+  the best probe attains the generic increase.
+* ``greedy_diagonal`` -- the single value 1, scored as a new unit entry of a
+  diagonal input matrix.
 
-Rank backends: ``"exact"`` (fraction-free elimination over the rationals),
-``"pbh"`` (count eigenvectors non-orthogonal to the candidate; distinct
-eigenvalues only, far better conditioned than SVD on the controllability
-matrix), and ``"svd"`` (thresholded singular values).
+Each rank backend is one oracle class: ``"exact"`` (fraction-free
+elimination over the rationals), ``"pbh"`` (count eigenvectors
+non-orthogonal to the candidate; distinct eigenvalues only, far better
+conditioned than SVD on the controllability matrix), and ``"svd"``
+(thresholded singular values).
 """
 
 from __future__ import annotations
@@ -33,18 +35,16 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from minctrl._kernels import integer_rank
-from minctrl.errors import (
-    BackendPreconditionError,
-    InternalVerificationError,
-    InvalidInputError,
-)
+from minctrl.errors import InternalVerificationError, InvalidInputError
 from minctrl.linalg import (
     DEFAULT_EIGEN_GAP,
     DEFAULT_ORTH_TOL_SCALE,
     left_eigensystem,
+    pbh_count,
     rank_numeric,
+    require_distinct_spectrum,
 )
-from minctrl.matrices import Matrix, RationalMatrix, as_dense, as_rational
+from minctrl.matrices import Matrix, as_dense, as_rational
 
 RANK_BACKENDS = ("exact", "pbh", "svd")
 
@@ -114,6 +114,11 @@ class SolveResult:
 
 # ---------------------------------------------------------------------------
 # rank oracles
+#
+# One class per backend. ``rank_with_vector(j, value)`` is the rank of
+# ``C(A, b + value * e_j)`` for the ``b`` last passed to ``begin_sweep``;
+# ``rank_with_block(support)`` is the rank of the span of ``A^k e_s`` over
+# ``s`` in ``support`` (the diagonal input with those unit entries).
 
 
 def _reduce_column(col: list[int]) -> list[int]:
@@ -125,15 +130,19 @@ def _reduce_column(col: list[int]) -> list[int]:
     return col
 
 
-class _ExactPowers:
-    """Integer-scaled powers of a rational matrix, stored column-wise.
+class _ExactOracle:
+    """Fraction-free integer ranks of integer-scaled power columns.
 
     Scaling ``A`` by the common denominator multiplies the k-th power block
     of the controllability matrix by a positive constant, which leaves every
     rank unchanged, so all arithmetic stays in (fast) plain integers.
     """
 
-    def __init__(self, A: RationalMatrix):
+    zero = Fraction(0)
+    value = Fraction
+
+    def __init__(self, A: Matrix, **_):
+        A = as_rational(A)
         n = A.rows
         if A.cols != n:
             raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
@@ -141,7 +150,7 @@ class _ExactPowers:
         scale = reduce(lcm, (x.denominator for row in A.data for x in row), 1)
         scaled = [[int(x * scale) for x in row] for row in A.data]
         power = [[int(i == j) for j in range(n)] for i in range(n)]
-        self.columns: list[list[list[int]]] = []  # [k][j] -> column vector
+        self._powers: list[list[list[int]]] = []  # [k][j] -> column j of A^k
         for k in range(n):
             if k:
                 power = [
@@ -151,55 +160,26 @@ class _ExactPowers:
                     ]
                     for prow in power
                 ]
-            self.columns.append(
+            self._powers.append(
                 [[power[i][j] for i in range(n)] for j in range(n)]
             )
 
-    def vector_columns(self, b_int: list[int]) -> list[list[int]]:
-        n = self.n
-        cols = []
-        for k in range(n):
-            pk = self.columns[k]
-            cols.append(
-                [
-                    sum(pk[j][i] * b_int[j] for j in range(n) if b_int[j])
-                    for i in range(n)
-                ]
-            )
-        return cols
-
-
-class _ExactVectorOracle:
-    name = "exact"
-    zero = Fraction(0)
-
-    def __init__(self, A: Matrix, **_):
-        self._powers = _ExactPowers(as_rational(A))
-        self.n = self._powers.n
-        self._scale = 1
-        self._cols: list[list[int]] = []
-
-    @staticmethod
-    def value(x) -> Fraction:
-        return Fraction(x)
-
     def begin_sweep(self, b: list[Fraction]) -> None:
-        scale = reduce(lcm, (x.denominator for x in b), 1)
-        self._scale = scale
-        self._cols = self._powers.vector_columns([int(x * scale) for x in b])
+        n = self.n
+        self._scale = reduce(lcm, (x.denominator for x in b), 1)
+        b_int = [int(x * self._scale) for x in b]
+        self._cols = [
+            [sum(pk[j][i] * b_int[j] for j in range(n) if b_int[j]) for i in range(n)]
+            for pk in self._powers
+        ]
 
-    def rank(self, b: list[Fraction]) -> int:
-        self.begin_sweep(b)
-        return integer_rank([_reduce_column(c) for c in self._cols])
-
-    def rank_with(self, b: list[Fraction], j: int, value: Fraction) -> int:
+    def rank_with_vector(self, j: int, value: Fraction) -> int:
         scale = lcm(self._scale, value.denominator)
         mult = scale // self._scale
         shift = int(value * scale)
         cols = []
-        for k in range(self.n):
-            base = self._cols[k]
-            pcol = self._powers.columns[k][j]
+        for base, pk in zip(self._cols, self._powers):
+            pcol = pk[j]
             cols.append(
                 _reduce_column(
                     [mult * base[i] + shift * pcol[i] for i in range(self.n)]
@@ -207,10 +187,17 @@ class _ExactVectorOracle:
             )
         return integer_rank(cols)
 
+    def rank_with_block(self, support: Sequence[int]) -> int:
+        return integer_rank(
+            [_reduce_column(pk[j]) for j in support for pk in self._powers]
+        )
 
-class _PbhVectorOracle:
-    name = "pbh"
+
+class _PbhOracle:
+    """Counts left eigenvectors non-orthogonal to the input (distinct spectra)."""
+
     zero = 0.0
+    value = float
 
     def __init__(
         self,
@@ -222,42 +209,31 @@ class _PbhVectorOracle:
         if dense.rows != dense.cols:
             raise InvalidInputError(f"A must be square, got {dense.rows}x{dense.cols}")
         eig = left_eigensystem(dense, cluster_gap=gap_threshold)
-        if eig.min_pairwise_gap <= gap_threshold:
-            raise BackendPreconditionError(
-                "pbh rank backend requires distinct eigenvalues "
-                f"(min gap {eig.min_pairwise_gap:.3e} <= {gap_threshold:.3e})"
-            )
+        require_distinct_spectrum(eig, gap_threshold)
         self.n = dense.rows
         self._rows = eig.left_eigenvectors
         self._tol_scale = orth_tol_scale
-        self._products = np.zeros(self.n, dtype=complex)
-        self._norm_sq = 0.0
-
-    @staticmethod
-    def value(x) -> float:
-        return float(x)
 
     def begin_sweep(self, b: list[float]) -> None:
         vec = np.asarray(b, dtype=np.float64)
         self._products = self._rows @ vec
         self._norm_sq = float(vec @ vec)
 
-    def _count(self, products: np.ndarray, norm_sq: float) -> int:
-        tol = self._tol_scale * float(np.sqrt(norm_sq))
-        return int(self.n - np.count_nonzero(np.abs(products) <= tol))
-
-    def rank(self, b: list[float]) -> int:
-        self.begin_sweep(b)
-        return self._count(self._products, self._norm_sq)
-
-    def rank_with(self, b: list[float], j: int, value: float) -> int:
+    def rank_with_vector(self, j: int, value: float) -> int:
         products = self._products + value * self._rows[:, j]
-        return self._count(products, self._norm_sq + value * value)
+        norm_sq = self._norm_sq + value * value
+        return pbh_count(products, self._tol_scale * float(np.sqrt(norm_sq)))
+
+    def rank_with_block(self, support: Sequence[int]) -> int:
+        # unit columns: each tolerance is the bare scale
+        return pbh_count(self._rows[:, list(support)], self._tol_scale)
 
 
-class _SvdVectorOracle:
-    name = "svd"
+class _SvdOracle:
+    """Thresholded singular values of the controllability matrix."""
+
     zero = 0.0
+    value = float
 
     def __init__(self, A: Matrix, **_):
         dense = as_dense(A)
@@ -265,181 +241,92 @@ class _SvdVectorOracle:
             raise InvalidInputError(f"A must be square, got {dense.rows}x{dense.cols}")
         self.n = dense.rows
         self._arr = dense.array
-
-    @staticmethod
-    def value(x) -> float:
-        return float(x)
+        power = np.eye(self.n)
+        self._powers = []
+        for _ in range(self.n):
+            self._powers.append(power.copy())
+            power = dense.array @ power
 
     def begin_sweep(self, b: list[float]) -> None:
-        pass
+        self._b = np.asarray(b, dtype=np.float64)
 
-    def rank(self, b: list[float]) -> int:
-        n = self.n
-        ctrb = np.empty((n, n))
-        v = np.asarray(b, dtype=np.float64)
-        for k in range(n):
+    def rank_with_vector(self, j: int, value: float) -> int:
+        v = self._b.copy()
+        v[j] = v[j] + value
+        ctrb = np.empty((self.n, self.n))
+        for k in range(self.n):
             ctrb[:, k] = v
             v = self._arr @ v
         return rank_numeric(ctrb)
 
-    def rank_with(self, b: list[float], j: int, value: float) -> int:
-        candidate = list(b)
-        candidate[j] = candidate[j] + value
-        return self.rank(candidate)
-
-
-class _ExactDiagonalOracle:
-    name = "exact"
-
-    def __init__(self, A: Matrix, **_):
-        self._powers = _ExactPowers(as_rational(A))
-        self.n = self._powers.n
-
-    def _columns(self, support: Sequence[int]) -> list[list[int]]:
-        return [
-            _reduce_column(self._powers.columns[k][j])
-            for j in support
-            for k in range(self.n)
-        ]
-
-    def begin_sweep(self, support: Sequence[int]) -> None:
-        pass
-
-    def rank(self, support: Sequence[int]) -> int:
-        if not support:
-            return 0
-        return integer_rank(self._columns(support))
-
-    def rank_with(self, support: Sequence[int], j: int) -> int:
-        return self.rank(list(support) + [j])
-
-
-class _PbhDiagonalOracle:
-    name = "pbh"
-
-    def __init__(
-        self,
-        A: Matrix,
-        gap_threshold: float = DEFAULT_EIGEN_GAP,
-        orth_tol_scale: float = DEFAULT_ORTH_TOL_SCALE,
-    ):
-        vec_oracle = _PbhVectorOracle(A, gap_threshold, orth_tol_scale)
-        self.n = vec_oracle.n
-        # unit-norm rows and unit probe values: a fixed entry threshold
-        self._nonzero = np.abs(vec_oracle._rows) > orth_tol_scale
-        self._covered = np.zeros(self.n, dtype=bool)
-
-    def begin_sweep(self, support: Sequence[int]) -> None:
-        if support:
-            self._covered = self._nonzero[:, list(support)].any(axis=1)
-        else:
-            self._covered = np.zeros(self.n, dtype=bool)
-
-    def rank(self, support: Sequence[int]) -> int:
-        self.begin_sweep(support)
-        return int(np.count_nonzero(self._covered))
-
-    def rank_with(self, support: Sequence[int], j: int) -> int:
-        return int(np.count_nonzero(self._covered | self._nonzero[:, j]))
-
-
-class _SvdDiagonalOracle:
-    name = "svd"
-
-    def __init__(self, A: Matrix, **_):
-        dense = as_dense(A)
-        if dense.rows != dense.cols:
-            raise InvalidInputError(f"A must be square, got {dense.rows}x{dense.cols}")
-        self.n = dense.rows
-        n = self.n
-        power = np.eye(n)
-        self._power_cols = []
-        for _ in range(n):
-            self._power_cols.append(power.copy())
-            power = dense.array @ power
-
-    def begin_sweep(self, support: Sequence[int]) -> None:
-        pass
-
-    def rank(self, support: Sequence[int]) -> int:
-        if not support:
-            return 0
-        cols = np.column_stack(
-            [p[:, j] for j in support for p in self._power_cols]
-        )
+    def rank_with_block(self, support: Sequence[int]) -> int:
+        cols = np.column_stack([p[:, j] for j in support for p in self._powers])
         return rank_numeric(cols)
 
-    def rank_with(self, support: Sequence[int], j: int) -> int:
-        return self.rank(list(support) + [j])
+
+_ORACLES = {"exact": _ExactOracle, "pbh": _PbhOracle, "svd": _SvdOracle}
 
 
-_VECTOR_ORACLES = {
-    "exact": _ExactVectorOracle,
-    "pbh": _PbhVectorOracle,
-    "svd": _SvdVectorOracle,
-}
-_DIAGONAL_ORACLES = {
-    "exact": _ExactDiagonalOracle,
-    "pbh": _PbhDiagonalOracle,
-    "svd": _SvdDiagonalOracle,
-}
-
-
-def _make_oracle(table: dict, A: Matrix, backend: str, gap_threshold: float):
-    if backend not in table:
+def _make_oracle(A: Matrix, backend: str, gap_threshold: float):
+    if backend not in _ORACLES:
         raise InvalidInputError(
             f"unknown rank backend {backend!r}; expected one of {RANK_BACKENDS}"
         )
-    return table[backend](A, gap_threshold=gap_threshold)
+    return _ORACLES[backend](A, gap_threshold=gap_threshold)
 
 
 # ---------------------------------------------------------------------------
-# solver loops
+# the sweep loop
 
 
-def _solve_vector(
-    oracle, probe_values: Callable[[int], Iterable], backend: str
+def _greedy(
+    oracle, probe_values: Callable[[int], Iterable], backend: str, *, block: bool
 ) -> SolveResult:
+    """Commit the best (coordinate, probe) per sweep until the rank stalls.
+
+    ``block`` scores a candidate as a new unit diagonal entry instead of a
+    new entry of the input vector.
+    """
     n = oracle.n
     b = [oracle.zero] * n
-    rank_b = oracle.rank(b)
+    support: list[int] = []
+    rank = 0
     trace: list[TraceStep] = []
-    step = 0
-    while rank_b < n:
-        oracle.begin_sweep(b)
-        cap = n - rank_b
+    if block:
+        def score(j, _value):
+            return oracle.rank_with_block(support + [j])
+    else:
+        score = oracle.rank_with_vector
+    while rank < n:
+        if not block:
+            oracle.begin_sweep(b)
+        cap = n - rank
         best_c = 0
         best_j = -1
         best_v = oracle.zero
-        stop = False
         for j in range(n):
-            if b[j] != oracle.zero:
+            if j in support:
                 continue
             for value in probe_values(j):
-                c = oracle.rank_with(b, j, value) - rank_b
+                c = score(j, value) - rank
                 if c > best_c:
                     best_c, best_j, best_v = c, j, value
                     if c == cap:
-                        stop = True
                         break
-            if stop:
+            if best_c == cap:
                 break
         if best_c <= 0:
             break
         b[best_j] = best_v
-        trace.append(
-            TraceStep(step, best_j, float(best_v), rank_b, rank_b + best_c)
-        )
-        rank_b += best_c
-        step += 1
-    support = tuple(t.chosen_index for t in trace)
-    values = tuple(t.chosen_value for t in trace)
+        support.append(best_j)
+        trace.append(TraceStep(len(trace), best_j, float(best_v), rank, rank + best_c))
+        rank += best_c
     return SolveResult(
         n=n,
-        support=support,
-        values=values,
-        final_rank=rank_b,
-        controllable=rank_b == n,
+        support=tuple(support),
+        values=tuple(t.chosen_value for t in trace),
+        final_rank=rank,
+        controllable=rank == n,
         backend=backend,
         trace=tuple(trace),
     )
@@ -458,13 +345,13 @@ def randomized_greedy_vector(
     draw per still-zero coordinate per sweep, consumed in index order, so
     identical ``(A, seed)`` always produce identical results.
     """
-    oracle = _make_oracle(_VECTOR_ORACLES, A, rank_backend, gap_threshold)
+    oracle = _make_oracle(A, rank_backend, gap_threshold)
     rng = np.random.default_rng(seed)
 
     def probes(_j: int):
         return (oracle.value(rng.standard_normal()),)
 
-    return _solve_vector(oracle, probes, rank_backend)
+    return _greedy(oracle, probes, rank_backend, block=False)
 
 
 def deterministic_greedy_vector(
@@ -474,13 +361,13 @@ def deterministic_greedy_vector(
     gap_threshold: float = DEFAULT_EIGEN_GAP,
 ) -> SolveResult:
     """Greedy sparse-vector solve probing each coordinate with 1..2n+1."""
-    oracle = _make_oracle(_VECTOR_ORACLES, A, rank_backend, gap_threshold)
+    oracle = _make_oracle(A, rank_backend, gap_threshold)
     probe_range = range(1, 2 * oracle.n + 2)
 
     def probes(_j: int):
         return (oracle.value(p) for p in probe_range)
 
-    return _solve_vector(oracle, probes, rank_backend)
+    return _greedy(oracle, probes, rank_backend, block=False)
 
 
 def greedy_diagonal(
@@ -494,37 +381,6 @@ def greedy_diagonal(
     Because the identity input always controls the system, an exact rank
     backend can stall only at full rank.
     """
-    oracle = _make_oracle(_DIAGONAL_ORACLES, A, rank_backend, gap_threshold)
-    n = oracle.n
-    support: list[int] = []
-    rank_s = oracle.rank(support)
-    trace: list[TraceStep] = []
-    step = 0
-    while rank_s < n:
-        oracle.begin_sweep(support)
-        cap = n - rank_s
-        best_c = 0
-        best_j = -1
-        for j in range(n):
-            if j in support:
-                continue
-            c = oracle.rank_with(support, j) - rank_s
-            if c > best_c:
-                best_c, best_j = c, j
-                if c == cap:
-                    break
-        if best_c <= 0:
-            break
-        support.append(best_j)
-        trace.append(TraceStep(step, best_j, 1.0, rank_s, rank_s + best_c))
-        rank_s += best_c
-        step += 1
-    return SolveResult(
-        n=n,
-        support=tuple(support),
-        values=tuple(1.0 for _ in support),
-        final_rank=rank_s,
-        controllable=rank_s == n,
-        backend=rank_backend,
-        trace=tuple(trace),
-    )
+    oracle = _make_oracle(A, rank_backend, gap_threshold)
+    unit = (oracle.value(1),)
+    return _greedy(oracle, lambda _j: unit, rank_backend, block=True)

@@ -57,6 +57,8 @@ def _as_float_vector(b: VectorLike, n: int) -> np.ndarray:
         arr = arr.ravel()
     if arr.shape != (n,):
         raise InvalidInputError(f"expected an {n}-vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("input vector has non-finite entries")
     return arr
 
 
@@ -272,6 +274,35 @@ def is_vector_controllable_possible(eig: EigenSystem) -> bool:
     return all(m == 1 for m in eig.geometric_multiplicities)
 
 
+def require_distinct_spectrum(
+    eig: EigenSystem, gap_threshold: float = DEFAULT_EIGEN_GAP
+) -> None:
+    """Reject (nearly) repeated eigenvalues before any PBH count.
+
+    The eigenvector count only equals the controllability rank when every
+    eigenvalue is simple.
+    """
+    if eig.min_pairwise_gap <= gap_threshold:
+        raise BackendPreconditionError(
+            f"eigenvalue gap {eig.min_pairwise_gap:.3e} is below the "
+            f"distinctness threshold {gap_threshold:.3e}; the eigenvector "
+            "count only equals the controllability rank for distinct spectra"
+        )
+
+
+def pbh_count(products: np.ndarray, tol) -> int:
+    """Number of left eigenvectors not orthogonal to the input.
+
+    ``products[i]`` holds ``v_i^T b``, or the row ``v_i^T B`` for a
+    multi-column input; row ``i`` counts when ``|v_i^T b_c| > tol_c`` for
+    some column ``c`` (``tol`` is a scalar or one tolerance per column).
+    """
+    above = np.abs(products) > tol
+    if above.ndim == 2:
+        above = above.any(axis=1)
+    return int(np.count_nonzero(above))
+
+
 def pbh_controllability_rank(
     eig: EigenSystem,
     b: VectorLike,
@@ -287,19 +318,13 @@ def pbh_controllability_rank(
     (nearly) repeated eigenvalues are rejected: use the exact rank or the
     covered-count characterization instead.
     """
-    if eig.min_pairwise_gap <= gap_threshold:
-        raise BackendPreconditionError(
-            f"eigenvalue gap {eig.min_pairwise_gap:.3e} is below the "
-            f"distinctness threshold {gap_threshold:.3e}; the eigenvector "
-            "count only equals the controllability rank for distinct spectra"
-        )
+    require_distinct_spectrum(eig, gap_threshold)
     if orth_tol is not None and orth_tol <= 0:
         raise InvalidInputError("orth_tol must be positive")
     vec = _as_float_vector(b, eig.n)
     if orth_tol is None:
         orth_tol = DEFAULT_ORTH_TOL_SCALE * float(np.linalg.norm(vec))
-    products = np.abs(eig.left_eigenvectors @ vec)
-    return int(eig.n - np.count_nonzero(products <= orth_tol))
+    return pbh_count(eig.left_eigenvectors @ vec, orth_tol)
 
 
 def pbh_support_test(V_rows: RationalMatrix, support: Iterable[int]) -> bool:

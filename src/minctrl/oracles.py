@@ -16,19 +16,19 @@ from itertools import combinations
 import numpy as np
 
 from minctrl.errors import (
-    BackendPreconditionError,
     EnumerationGuardError,
     InternalVerificationError,
     InvalidInputError,
 )
 from minctrl.linalg import (
-    DEFAULT_EIGEN_GAP,
     DEFAULT_ORTH_TOL_SCALE,
     controllability_matrix,
     left_eigensystem,
+    pbh_count,
     pbh_support_test,
     rank_exact,
     rank_numeric,
+    require_distinct_spectrum,
 )
 from minctrl.matrices import Matrix, RationalMatrix, as_dense, as_rational
 from minctrl.reductions import HittingSetInstance
@@ -153,14 +153,9 @@ def kalman_test(A: Matrix, B: Matrix, rank_backend: str = "exact") -> bool:
     if rank_backend == "pbh":
         Ad, Bd = as_dense(A), as_dense(B)
         eig = left_eigensystem(Ad)
-        if eig.min_pairwise_gap <= DEFAULT_EIGEN_GAP:
-            raise BackendPreconditionError(
-                "pbh backend requires distinct eigenvalues"
-            )
-        products = np.abs(eig.left_eigenvectors @ Bd.array)
-        col_norms = np.linalg.norm(Bd.array, axis=0)
-        tol = DEFAULT_ORTH_TOL_SCALE * col_norms
-        return bool(np.all((products > tol).any(axis=1)))
+        require_distinct_spectrum(eig)
+        tol = DEFAULT_ORTH_TOL_SCALE * np.linalg.norm(Bd.array, axis=0)
+        return pbh_count(eig.left_eigenvectors @ Bd.array, tol) == Ad.rows
     raise InvalidInputError(
         f"unknown rank backend {rank_backend!r} for the Kalman test; "
         "expected 'exact', 'pbh', or 'svd'"

@@ -1,4 +1,4 @@
-"""Kernel equivalence: compiled and pure paths must agree everywhere."""
+"""Exactness of the integer rank kernel."""
 
 import random
 
@@ -7,14 +7,7 @@ import pytest
 
 from minctrl._kernels import ACTIVE_KERNEL, integer_rank, pure
 
-try:
-    from minctrl._kernels import _fastrank
-except ImportError:
-    _fastrank = None
-
 KERNELS = [("pure", pure.integer_rank)]
-if _fastrank is not None:
-    KERNELS.append(("compiled", _fastrank.integer_rank))
 
 
 @pytest.mark.parametrize("name,rank", KERNELS)
@@ -48,24 +41,14 @@ def test_huge_entries_use_exact_arithmetic():
     assert integer_rank(singular) == 1
 
 
-@pytest.mark.skipif(_fastrank is None, reason="compiled kernel not built")
-def test_compiled_agrees_with_pure_across_magnitudes():
-    rng = random.Random(7)
-    for _ in range(300):
-        r, c = rng.randint(1, 12), rng.randint(1, 12)
-        mag = rng.choice([3, 100, 10**6, 10**15, 10**25])
-        m = [[rng.randint(-mag, mag) for _ in range(c)] for _ in range(r)]
-        if r >= 3 and rng.random() < 0.4:
-            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
-        assert _fastrank.integer_rank(m) == pure.integer_rank(m)
-
-
 def test_mid_elimination_overflow_is_handled():
-    # entries small enough to load into int64, but Bareiss intermediates
-    # (minors) overflow partway through: exercises the resume path
+    # the Bareiss minors of 1e8-sized entries grow far past 64 bits, and
+    # every division along the way must stay exact
     rng = random.Random(13)
     m = [[rng.randint(-(10**8), 10**8) for _ in range(9)] for _ in range(9)]
-    assert integer_rank(m) == pure.integer_rank(m)
+    assert integer_rank(m) == 9
+    m[-1] = [3 * x - 2 * y for x, y in zip(m[0], m[1])]
+    assert integer_rank(m) == 8
 
 
 @pytest.mark.parametrize("name,rank", KERNELS)
@@ -91,4 +74,4 @@ def test_sparse_structured_matches_numpy(name, rank):
 
 
 def test_active_kernel_reported():
-    assert ACTIVE_KERNEL in ("compiled", "pure")
+    assert ACTIVE_KERNEL == "pure"

@@ -197,6 +197,16 @@ def test_pbh_rank_rejects_repeated_eigenvalues():
         pbh_controllability_rank(eig, [1, 1])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_pbh_rank_rejects_non_finite_vector(bad):
+    # every comparison with NaN is false, so no threshold count means anything
+    eig = left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
+    with pytest.raises(InvalidInputError):
+        pbh_controllability_rank(eig, [bad, 0, 0])
+    with pytest.raises(InvalidInputError):
+        pbh_controllability_rank(eig, np.array([[bad], [0.0], [0.0]]))
+
+
 def test_pbh_support_test_basics(paper_V):
     eye = RationalMatrix.identity(3)
     assert pbh_support_test(eye, [0, 1, 2])

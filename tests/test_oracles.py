@@ -161,6 +161,31 @@ def test_kalman_agrees_with_support_test():
     assert checked_positive > 0 and checked_negative > 0
 
 
+def test_kalman_backends_agree_on_multi_column_inputs():
+    # multi-column B under pbh takes a per-column tolerance; a zero column
+    # (tolerance 0) must count as orthogonal to every eigenvector
+    from helpers import random_unimodular
+
+    rng = random.Random(29)
+    outcomes = []
+    for _ in range(12):
+        n = rng.randint(3, 6)
+        P = random_unimodular(rng, n)
+        D = RationalMatrix.diagonal(rng.sample(range(-9, 10), n))
+        A = P @ D @ P.inverse()
+        for _ in range(4):
+            cols = [[0] * n] + [
+                [rng.randint(0, 1) for _ in range(n)]
+                for _ in range(rng.randint(1, 2))
+            ]
+            rng.shuffle(cols)
+            B = RationalMatrix.from_rows([list(row) for row in zip(*cols)])
+            answers = {kalman_test(A, B, backend) for backend in ("exact", "pbh", "svd")}
+            assert len(answers) == 1
+            outcomes.append(answers.pop())
+    assert True in outcomes and False in outcomes
+
+
 def test_oracle_json(paper_instance):
     result = brute_force_hitting_set(paper_instance)
     obj = result.to_json_dict()
