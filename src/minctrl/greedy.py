@@ -39,6 +39,7 @@ from minctrl.errors import InternalVerificationError, InvalidInputError
 from minctrl.linalg import (
     DEFAULT_EIGEN_GAP,
     DEFAULT_ORTH_TOL_SCALE,
+    EigenSystem,
     left_eigensystem,
     pbh_count,
     rank_numeric,
@@ -194,25 +195,30 @@ class _ExactOracle:
 
 
 class _PbhOracle:
-    """Counts left eigenvectors non-orthogonal to the input (distinct spectra)."""
+    """Counts left eigenvectors non-orthogonal to the input (distinct spectra).
+
+    Built from a decomposition the caller already has, or with ``of_matrix``
+    from the system matrix.
+    """
 
     zero = 0.0
     value = float
 
     def __init__(
         self,
-        A: Matrix,
+        eig: EigenSystem,
         gap_threshold: float = DEFAULT_EIGEN_GAP,
         orth_tol_scale: float = DEFAULT_ORTH_TOL_SCALE,
     ):
-        dense = as_dense(A)
-        if dense.rows != dense.cols:
-            raise InvalidInputError(f"A must be square, got {dense.rows}x{dense.cols}")
-        eig = left_eigensystem(dense, cluster_gap=gap_threshold)
         require_distinct_spectrum(eig, gap_threshold)
-        self.n = dense.rows
+        self.n = eig.n
         self._rows = eig.left_eigenvectors
         self._tol_scale = orth_tol_scale
+
+    @classmethod
+    def of_matrix(cls, A: Matrix, gap_threshold: float = DEFAULT_EIGEN_GAP):
+        eig = left_eigensystem(as_dense(A), cluster_gap=gap_threshold)
+        return cls(eig, gap_threshold)
 
     def begin_sweep(self, b: list[float]) -> None:
         vec = np.asarray(b, dtype=np.float64)
@@ -264,7 +270,7 @@ class _SvdOracle:
         return rank_numeric(cols)
 
 
-_ORACLES = {"exact": _ExactOracle, "pbh": _PbhOracle, "svd": _SvdOracle}
+_ORACLES = {"exact": _ExactOracle, "pbh": _PbhOracle.of_matrix, "svd": _SvdOracle}
 
 
 def _make_oracle(A: Matrix, backend: str, gap_threshold: float):
@@ -345,13 +351,18 @@ def randomized_greedy_vector(
     draw per still-zero coordinate per sweep, consumed in index order, so
     identical ``(A, seed)`` always produce identical results.
     """
-    oracle = _make_oracle(A, rank_backend, gap_threshold)
+    return _solve_randomized(
+        _make_oracle(A, rank_backend, gap_threshold), seed, rank_backend
+    )
+
+
+def _solve_randomized(oracle, seed: int, backend: str) -> SolveResult:
     rng = np.random.default_rng(seed)
 
     def probes(_j: int):
         return (oracle.value(rng.standard_normal()),)
 
-    return _greedy(oracle, probes, rank_backend, block=False)
+    return _greedy(oracle, probes, backend, block=False)
 
 
 def deterministic_greedy_vector(
@@ -361,13 +372,18 @@ def deterministic_greedy_vector(
     gap_threshold: float = DEFAULT_EIGEN_GAP,
 ) -> SolveResult:
     """Greedy sparse-vector solve probing each coordinate with 1..2n+1."""
-    oracle = _make_oracle(A, rank_backend, gap_threshold)
+    return _solve_deterministic(
+        _make_oracle(A, rank_backend, gap_threshold), rank_backend
+    )
+
+
+def _solve_deterministic(oracle, backend: str) -> SolveResult:
     probe_range = range(1, 2 * oracle.n + 2)
 
     def probes(_j: int):
         return (oracle.value(p) for p in probe_range)
 
-    return _greedy(oracle, probes, rank_backend, block=False)
+    return _greedy(oracle, probes, backend, block=False)
 
 
 def greedy_diagonal(

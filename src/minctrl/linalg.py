@@ -16,8 +16,9 @@ conditioned for floats, while counting eigenvector orthogonality is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -148,18 +149,45 @@ class EigenSystem:
     Row ``i`` of ``left_eigenvectors`` satisfies ``v_i^T A = lambda_i v_i^T``
     up to ``residual_tolerance`` and has unit Euclidean norm. Eigenvalues are
     sorted by (real, imag) so the decomposition is reproducible.
+
+    ``distinct_eigenvalues`` and ``geometric_multiplicities`` cost one SVD of
+    ``A - lambda I`` per cluster of eigenvalues closer than ``cluster_gap``,
+    so they are computed from the kept read-only copy ``matrix`` on first
+    access and cached. The PBH rank paths read only the eigenvectors and
+    never pay for them.
     """
 
     eigenvalues: np.ndarray
     left_eigenvectors: np.ndarray
     min_pairwise_gap: float
-    distinct_eigenvalues: tuple[complex, ...]
-    geometric_multiplicities: tuple[int, ...]
     residual_tolerance: float
+    matrix: np.ndarray = field(repr=False)
+    cluster_gap: float
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def _clusters(self) -> tuple[tuple[complex, ...], tuple[int, ...]]:
+        try:
+            return _cluster_multiplicities(
+                self.matrix, self.eigenvalues, self.cluster_gap
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericBackendError(
+                f"SVD failed: {exc}", matrix_hash=DenseMatrix(self.matrix).sha256()
+            ) from exc
+
+    @property
+    def distinct_eigenvalues(self) -> tuple[complex, ...]:
+        """One representative (the cluster mean) per eigenvalue cluster."""
+        return self._clusters[0]
+
+    @property
+    def geometric_multiplicities(self) -> tuple[int, ...]:
+        """Estimated eigenspace dimension of each cluster, in the same order."""
+        return self._clusters[1]
 
 
 def left_eigensystem(
@@ -170,9 +198,10 @@ def left_eigensystem(
 ) -> EigenSystem:
     """Eigenvalues and unit-norm left eigenvectors of a square matrix.
 
-    Geometric multiplicities are estimated per cluster of eigenvalues closer
-    than ``cluster_gap``: nearly coincident eigenvalues are deliberately
-    treated as repeated, since floating point cannot certify them distinct.
+    Geometric multiplicities, computed on first access, are estimated per
+    cluster of eigenvalues closer than ``cluster_gap``: nearly coincident
+    eigenvalues are deliberately treated as repeated, since floating point
+    cannot certify them distinct.
     """
     if A.rows != A.cols:
         raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
@@ -194,10 +223,7 @@ def left_eigensystem(
         scale = float(np.linalg.norm(A.array, ord="fro"))
         residual_tolerance = 1e-8 * max(1.0, scale)
     residual = float(
-        max(
-            np.linalg.norm(rows[i] @ A.array - values[i] * rows[i])
-            for i in range(n)
-        )
+        np.linalg.norm(rows @ A.array - values[:, None] * rows, axis=1).max()
     )
     if residual > residual_tolerance:
         raise NumericBackendError(
@@ -212,18 +238,19 @@ def left_eigensystem(
         diff = np.abs(values[:, None] - values[None, :])
         min_gap = float(np.min(diff[np.triu_indices(n, k=1)]))
 
-    reps, mults = _cluster_multiplicities(A.array, values, cluster_gap)
     rows = rows.copy()
     rows.flags.writeable = False
     values = values.copy()
     values.flags.writeable = False
+    matrix = A.array.copy()
+    matrix.flags.writeable = False
     return EigenSystem(
         eigenvalues=values,
         left_eigenvectors=rows,
         min_pairwise_gap=min_gap,
-        distinct_eigenvalues=reps,
-        geometric_multiplicities=mults,
         residual_tolerance=residual_tolerance,
+        matrix=matrix,
+        cluster_gap=cluster_gap,
     )
 
 

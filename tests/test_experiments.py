@@ -6,6 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import minctrl.experiments
+import minctrl.greedy
+import minctrl.linalg
+from minctrl.cli import main as cli_main
 from minctrl.errors import InvalidInputError
 from minctrl.experiments import (
     ExperimentConfig,
@@ -13,7 +17,9 @@ from minctrl.experiments import (
     run_experiment,
     sample_er_digraph,
 )
+from minctrl.greedy import deterministic_greedy_vector, randomized_greedy_vector
 from minctrl.matrices import DenseMatrix
+from minctrl.oracles import kalman_test
 
 
 def test_sample_trivial_cases():
@@ -148,3 +154,44 @@ def test_report_csv_flattening():
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("n,trial_index,graph_seed")
     assert len(lines) == 3
+
+
+@pytest.fixture()
+def no_cluster_svds(monkeypatch):
+    """Fail any call of the per-cluster multiplicity SVDs."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cluster multiplicities computed on a PBH path")
+
+    monkeypatch.setattr(minctrl.linalg, "_cluster_multiplicities", forbidden)
+
+
+@pytest.mark.parametrize("solver", ["randomized", "deterministic"])
+def test_experiment_decomposes_each_trial_once(solver, no_cluster_svds, monkeypatch):
+    calls = []
+    original = minctrl.linalg.left_eigensystem
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (minctrl.linalg, minctrl.greedy, minctrl.experiments):
+        monkeypatch.setattr(module, "left_eigensystem", counting)
+    cfg = ExperimentConfig(n_values=(6, 12), trials_per_n=3, seed=8, solver=solver)
+    report = run_experiment(cfg)
+    accepted = report.accepted_records()
+    assert len(accepted) == 6
+    assert all(r.controllable for r in accepted)
+    assert len(calls) == len(accepted)
+
+
+def test_pbh_paths_skip_cluster_multiplicities(no_cluster_svds, tmp_path):
+    A = DenseMatrix.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+    b = DenseMatrix.from_rows([[0], [0], [1]])
+    assert randomized_greedy_vector(A, 0, "pbh").controllable
+    assert deterministic_greedy_vector(A, "pbh").controllable
+    assert kalman_test(A, b, "pbh")
+    a_path, b_path = tmp_path / "A.json", tmp_path / "b.json"
+    a_path.write_text(json.dumps({"rows": 3, "cols": 3, "data": A.entries}))
+    b_path.write_text(json.dumps({"rows": 3, "cols": 1, "data": b.entries}))
+    assert cli_main(["verify", str(a_path), str(b_path), "--backend", "pbh"]) == 0

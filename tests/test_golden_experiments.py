@@ -1,0 +1,61 @@
+"""Golden experiment reports: each config reproduces a recorded report.
+
+The expected JSON in ``golden_experiments.json`` pins
+``ExperimentReport.to_json()`` (graph seeds, regenerations, sparsities,
+verified controllability and the histogram) for a fixed set of configs, so
+any rewrite of the eigendecomposition or of the solve/verify pipeline must
+keep every trial's outcome exactly. Regenerate it only for a deliberate
+behaviour change, with
+``PYTHONPATH=src:tests python tests/test_golden_experiments.py > tests/golden_experiments.json``.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from minctrl.experiments import ExperimentConfig, run_experiment
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_experiments.json"
+
+CONFIGS = {
+    "randomized": ExperimentConfig(n_values=(5, 10, 20), trials_per_n=3, seed=1),
+    "randomized-large": ExperimentConfig(n_values=(40, 60), trials_per_n=2, seed=2),
+    "deterministic": ExperimentConfig(
+        n_values=(6, 12, 30), trials_per_n=2, seed=3, solver="deterministic"
+    ),
+    "no-self-loops": ExperimentConfig(
+        n_values=(8, 16), trials_per_n=3, seed=4, include_self_loops=False
+    ),
+    "log-ten": ExperimentConfig(
+        n_values=(10, 25), trials_per_n=3, seed=5, log_base="ten"
+    ),
+    "edge-probability": ExperimentConfig(
+        n_values=(7, 14), trials_per_n=3, seed=6, edge_probability=0.3
+    ),
+    # all-ones matrices never pass the gap filter
+    "complete-digraph": ExperimentConfig(
+        n_values=(3, 4),
+        trials_per_n=2,
+        edge_probability=1.0,
+        max_regenerations_per_trial=2,
+    ),
+}
+
+
+def _report(name: str) -> dict:
+    return json.loads(run_experiment(CONFIGS[name]).to_json())
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_experiment_matches_golden_report(name, golden):
+    assert _report(name) == golden[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: _report(name) for name in CONFIGS}, indent=1, sort_keys=True))
