@@ -8,11 +8,15 @@ backend and record how many nonzero input entries it needed. Every accepted
 trial's output vector is re-verified against the PBH eigenvector count
 before being recorded.
 
-Each accepted graph is decomposed once: the solve and the verification share
-one ``EigenSystem``. The verification still recomputes every ``v_i^T b`` from
-the recorded support and values, independently of the solver's incremental
-products. Neither reads the eigenvalue cluster multiplicities, so no trial
-pays for their SVDs.
+Each accepted graph is decomposed once: the public greedy solver and the
+verification share one ``EigenSystem``. The verification still recomputes
+every ``v_i^T b`` from the recorded support and values, independently of the
+solver's incremental products. Neither reads the eigenvalue cluster
+multiplicities, so no trial pays for their SVDs.
+
+Configs are type-checked when built: counts and the seed must be integers
+(not booleans), ``include_self_loops`` a boolean, and the probability and the
+gap real numbers, so a malformed config file is invalid input, never coerced.
 
 Per-trial seeds are derived from ``(seed, n, trial_index)``, so serial and
 parallel execution orders would produce identical reports; rerunning a
@@ -24,8 +28,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -34,9 +39,8 @@ import numpy as np
 from minctrl.errors import InvalidInputError, NumericBackendError
 from minctrl.greedy import (
     SolveResult,
-    _PbhOracle,
-    _solve_deterministic,
-    _solve_randomized,
+    deterministic_greedy_vector,
+    randomized_greedy_vector,
 )
 from minctrl.linalg import EigenSystem, left_eigensystem, pbh_controllability_rank
 from minctrl.matrices import DenseMatrix
@@ -48,6 +52,14 @@ DEFAULT_MAX_REGENERATIONS = 50
 # SeedSequence tags for per-trial derived seeds
 _GRAPH_STREAM = 0
 _SOLVER_STREAM = 1
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -63,11 +75,29 @@ class ExperimentConfig:
     log_base: str = "natural"  # or "ten", for sensitivity runs
 
     def __post_init__(self):
+        if not isinstance(self.n_values, (list, tuple)) or not all(
+            _is_integer(n) for n in self.n_values
+        ):
+            raise InvalidInputError("n_values must be a list of integers")
+        object.__setattr__(self, "n_values", tuple(self.n_values))
+        for name in ("trials_per_n", "seed", "max_regenerations_per_trial"):
+            if not _is_integer(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be an integer")
+        if not isinstance(self.include_self_loops, bool):
+            raise InvalidInputError("include_self_loops must be true or false")
+        if not _is_real(self.eigen_gap_threshold) or not (
+            self.edge_probability is None or _is_real(self.edge_probability)
+        ):
+            raise InvalidInputError(
+                "eigen_gap_threshold and edge_probability must be numbers"
+            )
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise InvalidInputError("n_values must be positive counts")
         if self.trials_per_n < 1:
             raise InvalidInputError("trials_per_n must be positive")
-        if self.eigen_gap_threshold <= 0:
+        if self.seed < 0:
+            raise InvalidInputError("seed must be non-negative")
+        if not self.eigen_gap_threshold > 0:
             raise InvalidInputError("eigen_gap_threshold must be positive")
         if self.max_regenerations_per_trial < 0:
             raise InvalidInputError("max_regenerations_per_trial must be >= 0")
@@ -96,40 +126,16 @@ class ExperimentConfig:
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise InvalidInputError("experiment config must be a JSON object")
-        known = {
-            "n_values",
-            "trials_per_n",
-            "edge_probability",
-            "eigen_gap_threshold",
-            "seed",
-            "solver",
-            "max_regenerations_per_trial",
-            "include_self_loops",
-            "log_base",
-        }
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         try:
-            kwargs = dict(obj)
-            if "n_values" in kwargs:
-                kwargs["n_values"] = tuple(int(n) for n in kwargs["n_values"])
-            return cls(**kwargs)
+            return cls(**obj)
         except TypeError as exc:
             raise InvalidInputError(f"malformed config: {exc}") from exc
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "trials_per_n": self.trials_per_n,
-            "edge_probability": self.edge_probability,
-            "eigen_gap_threshold": self.eigen_gap_threshold,
-            "seed": self.seed,
-            "solver": self.solver,
-            "max_regenerations_per_trial": self.max_regenerations_per_trial,
-            "include_self_loops": self.include_self_loops,
-            "log_base": self.log_base,
-        }
+        return {**asdict(self), "n_values": list(self.n_values)}
 
 
 @dataclass(frozen=True)
@@ -314,11 +320,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _solve_trial(
     cfg: ExperimentConfig, eig: EigenSystem, n: int, trial: int
 ) -> SolveResult:
-    oracle = _PbhOracle(eig, cfg.eigen_gap_threshold)
+    gap = cfg.eigen_gap_threshold
     if cfg.solver == "deterministic":
-        return _solve_deterministic(oracle, "pbh")
+        return deterministic_greedy_vector(eig, "pbh", gap_threshold=gap)
     solver_seed = _derived_seed(cfg.seed, n, trial, _SOLVER_STREAM)
-    return _solve_randomized(oracle, solver_seed, "pbh")
+    return randomized_greedy_vector(eig, solver_seed, "pbh", gap_threshold=gap)
 
 
 def _verify_support(

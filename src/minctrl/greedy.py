@@ -20,7 +20,9 @@ Each rank backend is one oracle class: ``"exact"`` (fraction-free
 elimination over the rationals), ``"pbh"`` (count eigenvectors
 non-orthogonal to the candidate; distinct eigenvalues only, far better
 conditioned than SVD on the controllability matrix), and ``"svd"``
-(thresholded singular values).
+(thresholded singular values). Every solver takes the system matrix; with
+``"pbh"`` it also takes an ``EigenSystem`` the caller already has, so a
+matrix is decomposed once however many solves and checks use it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,7 +45,13 @@ from minctrl.linalg import (
     rank_numeric,
     require_distinct_spectrum,
 )
-from minctrl.matrices import Matrix, as_dense, as_rational
+from minctrl.matrices import (
+    Matrix,
+    as_dense,
+    as_rational,
+    primitive_vector,
+    scale_to_integers,
+)
 
 RANK_BACKENDS = ("exact", "pbh", "svd")
 
@@ -122,21 +128,12 @@ class SolveResult:
 # ``s`` in ``support`` (the diagonal input with those unit entries).
 
 
-def _reduce_column(col: list[int]) -> list[int]:
-    g = 0
-    for v in col:
-        g = gcd(g, v)
-    if g > 1:
-        return [v // g for v in col]
-    return col
-
-
 class _ExactOracle:
     """Fraction-free integer ranks of integer-scaled power columns.
 
-    Scaling ``A`` by the common denominator multiplies the k-th power block
-    of the controllability matrix by a positive constant, which leaves every
-    rank unchanged, so all arithmetic stays in (fast) plain integers.
+    Scaling ``A`` or ``b`` by a positive constant, and dividing a column of
+    the controllability matrix by the gcd of its entries, leave every rank
+    unchanged, so all arithmetic stays in (fast) plain integers.
     """
 
     zero = Fraction(0)
@@ -148,57 +145,47 @@ class _ExactOracle:
         if A.cols != n:
             raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
         self.n = n
-        scale = reduce(lcm, (x.denominator for row in A.data for x in row), 1)
-        scaled = [[int(x * scale) for x in row] for row in A.data]
-        power = [[int(i == j) for j in range(n)] for i in range(n)]
+        flat, _ = scale_to_integers([x for row in A.data for x in row])
+        scaled = [flat[i * n : (i + 1) * n] for i in range(n)]
+        column = [[int(i == j) for i in range(n)] for j in range(n)]
         self._powers: list[list[list[int]]] = []  # [k][j] -> column j of A^k
         for k in range(n):
             if k:
-                power = [
-                    [
-                        sum(prow[t] * scaled[t][j] for t in range(n))
-                        for j in range(n)
-                    ]
-                    for prow in power
+                column = [
+                    [sum(a * c for a, c in zip(row, col)) for row in scaled]
+                    for col in column
                 ]
-            self._powers.append(
-                [[power[i][j] for i in range(n)] for j in range(n)]
-            )
+            self._powers.append(column)
 
     def begin_sweep(self, b: list[Fraction]) -> None:
-        n = self.n
-        self._scale = reduce(lcm, (x.denominator for x in b), 1)
-        b_int = [int(x * self._scale) for x in b]
+        b_int, self._scale = scale_to_integers(b)
+        terms = [(j, v) for j, v in enumerate(b_int) if v]
         self._cols = [
-            [sum(pk[j][i] * b_int[j] for j in range(n) if b_int[j]) for i in range(n)]
+            [sum(v * pk[j][i] for j, v in terms) for i in range(self.n)]
             for pk in self._powers
         ]
 
     def rank_with_vector(self, j: int, value: Fraction) -> int:
-        scale = lcm(self._scale, value.denominator)
-        mult = scale // self._scale
-        shift = int(value * scale)
-        cols = []
-        for base, pk in zip(self._cols, self._powers):
-            pcol = pk[j]
-            cols.append(
-                _reduce_column(
-                    [mult * base[i] + shift * pcol[i] for i in range(self.n)]
-                )
-            )
-        return integer_rank(cols)
+        # s*q*(b + (p/q) e_j) has the power columns q*b_int + s*p*A^k e_j
+        q = value.denominator
+        shift = self._scale * value.numerator
+        return integer_rank(
+            [
+                primitive_vector([q * x + shift * y for x, y in zip(base, pk[j])])
+                for base, pk in zip(self._cols, self._powers)
+            ]
+        )
 
     def rank_with_block(self, support: Sequence[int]) -> int:
         return integer_rank(
-            [_reduce_column(pk[j]) for j in support for pk in self._powers]
+            [primitive_vector(pk[j]) for j in support for pk in self._powers]
         )
 
 
 class _PbhOracle:
     """Counts left eigenvectors non-orthogonal to the input (distinct spectra).
 
-    Built from a decomposition the caller already has, or with ``of_matrix``
-    from the system matrix.
+    Takes the system matrix, or a decomposition the caller already has.
     """
 
     zero = 0.0
@@ -206,19 +193,18 @@ class _PbhOracle:
 
     def __init__(
         self,
-        eig: EigenSystem,
+        A: Matrix | EigenSystem,
         gap_threshold: float = DEFAULT_EIGEN_GAP,
         orth_tol_scale: float = DEFAULT_ORTH_TOL_SCALE,
     ):
+        if isinstance(A, EigenSystem):
+            eig = A
+        else:
+            eig = left_eigensystem(as_dense(A), cluster_gap=gap_threshold)
         require_distinct_spectrum(eig, gap_threshold)
         self.n = eig.n
         self._rows = eig.left_eigenvectors
         self._tol_scale = orth_tol_scale
-
-    @classmethod
-    def of_matrix(cls, A: Matrix, gap_threshold: float = DEFAULT_EIGEN_GAP):
-        eig = left_eigensystem(as_dense(A), cluster_gap=gap_threshold)
-        return cls(eig, gap_threshold)
 
     def begin_sweep(self, b: list[float]) -> None:
         vec = np.asarray(b, dtype=np.float64)
@@ -270,10 +256,10 @@ class _SvdOracle:
         return rank_numeric(cols)
 
 
-_ORACLES = {"exact": _ExactOracle, "pbh": _PbhOracle.of_matrix, "svd": _SvdOracle}
+_ORACLES = {"exact": _ExactOracle, "pbh": _PbhOracle, "svd": _SvdOracle}
 
 
-def _make_oracle(A: Matrix, backend: str, gap_threshold: float):
+def _make_oracle(A: Matrix | EigenSystem, backend: str, gap_threshold: float):
     if backend not in _ORACLES:
         raise InvalidInputError(
             f"unknown rank backend {backend!r}; expected one of {RANK_BACKENDS}"
@@ -339,7 +325,7 @@ def _greedy(
 
 
 def randomized_greedy_vector(
-    A: Matrix,
+    A: Matrix | EigenSystem,
     seed: int,
     rank_backend: str = "exact",
     *,
@@ -351,43 +337,33 @@ def randomized_greedy_vector(
     draw per still-zero coordinate per sweep, consumed in index order, so
     identical ``(A, seed)`` always produce identical results.
     """
-    return _solve_randomized(
-        _make_oracle(A, rank_backend, gap_threshold), seed, rank_backend
-    )
-
-
-def _solve_randomized(oracle, seed: int, backend: str) -> SolveResult:
+    oracle = _make_oracle(A, rank_backend, gap_threshold)
     rng = np.random.default_rng(seed)
 
     def probes(_j: int):
         return (oracle.value(rng.standard_normal()),)
 
-    return _greedy(oracle, probes, backend, block=False)
+    return _greedy(oracle, probes, rank_backend, block=False)
 
 
 def deterministic_greedy_vector(
-    A: Matrix,
+    A: Matrix | EigenSystem,
     rank_backend: str = "exact",
     *,
     gap_threshold: float = DEFAULT_EIGEN_GAP,
 ) -> SolveResult:
     """Greedy sparse-vector solve probing each coordinate with 1..2n+1."""
-    return _solve_deterministic(
-        _make_oracle(A, rank_backend, gap_threshold), rank_backend
-    )
-
-
-def _solve_deterministic(oracle, backend: str) -> SolveResult:
+    oracle = _make_oracle(A, rank_backend, gap_threshold)
     probe_range = range(1, 2 * oracle.n + 2)
 
     def probes(_j: int):
         return (oracle.value(p) for p in probe_range)
 
-    return _greedy(oracle, probes, backend, block=False)
+    return _greedy(oracle, probes, rank_backend, block=False)
 
 
 def greedy_diagonal(
-    A: Matrix,
+    A: Matrix | EigenSystem,
     rank_backend: str = "exact",
     *,
     gap_threshold: float = DEFAULT_EIGEN_GAP,

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -30,7 +29,13 @@ from minctrl.errors import (
     InvalidInputError,
     NumericBackendError,
 )
-from minctrl.matrices import DenseMatrix, Matrix, RationalMatrix
+from minctrl.matrices import (
+    DenseMatrix,
+    Matrix,
+    RationalMatrix,
+    primitive_vector,
+    scale_to_integers,
+)
 
 # Eigenvalues closer than this are treated as repeated (configurable per call).
 DEFAULT_EIGEN_GAP = 0.01
@@ -69,34 +74,28 @@ def controllability_matrix(A: Matrix, B: Matrix) -> Matrix:
     `A` must be square and `B` must have matching row count. Dense inputs
     give a dense result; rational inputs stay exact.
     """
-    if isinstance(A, DenseMatrix) and isinstance(B, DenseMatrix):
-        n = A.rows
-        if A.cols != n:
-            raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
-        if B.rows != n:
-            raise InvalidInputError(
-                f"B has {B.rows} rows but A is {n}x{n}"
-            )
+    dense = isinstance(A, DenseMatrix) and isinstance(B, DenseMatrix)
+    if not dense and not (
+        isinstance(A, RationalMatrix) and isinstance(B, RationalMatrix)
+    ):
+        raise InvalidInputError("A and B must both be dense or both be rational")
+    n = A.rows
+    if A.cols != n:
+        raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
+    if B.rows != n:
+        raise InvalidInputError(f"B has {B.rows} rows but A is {n}x{n}")
+    if dense:
         m = B.cols
         out = np.zeros((n, n * m))
         out[:, :m] = B.array
         for k in range(1, n):
             out[:, k * m : (k + 1) * m] = A.array @ out[:, (k - 1) * m : k * m]
         return DenseMatrix(out)
-    if isinstance(A, RationalMatrix) and isinstance(B, RationalMatrix):
-        n = A.rows
-        if A.cols != n:
-            raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
-        if B.rows != n:
-            raise InvalidInputError(f"B has {B.rows} rows but A is {n}x{n}")
-        blocks = [B]
-        for _ in range(1, n):
-            blocks.append(A @ blocks[-1])
-        rows = [
-            tuple(x for blk in blocks for x in blk.row(i)) for i in range(n)
-        ]
-        return RationalMatrix(tuple(rows))
-    raise InvalidInputError("A and B must both be dense or both be rational")
+    blocks = [B]
+    for _ in range(1, n):
+        blocks.append(A @ blocks[-1])
+    rows = [tuple(x for blk in blocks for x in blk.row(i)) for i in range(n)]
+    return RationalMatrix(tuple(rows))
 
 
 def rank_numeric(M: DenseMatrix | np.ndarray, absolute_tolerance: float | None = None) -> int:
@@ -120,26 +119,11 @@ def rank_numeric(M: DenseMatrix | np.ndarray, absolute_tolerance: float | None =
     return int(np.count_nonzero(sigma > threshold))
 
 
-def _integer_rows(M: RationalMatrix) -> list[list[int]]:
-    """Row-scale a rational matrix to integers (rank-preserving)."""
-    out = []
-    for row in M.data:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        ints = [int(x * scale) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
 def rank_exact(M: RationalMatrix) -> int:
     """True rank over the rationals; deterministic, no tolerances."""
-    return integer_rank(_integer_rows(M))
+    return integer_rank(
+        [primitive_vector(scale_to_integers(row)[0]) for row in M.data]
+    )
 
 
 @dataclass(frozen=True)

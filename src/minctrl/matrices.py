@@ -7,6 +7,11 @@ Two matrix families cover everything downstream:
 * ``RationalMatrix`` -- exact-fraction matrices for the reduction pipeline,
   exact rank, and exact inverses.
 
+Exact ranks run on integers: ``scale_to_integers`` clears the denominators
+of a rational vector (a positive multiple, so no rank changes) and
+``primitive_vector`` divides an integer vector by the gcd of its entries,
+which keeps the integers the rank kernel sees small.
+
 File formats:
 
 * JSON object ``{"rows": r, "cols": c, "data": [...]}`` with row-major data.
@@ -21,6 +26,7 @@ import csv
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -318,8 +324,31 @@ def save_matrix(mat: Matrix, path: str | Path) -> None:
 
 
 def as_dense(mat: Matrix) -> DenseMatrix:
-    return mat if isinstance(mat, DenseMatrix) else mat.to_dense()
+    if isinstance(mat, DenseMatrix):
+        return mat
+    if isinstance(mat, RationalMatrix):
+        return mat.to_dense()
+    raise InvalidInputError(f"expected a matrix, got {type(mat).__name__}")
 
 
 def as_rational(mat: Matrix) -> RationalMatrix:
-    return mat if isinstance(mat, RationalMatrix) else mat.to_rational()
+    if isinstance(mat, RationalMatrix):
+        return mat
+    if isinstance(mat, DenseMatrix):
+        return mat.to_rational()
+    raise InvalidInputError(f"expected a matrix, got {type(mat).__name__}")
+
+
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers ``s * values`` and ``s``, the lcm of the denominators."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def primitive_vector(ints: list[int]) -> list[int]:
+    """``ints`` divided by the gcd of its entries; signs are kept.
+
+    A vector that is already primitive, zero or empty is returned as is.
+    """
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints

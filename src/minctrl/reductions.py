@@ -211,11 +211,11 @@ def eigenvector_matrix_inverse(inst: HittingSetInstance) -> RationalMatrix:
     return out
 
 
-def _conjugated_diagonal(V: RationalMatrix) -> RationalMatrix:
-    """``V^{-1} diag(1..n) V``, verified exactly against ``V A = D V``."""
+def _conjugated_diagonal(V: RationalMatrix, V_inv: RationalMatrix) -> RationalMatrix:
+    """``V_inv diag(1..n) V``, verified exactly against ``V A = D V``."""
     n = V.rows
     D = RationalMatrix.diagonal(list(range(1, n + 1)))
-    A = V.inverse() @ D @ V
+    A = V_inv @ D @ V
     if V @ A != D @ V:
         raise InternalVerificationError("left-eigenvector identity failed")
     return A
@@ -230,7 +230,7 @@ def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
     """
     m, p = inst.ground_size, inst.num_sets
     V = eigenvector_matrix(inst)
-    A = _conjugated_diagonal(V)
+    A = _conjugated_diagonal(V, V.inverse())
     return ReductionOutput(
         left_eigenvectors=V,
         system_matrix=A,
@@ -381,13 +381,9 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     inv_rows = [
         [V_hat.data[j][i] / norms[j] for j in range(r)] for i in range(r)
     ]
-    V_hat_inv = RationalMatrix.from_rows(inv_rows)
-    D = RationalMatrix.diagonal(list(range(1, r + 1)))
-    A_hat = V_hat_inv @ D @ V_hat
+    A_hat = _conjugated_diagonal(V_hat, RationalMatrix.from_rows(inv_rows))
     if not A_hat.is_symmetric():
         raise InternalVerificationError("extended system matrix is not symmetric")
-    if V_hat @ A_hat != D @ V_hat:
-        raise InternalVerificationError("extended left-eigenvector identity failed")
 
     return SymmetricExtensionOutput(
         left_eigenvectors=V_hat,

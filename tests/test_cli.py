@@ -159,6 +159,34 @@ def test_experiment_config_file(workdir, capsys):
     assert payload["config"]["edge_probability"] == 0.9
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"n_values": ["a"]},
+        {"n_values": [5.7]},
+        {"n_values": [True]},
+        {"n_values": 5},
+        {"seed": "abc"},
+        {"seed": -1},
+        {"trials_per_n": 1.5},
+        {"trials_per_n": True},
+        {"max_regenerations_per_trial": 2.0},
+        {"include_self_loops": "no"},
+        {"include_self_loops": 0},
+        {"edge_probability": "0.5"},
+        {"edge_probability": True},
+        {"eigen_gap_threshold": "0.01"},
+        {"eigen_gap_threshold": float("nan")},
+    ],
+    ids=lambda extra: json.dumps(extra),
+)
+def test_experiment_config_types_checked(workdir, capsys, extra):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"n_values": [5], "trials_per_n": 1, **extra}))
+    assert run("experiment", cfg) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_experiment_zero_trials_rejected(workdir, capsys):
     assert run("experiment", "--n-values", "5", "--trials", "0") == 2
 

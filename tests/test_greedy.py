@@ -3,18 +3,28 @@
 import json
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import minctrl.greedy
 from helpers import random_unimodular
 from minctrl.errors import BackendPreconditionError, InvalidInputError
 from minctrl.greedy import (
+    _ExactOracle,
     deterministic_greedy_vector,
     greedy_diagonal,
     randomized_greedy_vector,
 )
-from minctrl.linalg import left_eigensystem, is_vector_controllable_possible
+from minctrl.linalg import (
+    controllability_matrix,
+    is_vector_controllable_possible,
+    left_eigensystem,
+    rank_exact,
+)
 from minctrl.matrices import DenseMatrix, RationalMatrix
 from minctrl.oracles import brute_force_min_vector_support
 from minctrl.reductions import build_reduction
@@ -216,3 +226,93 @@ def test_solve_result_json_round_trip():
     assert obj["controllable"] is True
     assert len(obj["trace"]) == 2
     assert obj["trace"][0]["rank_after"] == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: randomized_greedy_vector(np.eye(3), 0, "exact"),
+        lambda: randomized_greedy_vector([[1, 0], [0, 2]], 0, "pbh"),
+        lambda: deterministic_greedy_vector(np.eye(2), "svd"),
+        lambda: greedy_diagonal([[1.0]], "exact"),
+    ],
+    ids=["ndarray-exact", "list-pbh", "ndarray-svd", "list-diagonal"],
+)
+def test_non_matrix_input_rejected(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize("backend", ("exact", "svd"))
+def test_eigensystem_needs_pbh_backend(backend):
+    eig = left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
+    with pytest.raises(InvalidInputError):
+        deterministic_greedy_vector(eig, backend)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda A: deterministic_greedy_vector(A, "pbh"),
+        lambda A: randomized_greedy_vector(A, 4, "pbh"),
+        lambda A: greedy_diagonal(A, "pbh"),
+    ],
+    ids=["det", "rand", "diag"],
+)
+def test_pbh_solvers_take_a_decomposition(paper_A, solve):
+    A = paper_A.to_dense()
+    assert solve(left_eigensystem(A)).to_json() == solve(A).to_json()
+
+
+# The exact oracle against the exact rank of the controllability matrix it
+# stands for, on rational matrices with non-integer entries.
+
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _rational_system(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(st.lists(_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    assume(any(x.denominator > 1 for row in rows for x in row))
+    return RationalMatrix.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_system(), st.data())
+def test_exact_oracle_vector_rank_matches_controllability_rank(A, data):
+    n = A.rows
+    b = data.draw(st.lists(_fractions, min_size=n, max_size=n))
+    j = data.draw(st.integers(0, n - 1))
+    dyadic = data.draw(st.booleans(), label="dyadic probe")
+    if dyadic:
+        fractional = st.floats(-3, 3, allow_nan=False).filter(lambda f: f % 1)
+        value = Fraction(data.draw(fractional))
+    else:
+        value = Fraction(data.draw(st.integers(1, 2 * n + 1)))
+    landing = data.draw(st.integers(-1, n - 1), label="unit index, -1 for zero")
+    if data.draw(st.booleans(), label="probe lands on a zero or unit vector"):
+        # a wrongly scaled probe misses the low rank of b + value e_j
+        b = [Fraction(int(i == landing)) - (value if i == j else 0) for i in range(n)]
+    assume(any(b) or not dyadic)
+    oracle = _ExactOracle(A)
+    oracle.begin_sweep(b)
+    probed = [[x + (value if i == j else 0)] for i, x in enumerate(b)]
+    expected = rank_exact(controllability_matrix(A, RationalMatrix.from_rows(probed)))
+    assert oracle.rank_with_vector(j, value) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_system(), st.data())
+def test_exact_oracle_block_rank_matches_controllability_rank(A, data):
+    n = A.rows
+    support = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    )
+    units = RationalMatrix.from_rows(
+        [[int(i == s) for s in support] for i in range(n)]
+    )
+    expected = rank_exact(controllability_matrix(A, units))
+    assert _ExactOracle(A).rank_with_block(support) == expected

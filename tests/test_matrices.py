@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 
 from minctrl.errors import InvalidInputError
+from minctrl.linalg import left_eigensystem
 from minctrl.matrices import (
     DenseMatrix,
     RationalMatrix,
+    as_dense,
+    as_rational,
     load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
+    primitive_vector,
     save_matrix,
+    scale_to_integers,
 )
 
 
@@ -130,3 +135,36 @@ def test_malformed_json_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(InvalidInputError):
         load_matrix(tmp_path / "nope.json")
+
+
+def test_scale_to_integers():
+    values = [Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(5)]
+    assert scale_to_integers(values) == ([3, -2, 0, 30], 6)
+    assert scale_to_integers([Fraction(4), Fraction(-6)]) == ([4, -6], 1)
+    assert scale_to_integers([]) == ([], 1)
+
+
+@pytest.mark.parametrize(
+    "vector, primitive",
+    [([4, -6, 0], [2, -3, 0]), ([-3, 5], [-3, 5]), ([0, -7], [0, -1])],
+)
+def test_primitive_vector_of_any_positive_multiple(vector, primitive):
+    for k in (1, 2, 3, 12, 2**70):
+        assert primitive_vector([k * v for v in vector]) == primitive
+
+
+def test_primitive_vector_zero_and_empty():
+    assert primitive_vector([0, 0, 0]) == [0, 0, 0]
+    assert primitive_vector([]) == []
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.eye(2), [[1, 0], [0, 2]], None, left_eigensystem(DenseMatrix.diagonal([1, 2]))],
+    ids=["ndarray", "list", "none", "eigensystem"],
+)
+def test_matrix_conversions_reject_non_matrices(value):
+    with pytest.raises(InvalidInputError):
+        as_dense(value)
+    with pytest.raises(InvalidInputError):
+        as_rational(value)

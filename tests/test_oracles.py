@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,12 @@ def test_kalman_basics(paper_A):
     b = RationalMatrix.from_rows([[1], [1], [0], [0], [0], [0], [0], [1]])
     assert kalman_test(paper_A, b, "exact")
     assert kalman_test(paper_A.to_dense(), b.to_dense(), "pbh")
+
+
+@pytest.mark.parametrize("backend", ("exact", "pbh", "svd"))
+def test_kalman_rejects_non_matrices(backend):
+    with pytest.raises(InvalidInputError):
+        kalman_test(np.eye(2), np.ones((2, 1)), backend)
 
 
 def test_kalman_agrees_with_support_test():
