@@ -16,18 +16,26 @@ candidate is scored:
 * ``greedy_diagonal`` -- the single value 1, scored as a new unit entry of a
   diagonal input matrix.
 
-Each rank backend is one oracle class: ``"exact"`` (fraction-free
-elimination over the rationals), ``"pbh"`` (count eigenvectors
-non-orthogonal to the candidate; distinct eigenvalues only, far better
-conditioned than SVD on the controllability matrix), and ``"svd"``
-(thresholded singular values). Every solver takes the system matrix; with
-``"pbh"`` it also takes an ``EigenSystem`` the caller already has, so a
+Each rank backend is one oracle class: ``"exact"``, ``"pbh"`` (count
+eigenvectors non-orthogonal to the candidate; distinct eigenvalues only, far
+better conditioned than SVD on the controllability matrix), and ``"svd"``
+(thresholded singular values). The exact oracle first asks
+``certified_left_eigenbasis`` for integer left eigenvectors ``v_i`` of n
+distinct eigenvalues, proven in integer arithmetic; every plain hitting-set
+reduction has them. With the certificate, the PBH/Hautus test makes
+``#{i : v_i b != 0}`` the exact rank, so a probe costs n integer products.
+Without it (a repeated, complex or irrational eigenvalue, a Jordan block, or
+an eigenvector with a large denominator, as in the symmetric reductions) the
+oracle falls back to fraction-free elimination over the rationals. Both give
+the same ranks, hence the same traces. Every solver takes the system matrix;
+with ``"pbh"`` it also takes an ``EigenSystem`` the caller already has, so a
 matrix is decomposed once however many solves and checks use it.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -40,6 +48,7 @@ from minctrl.linalg import (
     DEFAULT_EIGEN_GAP,
     DEFAULT_ORTH_TOL_SCALE,
     EigenSystem,
+    certified_left_eigenbasis,
     left_eigensystem,
     pbh_count,
     rank_numeric,
@@ -129,11 +138,19 @@ class SolveResult:
 
 
 class _ExactOracle:
-    """Fraction-free integer ranks of integer-scaled power columns.
+    """Exact ranks: a PBH count over a certified eigenbasis, else Bareiss.
 
-    Scaling ``A`` or ``b`` by a positive constant, and dividing a column of
-    the controllability matrix by the gcd of its entries, leave every rank
-    unchanged, so all arithmetic stays in (fast) plain integers.
+    When ``certified_left_eigenbasis`` proves that ``A`` has n distinct
+    eigenvalues with integer left eigenvectors ``v_i``, the PBH/Hautus test
+    gives ``rank C(A, b) = #{i : v_i b != 0}`` exactly, and a diagonal
+    block's rank is the number of ``v_i`` nonzero on its support; ``path``
+    is then ``"eigenbasis"``. Otherwise (a repeated, complex or irrational
+    eigenvalue, a Jordan block, or an eigenvector the certificate cannot
+    rationalise) ``path`` is ``"bareiss"``: fraction-free integer ranks of
+    integer-scaled power columns. Scaling ``A`` or ``b`` by a positive
+    constant, and dividing a column of the controllability matrix by the
+    gcd of its entries, leave every rank unchanged, so all arithmetic stays
+    in (fast) plain integers. Both paths give the same ranks.
     """
 
     zero = Fraction(0)
@@ -145,6 +162,10 @@ class _ExactOracle:
         if A.cols != n:
             raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
         self.n = n
+        self._basis = certified_left_eigenbasis(A)
+        self.path = "bareiss" if self._basis is None else "eigenbasis"
+        if self._basis is not None:
+            return
         flat, _ = scale_to_integers([x for row in A.data for x in row])
         scaled = [flat[i * n : (i + 1) * n] for i in range(n)]
         column = [[int(i == j) for i in range(n)] for j in range(n)]
@@ -159,6 +180,11 @@ class _ExactOracle:
 
     def begin_sweep(self, b: list[Fraction]) -> None:
         b_int, self._scale = scale_to_integers(b)
+        if self._basis is not None:
+            self._products = [
+                sum(a * x for a, x in zip(row, b_int)) for row in self._basis
+            ]
+            return
         terms = [(j, v) for j, v in enumerate(b_int) if v]
         self._cols = [
             [sum(v * pk[j][i] for j, v in terms) for i in range(self.n)]
@@ -166,9 +192,16 @@ class _ExactOracle:
         ]
 
     def rank_with_vector(self, j: int, value: Fraction) -> int:
-        # s*q*(b + (p/q) e_j) has the power columns q*b_int + s*p*A^k e_j
+        # s*q*(b + (p/q) e_j) is q*b_int + s*p*e_j: its products with v_i are
+        # q*(v_i b_int) + s*p*v_ij, and its power columns q*b_int + s*p*A^k e_j
         q = value.denominator
         shift = self._scale * value.numerator
+        if self._basis is not None:
+            return sum(
+                1
+                for product, row in zip(self._products, self._basis)
+                if q * product + shift * row[j]
+            )
         return integer_rank(
             [
                 primitive_vector([q * x + shift * y for x, y in zip(base, pk[j])])
@@ -177,6 +210,8 @@ class _ExactOracle:
         )
 
     def rank_with_block(self, support: Sequence[int]) -> int:
+        if self._basis is not None:
+            return sum(1 for row in self._basis if any(row[j] for j in support))
         return integer_rank(
             [primitive_vector(pk[j]) for j in support for pk in self._powers]
         )
@@ -335,8 +370,11 @@ def randomized_greedy_vector(
 
     Draws come from numpy's PCG64 generator seeded with ``seed``; one fresh
     draw per still-zero coordinate per sweep, consumed in index order, so
-    identical ``(A, seed)`` always produce identical results.
+    identical ``(A, seed)`` always produce identical results. ``seed`` must
+    be a non-negative integer.
     """
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     oracle = _make_oracle(A, rank_backend, gap_threshold)
     rng = np.random.default_rng(seed)
 

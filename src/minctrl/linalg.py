@@ -43,6 +43,11 @@ DEFAULT_EIGEN_GAP = 0.01
 # Scale factor for the |v^T b| zero threshold in the PBH test.
 DEFAULT_ORTH_TOL_SCALE = 1e-8
 
+# Largest denominator tried when rationalising an entry of a normalised
+# numeric eigenvector. It bounds only which inputs can be certified: the
+# exact check, not the rounding, decides.
+EIGENBASIS_MAX_DENOMINATOR = 10**6
+
 VectorLike = Union[DenseMatrix, Sequence[float], np.ndarray]
 
 
@@ -336,6 +341,57 @@ def pbh_controllability_rank(
     if orth_tol is None:
         orth_tol = DEFAULT_ORTH_TOL_SCALE * float(np.linalg.norm(vec))
     return pbh_count(eig.left_eigenvectors @ vec, orth_tol)
+
+
+def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
+    """Exact integer left eigenvectors of `A` for n distinct eigenvalues, or None.
+
+    Each numeric left eigenvector from ``np.linalg.eig(A.T)`` (sorted like
+    ``left_eigensystem``) is divided by its largest-magnitude entry,
+    rationalised entry by entry with denominators up to
+    ``EIGENBASIS_MAX_DENOMINATOR`` and scaled to a primitive integer vector
+    ``v``. The guess only proposes ``v``; the certificate is exact: with
+    ``A_int = s * A``, ``w = v A_int`` must equal ``mu * v`` in integers
+    (checked as ``v_k w == w_k v``), so ``v`` is a left eigenvector for the
+    eigenvalue ``w_k / (s v_k)``, and the n eigenvalues must be pairwise
+    distinct. Nonzero eigenvectors of distinct eigenvalues are independent,
+    so the rows are a basis and no tolerance decides anything.
+
+    Returns None, never raises, when the certificate fails: a repeated,
+    complex or irrational eigenvalue, a Jordan block, a denominator above
+    the bound, entries too large for floats, or an eigensolver failure.
+    """
+    n = A.rows
+    try:
+        values, vectors = np.linalg.eig(A.to_dense().array.T)
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    if np.any(values.imag != 0) or not (
+        np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))
+    ):
+        return None
+    rows = vectors.real.T[np.argsort(values.real, kind="stable")]
+    flat, _ = scale_to_integers([x for row in A.data for x in row])
+    columns = [flat[c::n] for c in range(n)]
+    basis: list[list[int]] = []
+    eigenvalues: set[Fraction] = set()
+    for row in rows:
+        k = int(np.argmax(np.abs(row)))
+        guess = [
+            Fraction(x).limit_denominator(EIGENBASIS_MAX_DENOMINATOR)
+            for x in row / row[k]
+        ]
+        v = primitive_vector(scale_to_integers(guess)[0])
+        w_k = sum(a * b for a, b in zip(v, columns[k]))
+        for c in range(n):
+            if v[k] * sum(a * b for a, b in zip(v, columns[c])) != w_k * v[c]:
+                return None
+        mu = Fraction(w_k, v[k])
+        if mu in eigenvalues:
+            return None
+        eigenvalues.add(mu)
+        basis.append(v)
+    return basis
 
 
 def pbh_support_test(V_rows: RationalMatrix, support: Iterable[int]) -> bool:

@@ -213,3 +213,12 @@ def test_solve_writes_output_file(workdir, capsys):
     payload = json.loads(out.read_text())
     assert payload["controllable"] is True
     assert payload["trace"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "svd"])
+def test_solve_negative_seed_rejected(workdir, capsys, backend):
+    matrix = workdir / "diag12.json"
+    matrix.write_text(json.dumps({"rows": 2, "cols": 2, "data": [1, 0, 0, 2]}))
+    assert run("solve", matrix, "--algo", "rand", "--seed", "-1",
+               "--backend", backend) == 2
+    assert capsys.readouterr().err.startswith("error: ")

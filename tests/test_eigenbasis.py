@@ -1,0 +1,255 @@
+"""The exact oracle's certified-eigenbasis path against the Bareiss path.
+
+``certified_left_eigenbasis`` proves exact integer left eigenvectors for n
+distinct eigenvalues; the exact oracle then counts ``v_i b != 0`` instead of
+eliminating the controllability matrix. These tests check the certificate,
+that its counts equal the exact ranks they replace, that solves are
+byte-identical with the certificate on and off, and that inputs without a
+certificate take the Bareiss path and keep its results. The expected solves
+in ``golden_fallback.json`` were recorded before the eigenbasis path existed;
+regenerate them only for a deliberate behaviour change, with
+``PYTHONPATH=src:tests python tests/test_eigenbasis.py > tests/golden_fallback.json``.
+"""
+
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import minctrl.greedy
+from helpers import golden_instance, random_instance
+from minctrl.greedy import (
+    _ExactOracle,
+    deterministic_greedy_vector,
+    greedy_diagonal,
+    randomized_greedy_vector,
+)
+from minctrl.linalg import (
+    EIGENBASIS_MAX_DENOMINATOR,
+    certified_left_eigenbasis,
+    controllability_matrix,
+    rank_exact,
+)
+from minctrl.matrices import RationalMatrix
+from minctrl.reductions import HittingSetInstance, build_reduction, eigenvector_matrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import GREEDY_SIZES, planted_instance  # noqa: E402
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_fallback.json"
+
+
+def _conjugate(P_rows, diagonal) -> RationalMatrix:
+    """``P^{-1} diag P``: the rows of ``P`` are its left eigenvectors."""
+    P = RationalMatrix.from_rows(P_rows)
+    return P.inverse() @ RationalMatrix.diagonal(diagonal) @ P
+
+
+# Inputs with no certificate: each must take the Bareiss path.
+FALLBACK = {
+    "eye2": lambda: RationalMatrix.identity(2),
+    "diag331": lambda: RationalMatrix.diagonal([3, 3, 1]),
+    "jordan2": lambda: RationalMatrix.from_rows([[1, 1], [0, 1]]),
+    "rotation": lambda: RationalMatrix.from_rows([[0, -1], [1, 0]]),
+    "sqrt2": lambda: RationalMatrix.from_rows([[0, 2], [1, 0]]),
+    # eigenvalues 1 and 1 + 2^-60 in a non-diagonal basis: float guesses of
+    # the two eigenvectors coincide
+    "near_double": lambda: _conjugate(
+        [[1, -1], [-1, 2]], [1, 1 + Fraction(1, 2**60)]
+    ),
+    # no float holds 10^400
+    "huge": lambda: RationalMatrix.diagonal([10**400, 1]),
+    # left eigenvector (1, 1/(bound+1)) after normalisation
+    "big_denominator": lambda: _conjugate(
+        [[EIGENBASIS_MAX_DENOMINATOR + 1, 1], [0, 1]], [1, 2]
+    ),
+}
+
+# diag(1, 1 + 2^-60) is certified: the unit vectors are exact eigenvectors,
+# and the eigenvalues are read off them exactly, though floats cannot tell
+# them apart.
+CERTIFIED = {
+    "near_double_diagonal": lambda: RationalMatrix.diagonal(
+        [1, 1 + Fraction(1, 2**60)]
+    ),
+}
+MATRICES = {**FALLBACK, **CERTIFIED}
+
+SOLVERS = {
+    "det": lambda A: deterministic_greedy_vector(A, "exact"),
+    "rand0": lambda A: randomized_greedy_vector(A, 0, "exact"),
+    "diag": lambda A: greedy_diagonal(A, "exact"),
+}
+
+CASES = [f"{name}-{solver}" for name in MATRICES for solver in SOLVERS]
+
+
+def _outcome(case: str) -> dict:
+    name, solver = case.split("-")
+    return json.loads(SOLVERS[solver](MATRICES[name]()).to_json())
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("name", FALLBACK)
+def test_certificate_rejects(name):
+    assert certified_left_eigenbasis(FALLBACK[name]()) is None
+
+
+@pytest.mark.parametrize("name", FALLBACK)
+def test_fallback_takes_bareiss(name):
+    assert _ExactOracle(FALLBACK[name]()).path == "bareiss"
+
+
+def test_certificate_reads_exact_eigenvalues():
+    A = CERTIFIED["near_double_diagonal"]()
+    assert certified_left_eigenbasis(A) == [[1, 0], [0, 1]]
+    assert _ExactOracle(A).path == "eigenbasis"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_solve_matches_recorded_result(case, golden):
+    assert _outcome(case) == golden[case]
+
+
+def _proportional(u, v) -> bool:
+    return all(a * y == b * x for a, b in zip(u, v) for x, y in zip(u, v))
+
+
+def _benchmark_instances():
+    """The planted instances of the exact-greedy benchmark, n = 17 to 28."""
+    rng = random.Random("exact-greedy")  # the benchmark's instance stream
+    return [
+        HittingSetInstance.from_json_dict(planted_instance(rng, m, p, k))
+        for m, p, k in GREEDY_SIZES["full"].values()
+    ]
+
+
+def test_certificate_recovers_reduction_eigenvectors():
+    instances = [golden_instance(), *_benchmark_instances()]
+    instances += [random_instance(random.Random(seed)) for seed in (1, 2, 3)]
+    for inst in instances:
+        basis = certified_left_eigenbasis(build_reduction(inst).system_matrix)
+        V = eigenvector_matrix(inst)
+        assert basis is not None and len(basis) == V.rows
+        assert all(_proportional(row, V.row(i)) for i, row in enumerate(basis))
+
+
+# ---------------------------------------------------------------------------
+# differential tests: eigenbasis counts against exact ranks
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _conjugated_system(draw):
+    """``P^{-1} D P`` with small rational P and distinct rational D."""
+    n = draw(st.integers(1, 4))
+    P = RationalMatrix.from_rows(
+        draw(
+            st.lists(
+                st.lists(_fractions, min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    assume(rank_exact(P) == n)
+    D = draw(st.lists(_fractions, min_size=n, max_size=n, unique=True))
+    return P.inverse() @ RationalMatrix.diagonal(D) @ P
+
+
+@st.composite
+def _reduction_system(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans(), label="planted"):
+        k = rng.randint(1, 2)
+        m = rng.randint(2 * k, 5)
+        inst = planted_instance(rng, m, rng.randint(m, 7), k)
+        inst = HittingSetInstance.from_json_dict(inst)
+    else:
+        inst = random_instance(rng)
+    return build_reduction(inst).system_matrix
+
+
+_systems = st.one_of(_conjugated_system(), _reduction_system())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_systems, st.data())
+def test_eigenbasis_vector_rank_matches_controllability_rank(A, data):
+    n = A.rows
+    b = data.draw(st.lists(_fractions, min_size=n, max_size=n))
+    j = data.draw(st.integers(0, n - 1))
+    dyadic = data.draw(st.booleans(), label="dyadic probe")
+    if dyadic:
+        fractional = st.floats(-3, 3, allow_nan=False).filter(lambda f: f % 1)
+        value = Fraction(data.draw(fractional))
+    else:
+        value = Fraction(data.draw(st.integers(1, 2 * n + 1)))
+    landing = data.draw(st.integers(-1, n - 1), label="unit index, -1 for zero")
+    if data.draw(st.booleans(), label="probe lands on a zero or unit vector"):
+        # a wrongly scaled probe misses the eigenvectors orthogonal to it
+        b = [Fraction(int(i == landing)) - (value if i == j else 0) for i in range(n)]
+    assume(any(b) or not dyadic)
+    oracle = _ExactOracle(A)
+    assert oracle.path == "eigenbasis"
+    oracle.begin_sweep(b)
+    probed = [[x + (value if i == j else 0)] for i, x in enumerate(b)]
+    expected = rank_exact(controllability_matrix(A, RationalMatrix.from_rows(probed)))
+    assert oracle.rank_with_vector(j, value) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems, st.data())
+def test_eigenbasis_block_rank_matches_controllability_rank(A, data):
+    n = A.rows
+    support = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    )
+    units = RationalMatrix.from_rows(
+        [[int(i == s) for s in support] for i in range(n)]
+    )
+    oracle = _ExactOracle(A)
+    assert oracle.path == "eigenbasis"
+    assert oracle.rank_with_block(support) == rank_exact(
+        controllability_matrix(A, units)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems)
+def test_solves_identical_with_certificate_off(A):
+    on = {name: solve(A).to_json() for name, solve in SOLVERS.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minctrl.greedy, "certified_left_eigenbasis", lambda _A: None)
+        assert _ExactOracle(A).path == "bareiss"
+        off = {name: solve(A).to_json() for name, solve in SOLVERS.items()}
+    assert on == off
+
+
+# ---------------------------------------------------------------------------
+# guard: the benchmark's exact solves never reach the Bareiss kernel
+
+
+def test_benchmark_solves_never_call_integer_rank(monkeypatch):
+    def forbidden(rows):
+        raise AssertionError("integer_rank called on a certified input")
+
+    monkeypatch.setattr(minctrl.greedy, "integer_rank", forbidden)
+    instances = [golden_instance(), *_benchmark_instances()]
+    matrices = [build_reduction(inst).system_matrix for inst in instances]
+    assert [A.rows for A in matrices] == [8, 17, 19, 22, 28]
+    for A in matrices:
+        for solve in SOLVERS.values():
+            assert solve(A).controllable
+
+
+if __name__ == "__main__":
+    print(json.dumps({case: _outcome(case) for case in CASES}, indent=1, sort_keys=True))

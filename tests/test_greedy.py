@@ -243,6 +243,18 @@ def test_non_matrix_input_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+def test_randomized_rejects_bad_seed(seed, backend):
+    with pytest.raises(InvalidInputError):
+        randomized_greedy_vector(DenseMatrix.diagonal([1, 2]), seed, backend)
+
+
+def test_randomized_takes_numpy_integer_seed():
+    A = DenseMatrix.diagonal([1, 2, 3])
+    assert randomized_greedy_vector(A, np.int64(5)) == randomized_greedy_vector(A, 5)
+
+
 @pytest.mark.parametrize("backend", ("exact", "svd"))
 def test_eigensystem_needs_pbh_backend(backend):
     eig = left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
