@@ -6,6 +6,8 @@ failures -> 3.
 
 from __future__ import annotations
 
+import numbers
+
 
 class MinctrlError(Exception):
     """Base class for all package-specific errors."""
@@ -35,3 +37,8 @@ class NumericBackendError(MinctrlError, RuntimeError):
 
 class InternalVerificationError(MinctrlError):
     """A construction failed its own exact self-check; indicates a bug."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer input: ``numbers.Integral`` but not ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from minctrl.errors import InvalidInputError, NumericBackendError
+from minctrl.errors import InvalidInputError, NumericBackendError, is_integer
 from minctrl.greedy import (
     SolveResult,
     deterministic_greedy_vector,
@@ -52,10 +52,6 @@ DEFAULT_MAX_REGENERATIONS = 50
 # SeedSequence tags for per-trial derived seeds
 _GRAPH_STREAM = 0
 _SOLVER_STREAM = 1
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -76,12 +72,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not isinstance(self.n_values, (list, tuple)) or not all(
-            _is_integer(n) for n in self.n_values
+            is_integer(n) for n in self.n_values
         ):
             raise InvalidInputError("n_values must be a list of integers")
         object.__setattr__(self, "n_values", tuple(self.n_values))
         for name in ("trials_per_n", "seed", "max_regenerations_per_trial"):
-            if not _is_integer(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be an integer")
         if not isinstance(self.include_self_loops, bool):
             raise InvalidInputError("include_self_loops must be true or false")

@@ -35,7 +35,6 @@ matrix is decomposed once however many solves and checks use it.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -43,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from minctrl._kernels import integer_rank
-from minctrl.errors import InternalVerificationError, InvalidInputError
+from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
 from minctrl.linalg import (
     DEFAULT_EIGEN_GAP,
     DEFAULT_ORTH_TOL_SCALE,
@@ -373,7 +372,7 @@ def randomized_greedy_vector(
     identical ``(A, seed)`` always produce identical results. ``seed`` must
     be a non-negative integer.
     """
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     oracle = _make_oracle(A, rank_backend, gap_threshold)
     rng = np.random.default_rng(seed)

@@ -10,7 +10,10 @@ Two matrix families cover everything downstream:
 Exact ranks run on integers: ``scale_to_integers`` clears the denominators
 of a rational vector (a positive multiple, so no rank changes) and
 ``primitive_vector`` divides an integer vector by the gcd of its entries,
-which keeps the integers the rank kernel sees small.
+which keeps the integers the rank kernel sees small. ``RationalMatrix``
+products run on integers the same way: each row of the left factor and each
+column of the right factor is scaled to integers over its own denominator,
+only nonzero products are summed, and each entry becomes one ``Fraction``.
 
 File formats:
 
@@ -132,7 +135,10 @@ class RationalMatrix:
     """Immutable exact-fraction matrix.
 
     ``Fraction`` keeps every entry normalized (positive denominator, reduced
-    to lowest terms), which is exactly the storage invariant we need.
+    to lowest terms), which is exactly the storage invariant we need. The
+    product ``@`` is a sparse integer kernel (see the module docstring); its
+    entries are the same normalized ``Fraction`` values as a sum of
+    ``Fraction`` products would give.
     """
 
     __slots__ = ("data",)
@@ -188,13 +194,32 @@ class RationalMatrix:
                 f"dimension mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        cols = other.transpose().data
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
-                for r in self.data
+        # Integer kernel: row i of self is ints_i / d_i and column j of other
+        # is ints_j / e_j, so entry (i, j) is (sum of integer products) /
+        # (d_i e_j). Zeros are skipped on both sides.
+        columns = [scale_to_integers(c) for c in zip(*other.data)]
+        col_scales = [scale for _, scale in columns]
+        right = [
+            [(j, v) for j, v in enumerate(row) if v]
+            for row in zip(*(ints for ints, _ in columns))
+        ]
+        del columns
+        zero = Fraction(0)
+        out = []
+        for r in self.data:
+            ints, scale = scale_to_integers(r)
+            acc = [0] * len(col_scales)
+            for a, row in zip(ints, right):
+                if a:
+                    for j, v in row:
+                        acc[j] += a * v
+            out.append(
+                tuple(
+                    Fraction(x, scale * e) if x else zero
+                    for x, e in zip(acc, col_scales)
+                )
             )
-        )
+        return RationalMatrix(tuple(out))
 
     def matvec(self, vec: Sequence[RationalLike | float]) -> tuple[Fraction, ...]:
         v = [_as_fraction(x) for x in vec]

@@ -18,8 +18,15 @@ product) plus a final column, then completes the rows to an exact orthogonal
 basis; conjugating a diagonal from an orthogonal-row matrix is symmetric.
 
 All arithmetic is exact; every construction re-verifies its own defining
-identities before returning. Ground-set elements are 1-based (matching the
-instance file format); matrix coordinates are 0-based.
+identities before returning. The work runs on integers: matrix products use
+``RationalMatrix``'s integer kernel, the plain build conjugates with the
+closed-form inverse of the eigenvector matrix (certified by ``V @ V_inv ==
+I``, no elimination), and the orthogonal completion runs Gram-Schmidt
+fraction-free, over primitive integer copies of the basis vectors, with its
+orthogonality postconditions checked in integers.
+
+Ground-set elements are 1-based (matching the instance file format); matrix
+coordinates are 0-based.
 """
 
 from __future__ import annotations
@@ -27,11 +34,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Sequence
 
-from minctrl.errors import InternalVerificationError, InvalidInputError
-from minctrl.matrices import RationalMatrix
+from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
+from minctrl.matrices import RationalMatrix, primitive_vector, scale_to_integers
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,10 @@ class HittingSetInstance:
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if not is_integer(self.ground_size):
+            raise InvalidInputError(
+                f"ground set size must be an integer, got {self.ground_size!r}"
+            )
         if self.ground_size < 1:
             raise InvalidInputError("ground set must be nonempty")
         if not self.sets:
@@ -50,6 +62,7 @@ class HittingSetInstance:
         for idx, s in enumerate(self.sets):
             if not s:
                 raise InvalidInputError(f"set #{idx + 1} is empty")
+            _check_elements(idx, s)
             bad = [e for e in s if not 1 <= e <= self.ground_size]
             if bad:
                 raise InvalidInputError(
@@ -73,14 +86,17 @@ class HittingSetInstance:
 
     @classmethod
     def from_sets(cls, ground_size: int, sets: Sequence[Sequence[int]]) -> "HittingSetInstance":
+        # Checked before freezing: a set would merge ``True`` or ``1.0`` into ``1``.
+        for idx, s in enumerate(sets):
+            _check_elements(idx, s)
         return cls(ground_size, tuple(frozenset(s) for s in sets))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "HittingSetInstance":
         try:
-            m = int(obj["m"])
+            m = obj["m"]
             sets = obj["sets"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed instance object: {exc}") from exc
         if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
             raise InvalidInputError('"sets" must be a list of lists')
@@ -88,6 +104,12 @@ class HittingSetInstance:
 
     def to_json_dict(self) -> dict:
         return {"m": self.ground_size, "sets": [sorted(s) for s in self.sets]}
+
+
+def _check_elements(idx: int, elements) -> None:
+    for e in elements:
+        if not is_integer(e):
+            raise InvalidInputError(f"set #{idx + 1} contains non-integer element {e!r}")
 
 
 def load_instance(path: str | Path) -> HittingSetInstance:
@@ -206,8 +228,9 @@ def eigenvector_matrix_inverse(inst: HittingSetInstance) -> RationalMatrix:
     last[n - 1] = Fraction(1)
     rows.append(last)
     out = RationalMatrix.from_rows(rows)
-    if out != eigenvector_matrix(inst).inverse():
-        raise InternalVerificationError("closed-form inverse disagrees with elimination")
+    # A square matrix's right inverse is its inverse.
+    if eigenvector_matrix(inst) @ out != RationalMatrix.identity(n):
+        raise InternalVerificationError("closed-form inverse is not a right inverse")
     return out
 
 
@@ -230,7 +253,7 @@ def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
     """
     m, p = inst.ground_size, inst.num_sets
     V = eigenvector_matrix(inst)
-    A = _conjugated_diagonal(V, V.inverse())
+    A = _conjugated_diagonal(V, eigenvector_matrix_inverse(inst))
     return ReductionOutput(
         left_eigenvectors=V,
         system_matrix=A,
@@ -254,10 +277,11 @@ def orthogonal_extension(
     returned vector has a nonzero first coordinate.
 
     Method: seed with the first standard basis vector, Gram-Schmidt the
-    remaining coordinates, then repair each zero-first-coordinate vector
-    ``u`` against the seed ``a`` via ``u <- (|a|^2/|u|^2) u + a`` and
-    ``a <- a - u`` (old values), which preserves orthogonality and leaves
-    both first coordinates nonzero.
+    remaining coordinates (fraction-free, in integers), then repair each
+    zero-first-coordinate vector ``u`` against the seed ``a`` via
+    ``u <- (|a|^2/|u|^2) u + a`` and ``a <- a - u`` (old values), which
+    preserves orthogonality and leaves both first coordinates nonzero. The
+    postconditions are checked on primitive integer copies of the output.
     """
     vecs = [tuple(Fraction(x) for x in v) for v in vectors]
     if not vecs:
@@ -282,19 +306,35 @@ def orthogonal_extension(
                     f"input vectors #{i + 1} and #{j + 1} are not orthogonal"
                 )
 
+    # Gram-Schmidt over primitive integer copies ``w`` of the basis vectors
+    # (positive multiples, so each projection is unchanged) and their squared
+    # norms. The basis is exactly orthogonal, so projecting a unit vector
+    # ``e_t`` onto its complement subtracts ``(w_t / |w|^2) w`` for each ``w``
+    # with ``w_t != 0``; the candidate is kept as ``num / den`` over the lcm
+    # of those squared norms.
     basis = list(vecs)
     seed = tuple(Fraction(int(t == 0)) for t in range(n))
     basis.append(seed)
+    ints = [primitive_vector(scale_to_integers(v)[0]) for v in vecs]
+    ints.append([int(t == 0) for t in range(n)])
+    norms = [_dot(w, w) for w in ints]
     for axis in range(1, n):
         if len(basis) == n:
             break
-        cand = [Fraction(int(t == axis)) for t in range(n)]
-        for w in basis:
-            coeff = _dot(cand, w) / _dot(w, w)
-            if coeff:
-                cand = [c - coeff * x for c, x in zip(cand, w)]
-        if any(cand):
-            basis.append(tuple(cand))
+        hits = [(w, nw) for w, nw in zip(ints, norms) if w[axis]]
+        den = lcm(*(nw for _, nw in hits))
+        num = [0] * n
+        num[axis] = den
+        for w, nw in hits:
+            f = w[axis] * (den // nw)
+            for t, x in enumerate(w):
+                if x:
+                    num[t] -= f * x
+        if any(num):
+            basis.append(tuple(Fraction(c, den) for c in num))
+            w = primitive_vector(num)
+            ints.append(w)
+            norms.append(_dot(w, w))
     if len(basis) != n:
         raise InternalVerificationError("Gram-Schmidt failed to complete a basis")
 
@@ -309,19 +349,21 @@ def orthogonal_extension(
         basis[seed_idx] = tuple(y - x for x, y in zip(u, a))
 
     out = [basis[i] for i in range(k, n)]
-    for i, v in enumerate(out):
+    out_ints = [primitive_vector(scale_to_integers(v)[0]) for v in out]
+    for i, v in enumerate(out_ints):
         if v[0] == 0:
             raise InternalVerificationError("extension vector kept a zero first coordinate")
-        for w in out[i + 1 :]:
+        for w in out_ints[i + 1 :]:
             if _dot(v, w) != 0:
                 raise InternalVerificationError("extension lost orthogonality")
-        for w in vecs:
+        for w in ints[:k]:
             if _dot(v, w) != 0:
                 raise InternalVerificationError("extension not orthogonal to inputs")
     return out
 
 
-def _dot(a, b) -> Fraction:
+def _dot(a, b):
+    """Inner product of two vectors of ``Fraction``s or of ints."""
     return sum(x * y for x, y in zip(a, b))
 
 

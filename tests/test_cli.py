@@ -90,6 +90,31 @@ def test_reduce_rejects_invalid_instance(workdir, capsys):
     assert run("reduce", bad) == 2
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"m": 2, "sets": [["1", 2]]},
+        {"m": 2, "sets": [[1.0, 2]]},
+        {"m": 2, "sets": [[1.5, 2], [1, 2]]},
+        {"m": 2, "sets": [[1, None]]},
+        {"m": 2, "sets": [[True, 2]]},
+        {"m": 3.7, "sets": [[1, 2, 3]]},
+        {"m": True, "sets": [[1]]},
+        {"m": "2", "sets": [[1, 2]]},
+        {"m": 2, "sets": [[1], 2]},
+    ],
+)
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_reduce_malformed_instance_is_invalid_input(workdir, capsys, obj, symmetric):
+    bad = workdir / "malformed.json"
+    bad.write_text(json.dumps(obj))
+    flags = ["--symmetric"] if symmetric else []
+    assert run("reduce", bad, *flags, "--out-dir", workdir / "never") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+    assert not (workdir / "never").exists()
+
+
 def test_reduce_single_set_instance(workdir, capsys):
     tiny = workdir / "tiny.json"
     tiny.write_text(json.dumps({"m": 1, "sets": [[1]]}))

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minctrl.errors import InvalidInputError
 from minctrl.linalg import left_eigensystem
@@ -168,3 +170,66 @@ def test_matrix_conversions_reject_non_matrices(value):
         as_dense(value)
     with pytest.raises(InvalidInputError):
         as_rational(value)
+
+
+# --- the integer product kernel against a plain Fraction reference --------------
+
+def _naive_product(left, right):
+    """Sum of ``Fraction`` products, entry by entry: the reference for ``@``."""
+    return [
+        [
+            sum((left[i][t] * right[t][j] for t in range(len(right))), Fraction(0))
+            for j in range(len(right[0]))
+        ]
+        for i in range(len(left))
+    ]
+
+
+_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**60)),
+)
+
+
+@st.composite
+def _factor_pair(draw):
+    """Sparse rational factors, with a zero row on the left and a zero column
+    on the right half of the time; shapes include 1x1, 1xk and kx1."""
+    r, k, c = (draw(st.integers(1, 6)) for _ in range(3))
+    zero_weight = draw(st.integers(0, 3))
+    entry = st.one_of(*[st.just(Fraction(0))] * zero_weight, _ENTRY)
+    left = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    right = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    if draw(st.booleans()):
+        left[draw(st.integers(0, r - 1))] = [Fraction(0)] * k
+    if draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in right:
+            row[j] = Fraction(0)
+    return left, right
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_pair())
+def test_matmul_equals_fraction_reference(pair):
+    left, right = pair
+    product = RationalMatrix.from_rows(left) @ RationalMatrix.from_rows(right)
+    expected = RationalMatrix.from_rows(_naive_product(left, right))
+    assert product == expected
+    assert matrix_to_json_dict(product) == matrix_to_json_dict(expected)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 1), (4, 1, 4), (1, 3, 5), (5, 3, 1)])
+def test_matmul_edge_shapes(shape):
+    r, k, c = shape
+    left = [[Fraction((i + 1) * (t - 1), 2**60 - t) for t in range(k)] for i in range(r)]
+    right = [[Fraction(t - j, 3 + j) for j in range(c)] for t in range(k)]
+    product = RationalMatrix.from_rows(left) @ RationalMatrix.from_rows(right)
+    assert (product.rows, product.cols) == (r, c)
+    assert product == RationalMatrix.from_rows(_naive_product(left, right))
+
+
+def test_matmul_rejects_dimension_mismatch():
+    with pytest.raises(InvalidInputError, match="dimension mismatch"):
+        RationalMatrix.identity(2) @ RationalMatrix.identity(3)

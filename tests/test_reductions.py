@@ -1,14 +1,21 @@
 """Exact construction checks: golden matrices, identities, extensions."""
 
+import hashlib
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import minctrl.reductions
 from helpers import random_instance
-from minctrl.errors import InvalidInputError
+from minctrl.errors import InternalVerificationError, InvalidInputError
 from minctrl.linalg import rank_exact
-from minctrl.matrices import RationalMatrix
+from minctrl.matrices import RationalMatrix, matrix_to_json_dict
 from minctrl.reductions import (
     HittingSetInstance,
     build_reduction,
@@ -18,6 +25,9 @@ from minctrl.reductions import (
     incidence_matrix,
     orthogonal_extension,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import planted_instance  # noqa: E402
 
 
 # --- instance validation ------------------------------------------------------
@@ -35,6 +45,40 @@ def test_instance_rejects_uncovered_element():
 def test_instance_rejects_out_of_range():
     with pytest.raises(InvalidInputError, match="out-of-range"):
         HittingSetInstance.from_sets(2, [[1, 2, 5]])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"m": 2, "sets": [["1", 2]]},
+        {"m": 2, "sets": [[1.0, 2]]},
+        {"m": 2, "sets": [[1.5, 2], [1, 2]]},
+        {"m": 2, "sets": [[1, None]]},
+        {"m": 2, "sets": [[True, 2]]},
+        {"m": 2, "sets": [[1, True], [2]]},
+        {"m": 3.7, "sets": [[1, 2, 3]]},
+        {"m": True, "sets": [[1]]},
+        {"m": "2", "sets": [[1, 2]]},
+        {"m": 2.0, "sets": [[1, 2]]},
+        {"m": None, "sets": [[1, 2]]},
+        {"m": 2, "sets": [1, 2]},
+        {"m": 2, "sets": [[1], 2]},
+        {"m": 2, "sets": "12"},
+        {"sets": [[1]]},
+    ],
+)
+def test_instance_rejects_malformed_json(obj):
+    with pytest.raises(InvalidInputError):
+        HittingSetInstance.from_json_dict(obj)
+
+
+def test_instance_rejects_non_integers_outside_json():
+    with pytest.raises(InvalidInputError, match="non-integer element True"):
+        HittingSetInstance.from_sets(2, [[1, True], [2]])
+    with pytest.raises(InvalidInputError, match="non-integer element 1.5"):
+        HittingSetInstance(2, (frozenset({1.5, 2}),))
+    with pytest.raises(InvalidInputError, match="ground set size"):
+        HittingSetInstance(True, (frozenset({1}),))
 
 
 def test_instance_json_round_trip(paper_instance):
@@ -234,3 +278,168 @@ def test_symmetric_extension_column_map():
     assert set(pairs) == {(1, 2), (1, 3), (2, 3)}
     assert sorted(pairs.values()) == [3, 4, 5]
     assert sym.final_column == 6
+
+
+# --- integer arithmetic: byte identity, guards and certificates ---------------------
+
+def _sha256(mat: RationalMatrix) -> str:
+    return hashlib.sha256(json.dumps(matrix_to_json_dict(mat)).encode()).hexdigest()
+
+
+# sha256 of ``json.dumps(matrix_to_json_dict(M))``, recorded once with the
+# Fraction-arithmetic builders that preceded the integer kernels (dense
+# ``Fraction`` products, Gauss-Jordan inverse, ``Fraction`` Gram-Schmidt).
+# None of these sizes is run by the benchmark.
+BYTE_IDENTITY = {
+    "golden-r37": (
+        (3, [[1, 2], [2, 3], [1, 3], [1, 2, 3]]),
+        {
+            "V": "b10ba2b997b7b97453e526559672e74a0b42f7637f8d5d82f97e913eb37d79d4",
+            "A": "ea7e028d6a95950718b84f85dfe08917e02070ad62dc8f9736dabae75dc3ed00",
+            "V_hat": "4cd2334fda68fa05392c712cc0c896fa5285b9b43c353ffda78bddbb178555a0",
+            "A_hat": "1fc3652f5b389e31fb32eee9ca4c5001baac6ffb0540bd9fd573387c8013c921",
+        },
+    ),
+    "base9-r46": (
+        (4, [[1, 2], [2, 3], [3, 4], [1, 4]]),
+        {
+            "V": "32aa00f9cf92b5c1d5708d2fcab1a547d902eefb7648affc85e4aefa25a09e6e",
+            "A": "d0241f86fd1f1bfa3218900301323abca012a93ab1560a3665797f06c768c8b3",
+            "V_hat": "9fdc2d1fe7630948d5f3390e1e66eb63f30675e93c0082735b257cee1f7dc2f3",
+            "A_hat": "05998787522e276ab426d198d72429c9ed73971de494f42aae95aaa127d0360d",
+        },
+    ),
+    "planted-n100": (
+        None,  # planted_instance(random.Random(1), 30, 69, 5)
+        {
+            "V": "da8d4265e1a757f04aba9da0ccbd137c957604815bce844c2ae7bb2d8f23ce86",
+            "A": "eee2ec67f50fb6216577e799426f65ff901b62c2d9ccbcefe1473be56a8d451f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_IDENTITY))
+def test_reductions_byte_identical_to_fraction_builders(name):
+    sets, expected = BYTE_IDENTITY[name]
+    if sets is None:
+        inst = HittingSetInstance.from_json_dict(planted_instance(random.Random(1), 30, 69, 5))
+    else:
+        inst = HittingSetInstance.from_sets(*sets)
+    red = build_reduction(inst)
+    got = {"V": _sha256(red.left_eigenvectors), "A": _sha256(red.system_matrix)}
+    if "V_hat" in expected:
+        sym = build_symmetric_extension(inst)
+        got["V_hat"] = _sha256(sym.left_eigenvectors)
+        got["A_hat"] = _sha256(sym.system_matrix)
+    assert got == expected
+
+
+def _fdot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _fraction_extension(vectors):
+    """``orthogonal_extension`` as it was in ``Fraction`` arithmetic, without
+    its input checks and postconditions: the reference for the integer one."""
+    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
+    n, k = len(vecs[0]), len(vecs)
+    basis = vecs + [tuple(Fraction(int(t == 0)) for t in range(n))]
+    for axis in range(1, n):
+        if len(basis) == n:
+            break
+        cand = [Fraction(int(t == axis)) for t in range(n)]
+        for w in basis:
+            coeff = _fdot(cand, w) / _fdot(w, w)
+            if coeff:
+                cand = [c - coeff * x for c, x in zip(cand, w)]
+        if any(cand):
+            basis.append(tuple(cand))
+    for l in range(k + 1, n):
+        if basis[l][0] != 0:
+            continue
+        a, u = basis[k], basis[l]
+        c = _fdot(a, a) / _fdot(u, u)
+        basis[l] = tuple(c * x + y for x, y in zip(u, a))
+        basis[k] = tuple(y - x for x, y in zip(u, a))
+    return basis[k:]
+
+
+_SMALL_FRACTION = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+)
+
+
+@st.composite
+def _orthogonal_inputs(draw):
+    """1..n-1 pairwise-orthogonal rational vectors with first coordinate zero,
+    each rescaled by a nonzero rational."""
+    n = draw(st.integers(2, 7))
+    raw = draw(
+        st.lists(
+            st.lists(_SMALL_FRACTION, min_size=n - 1, max_size=n - 1),
+            min_size=1,
+            max_size=n - 1,
+        )
+    )
+    vecs = []
+    for tail in raw:
+        v = [Fraction(0)] + tail
+        for w in vecs:
+            coeff = _fdot(v, w) / _fdot(w, w)
+            v = [x - coeff * y for x, y in zip(v, w)]
+        if any(v):
+            vecs.append(v)
+    assume(vecs)
+    scales = st.builds(Fraction, st.integers(1, 7) | st.integers(-7, -1), st.integers(1, 5))
+    return [[c * x for x in v] for c, v in ((draw(scales), v) for v in vecs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_orthogonal_inputs())
+def test_orthogonal_extension_equals_fraction_gram_schmidt(vectors):
+    assert orthogonal_extension(vectors) == _fraction_extension(vectors)
+
+
+@pytest.fixture()
+def no_elimination(monkeypatch):
+    def refuse(self):
+        raise AssertionError("RationalMatrix.inverse was called")
+
+    monkeypatch.setattr(RationalMatrix, "inverse", refuse)
+
+
+def test_builders_never_eliminate(no_elimination, paper_instance, paper_A):
+    assert build_reduction(paper_instance).system_matrix == paper_A
+    assert build_symmetric_extension(paper_instance).system_matrix.is_symmetric()
+    small, large = (
+        HittingSetInstance.from_json_dict(planted_instance(random.Random(5), m, p, k))
+        for m, p, k in [(2, 2, 1), (8, 13, 3)]
+    )
+    build_reduction(large)
+    build_reduction(small)
+    assert build_symmetric_extension(small).system_matrix.is_symmetric()
+
+
+def _perturbed(mat: RationalMatrix, i: int, j: int) -> RationalMatrix:
+    rows = [list(r) for r in mat.data]
+    rows[i][j] += Fraction(1, 7)
+    return RationalMatrix.from_rows(rows)
+
+
+def test_closed_form_inverse_certified_as_right_inverse(monkeypatch, paper_instance):
+    V = eigenvector_matrix(paper_instance)
+    monkeypatch.setattr(minctrl.reductions, "eigenvector_matrix", lambda inst: _perturbed(V, 3, 1))
+    with pytest.raises(InternalVerificationError, match="right inverse"):
+        eigenvector_matrix_inverse(paper_instance)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (3, 1), (7, 7), (5, 7)])
+def test_corrupted_inverse_fails_left_eigenvector_identity(monkeypatch, paper_instance, entry):
+    V_inv = eigenvector_matrix_inverse(paper_instance)
+    monkeypatch.setattr(
+        minctrl.reductions, "eigenvector_matrix_inverse", lambda inst: _perturbed(V_inv, *entry)
+    )
+    with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
+        build_reduction(paper_instance)
