@@ -18,8 +18,9 @@ only nonzero products are summed, and each entry becomes one ``Fraction``.
 File formats:
 
 * JSON object ``{"rows": r, "cols": c, "data": [...]}`` with row-major data.
-  Numeric entries load as a ``DenseMatrix``; any string entry (``"num/den"``)
-  switches the whole matrix to ``RationalMatrix``.
+  ``r`` and ``c`` must be positive JSON integers (not ``true``, ``2.0`` or
+  ``"2"``). Numeric entries load as a ``DenseMatrix``; any string entry
+  (``"num/den"``) switches the whole matrix to ``RationalMatrix``.
 * Headerless CSV, one row per line, for dense real matrices.
 """
 
@@ -35,7 +36,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from minctrl.errors import InvalidInputError
+from minctrl.errors import InvalidInputError, is_integer
 
 RationalLike = Union[int, str, Fraction]
 
@@ -289,11 +290,15 @@ def matrix_to_json_dict(mat: Matrix) -> dict:
 
 def matrix_from_json_dict(obj: dict) -> Matrix:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = obj["rows"]
+        cols = obj["cols"]
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed matrix object: {exc}") from exc
+    if not (is_integer(rows) and is_integer(cols)) or rows < 1 or cols < 1:
+        raise InvalidInputError(
+            f'"rows" and "cols" must be positive integers, got {rows!r} and {cols!r}'
+        )
     if not isinstance(data, list) or len(data) != rows * cols:
         raise InvalidInputError(
             f"matrix data length {len(data) if isinstance(data, list) else '?'} "

@@ -157,6 +157,24 @@ def test_malformed_matrix_exit_code(workdir, capsys):
     assert run("solve", bad) == 2
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"rows": 2.7, "cols": "2"},
+        {"rows": "2", "cols": 2},
+        {"rows": True, "cols": 4},
+        {"rows": None, "cols": 2},
+    ],
+    ids=lambda header: json.dumps(header),
+)
+def test_solve_non_integer_matrix_header_is_invalid_input(workdir, capsys, header):
+    bad = workdir / "header.json"
+    bad.write_text(json.dumps({**header, "data": [1, 0, 0, 2]}))
+    assert run("solve", bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+
+
 def test_verify_dimension_mismatch(workdir, capsys):
     assert run("verify", workdir / "diag123.json", workdir / "eye2.json") == 2
 

@@ -10,14 +10,16 @@ import minctrl.experiments
 import minctrl.greedy
 import minctrl.linalg
 from minctrl.cli import main as cli_main
-from minctrl.errors import InvalidInputError
+from minctrl.errors import InvalidInputError, NumericBackendError
 from minctrl.experiments import (
     ExperimentConfig,
     eigen_gap_filter,
+    repeats_isolated_eigenvalue,
     run_experiment,
     sample_er_digraph,
 )
 from minctrl.greedy import deterministic_greedy_vector, randomized_greedy_vector
+from minctrl.linalg import left_eigensystem
 from minctrl.matrices import DenseMatrix
 from minctrl.oracles import kalman_test
 
@@ -62,6 +64,61 @@ def test_eigen_gap_filter():
     assert not eigen_gap_filter(DenseMatrix.diagonal([1, 1.005]), 0.01)
     assert eigen_gap_filter(DenseMatrix.diagonal([1, 1.005]), 0.001)
     assert eigen_gap_filter(DenseMatrix.from_rows([[7]]), 0.01)
+    assert eigen_gap_filter(left_eigensystem(DenseMatrix.diagonal([1, 2, 3])), 0.01)
+    assert not eigen_gap_filter(
+        left_eigensystem(DenseMatrix.diagonal([1, 1.005])), 0.01
+    )
+    with pytest.raises(InvalidInputError):
+        eigen_gap_filter(DenseMatrix.diagonal([1, 2]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "rows, repeated",
+    [
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 1]], True),
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], False),
+        # each node has a zero row or column off the diagonal; a Jordan block
+        ([[0, 1], [0, 0]], True),
+        ([[0, 1], [0, 1]], False),
+        ([[1, 1], [1, 1]], False),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], False),
+        # nodes 0 and 3 are isolated with equal diagonals; 1 and 2 form a cycle
+        ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0]], True),
+        ([[5]], False),
+    ],
+)
+def test_repeats_isolated_eigenvalue(rows, repeated):
+    A = DenseMatrix.from_rows(rows)
+    assert repeats_isolated_eigenvalue(A) is repeated
+    if repeated:
+        assert left_eigensystem(A).min_pairwise_gap == 0.0
+        assert not eigen_gap_filter(A, 0.01)
+
+
+@pytest.mark.parametrize("include_self_loops", [True, False])
+def test_isolated_precheck_rejects_only_repeated_spectra(include_self_loops):
+    # Differential check of the pre-check against both eigensolver calls the
+    # gap filter has used: whenever it rejects a graph, each one's gap is
+    # within the threshold (in fact exactly 0).
+    threshold = 0.01
+    fired = 0
+    graphs = 0
+    for n in (2, 5, 12, 30, 60):
+        for scale in (0.5, 1.5, 3.0):
+            p = min(scale / n, 0.3)
+            for seed in range(12):
+                graphs += 1
+                A = sample_er_digraph(
+                    n, p, 1000 * n + seed, include_self_loops=include_self_loops
+                )
+                if not repeats_isolated_eigenvalue(A):
+                    continue
+                fired += 1
+                values = np.linalg.eigvals(A.array)
+                diff = np.abs(values[:, None] - values[None, :])
+                assert np.min(diff[np.triu_indices(n, k=1)]) <= threshold
+                assert left_eigensystem(A).min_pairwise_gap <= threshold
+    assert 0 < fired < graphs
 
 
 def test_config_validation():
@@ -166,23 +223,78 @@ def no_cluster_svds(monkeypatch):
     monkeypatch.setattr(minctrl.linalg, "_cluster_multiplicities", forbidden)
 
 
+@pytest.fixture()
+def no_eigvals(monkeypatch):
+    """Fail any call of the eigenvalues-only solver."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called: a second decomposition")
+
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+
+
 @pytest.mark.parametrize("solver", ["randomized", "deterministic"])
-def test_experiment_decomposes_each_trial_once(solver, no_cluster_svds, monkeypatch):
+def test_experiment_decomposes_each_trial_once(
+    solver, no_cluster_svds, no_eigvals, monkeypatch
+):
+    # One left_eigensystem call per sampled graph that the isolated-node
+    # pre-check lets through; the accepted graph's call is its trial's only
+    # decomposition, shared by the gap filter, the solver and the verification.
     calls = []
+    sampled = []
     original = minctrl.linalg.left_eigensystem
+    original_sample = minctrl.experiments.sample_er_digraph
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
+    def recording(*args, **kwargs):
+        sampled.append(original_sample(*args, **kwargs))
+        return sampled[-1]
+
     for module in (minctrl.linalg, minctrl.greedy, minctrl.experiments):
         monkeypatch.setattr(module, "left_eigensystem", counting)
+    monkeypatch.setattr(minctrl.experiments, "sample_er_digraph", recording)
     cfg = ExperimentConfig(n_values=(6, 12), trials_per_n=3, seed=8, solver=solver)
     report = run_experiment(cfg)
     accepted = report.accepted_records()
     assert len(accepted) == 6
     assert all(r.controllable for r in accepted)
-    assert len(calls) == len(accepted)
+    assert len(sampled) == len(accepted) + report.rejected_graph_count
+    assert len(calls) == len(sampled)  # no graph here has an isolated repeat
+    # sparse graphs: most are rejected by the pre-check, without a call
+    sparse = ExperimentConfig(
+        n_values=(30,), trials_per_n=3, seed=1, edge_probability=0.08, solver=solver
+    )
+    calls.clear()
+    sampled.clear()
+    report = run_experiment(sparse)
+    assert len(sampled) == len(report.accepted_records()) + report.rejected_graph_count
+    decomposed = [A for A in sampled if not repeats_isolated_eigenvalue(A)]
+    assert 0 < len(decomposed) < len(sampled)
+    assert len(calls) == len(decomposed)
+
+
+def test_failed_decomposition_is_a_rejected_graph(monkeypatch):
+    cfg = ExperimentConfig(n_values=(8,), trials_per_n=2, seed=11)
+    baseline = run_experiment(cfg)
+    assert [r.regenerations_used for r in baseline.records] == [0, 0]
+    original = minctrl.experiments.left_eigensystem
+    calls = []
+
+    def failing_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericBackendError("eigenvector residual exceeds tolerance")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(minctrl.experiments, "left_eigensystem", failing_first)
+    report = run_experiment(cfg)
+    first, second = report.records
+    assert first.accepted and first.regenerations_used == 1
+    assert second.to_json_dict() == baseline.records[1].to_json_dict()
+    assert report.rejected_graph_count == baseline.rejected_graph_count + 1
 
 
 def test_pbh_paths_skip_cluster_multiplicities(no_cluster_svds, tmp_path):

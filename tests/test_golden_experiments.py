@@ -33,6 +33,12 @@ CONFIGS = {
     "edge-probability": ExperimentConfig(
         n_values=(7, 14), trials_per_n=3, seed=6, edge_probability=0.3
     ),
+    # sparse regime: 103 of the 108 sampled graphs repeat an isolated node's
+    # diagonal entry and are rejected before any eigendecomposition, four
+    # more after it, and two of the three trials exhaust their regenerations
+    "rejection-regime": ExperimentConfig(
+        n_values=(30,), trials_per_n=3, seed=1, edge_probability=0.08
+    ),
     # all-ones matrices never pass the gap filter
     "complete-digraph": ExperimentConfig(
         n_values=(3, 4),

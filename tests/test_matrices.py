@@ -112,6 +112,25 @@ def test_json_data_length_checked():
         matrix_from_json_dict({"rows": 2, "cols": 2, "data": [1, 2, 3]})
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"rows": 2.7, "cols": "2"},
+        {"rows": 2, "cols": "2"},
+        {"rows": 2.0, "cols": 2},
+        {"rows": True, "cols": 4},
+        {"rows": None, "cols": 2},
+        {"rows": 2, "cols": -2},
+        {"rows": 0, "cols": 4},
+    ],
+    ids=lambda header: json.dumps(header),
+)
+@pytest.mark.parametrize("data", [[1, 0, 0, 1], ["1", "0", "0", "1"]])
+def test_json_header_must_be_positive_integers(header, data):
+    with pytest.raises(InvalidInputError, match="positive integers"):
+        matrix_from_json_dict({**header, "data": data})
+
+
 def test_csv_load(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n4,5,6\n")
