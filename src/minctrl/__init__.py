@@ -53,6 +53,7 @@ from minctrl.oracles import (
     brute_force_hitting_set,
     brute_force_min_diagonal_support,
     brute_force_min_vector_support,
+    controllability_rank,
     kalman_test,
 )
 from minctrl.reductions import (

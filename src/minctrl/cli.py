@@ -24,11 +24,9 @@ from minctrl.greedy import (
     greedy_diagonal,
     randomized_greedy_vector,
 )
-from minctrl.linalg import left_eigensystem, pbh_controllability_rank
 from minctrl.matrices import (
     DenseMatrix,
     RationalMatrix,
-    as_dense,
     as_rational,
     load_matrix,
     save_matrix,
@@ -37,7 +35,7 @@ from minctrl.oracles import (
     brute_force_hitting_set,
     brute_force_min_diagonal_support,
     brute_force_min_vector_support,
-    kalman_test,
+    controllability_rank,
 )
 from minctrl.reductions import build_reduction, build_symmetric_extension, load_instance
 
@@ -182,24 +180,17 @@ def _cmd_verify(args) -> int:
         )
     if b.rows == 1 and n != 1:
         b = _transpose(b)
-    if backend == "pbh":
-        eig = left_eigensystem(as_dense(matrix))
-        rank = pbh_controllability_rank(eig, as_dense(b))
-        controllable = rank == n
-        payload_rank: int | None = rank
-    else:
-        controllable = kalman_test(matrix, b, backend)
-        payload_rank = None
+    rank = controllability_rank(matrix, b, backend)
     payload = {
         "schema_version": 1,
         "n": n,
         "backend": backend,
-        "controllable": controllable,
+        "controllable": rank == n,
     }
-    if payload_rank is not None:
-        payload["rank"] = payload_rank
+    if backend == "pbh":
+        payload["rank"] = rank
     _emit(payload, args.out)
-    return EXIT_OK if controllable else EXIT_INFEASIBLE
+    return EXIT_OK if rank == n else EXIT_INFEASIBLE
 
 
 def _transpose(mat):

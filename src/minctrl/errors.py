@@ -42,3 +42,8 @@ class InternalVerificationError(MinctrlError):
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer input: ``numbers.Integral`` but not ``bool``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real-number input: ``numbers.Real`` but not ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -8,10 +8,12 @@ backend and record how many nonzero input entries it needed. Every accepted
 trial's output vector is re-verified against the PBH eigenvector count
 before being recorded.
 
-Each sampled graph is decomposed at most once. One ``left_eigensystem`` call
-gives the spectrum the gap filter reads, and an accepted graph hands that
-same ``EigenSystem`` to the greedy solver and to the verification, so the
-filter and the solver can never disagree about the gap. A graph whose
+Each sampled graph is decomposed at most once. One ``left_eigensystem`` call,
+made with ``cluster_gap`` set to the config's gap threshold, gives the
+spectrum the gap filter reads, and an accepted graph hands that same
+``EigenSystem`` to the greedy solver and to the verification. Both read
+their distinctness threshold from it, so the filter, the solver and the
+verification can never disagree about the gap. A graph whose
 decomposition fails its residual check is rejected like any other. The
 verification still recomputes every ``v_i^T b`` from the recorded support
 and values, independently of the solver's incremental products. Neither
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -46,17 +47,21 @@ from typing import Sequence
 
 import numpy as np
 
-from minctrl.errors import InvalidInputError, NumericBackendError, is_integer
+from minctrl.errors import InvalidInputError, NumericBackendError, is_integer, is_real
 from minctrl.greedy import (
     SolveResult,
     deterministic_greedy_vector,
     randomized_greedy_vector,
 )
-from minctrl.linalg import EigenSystem, left_eigensystem, pbh_controllability_rank
+from minctrl.linalg import (
+    DEFAULT_EIGEN_GAP,
+    EigenSystem,
+    left_eigensystem,
+    pbh_controllability_rank,
+)
 from minctrl.matrices import DenseMatrix
 
 DEFAULT_SEED = 1729
-DEFAULT_GAP_THRESHOLD = 0.01
 DEFAULT_MAX_REGENERATIONS = 50
 
 # SeedSequence tags for per-trial derived seeds
@@ -64,16 +69,12 @@ _GRAPH_STREAM = 0
 _SOLVER_STREAM = 1
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_values: tuple[int, ...]
     trials_per_n: int
     edge_probability: float | None = None  # None -> 2 ln(n) / n
-    eigen_gap_threshold: float = DEFAULT_GAP_THRESHOLD
+    eigen_gap_threshold: float = DEFAULT_EIGEN_GAP
     seed: int = DEFAULT_SEED
     solver: str = "randomized"
     max_regenerations_per_trial: int = DEFAULT_MAX_REGENERATIONS
@@ -91,8 +92,8 @@ class ExperimentConfig:
                 raise InvalidInputError(f"{name} must be an integer")
         if not isinstance(self.include_self_loops, bool):
             raise InvalidInputError("include_self_loops must be true or false")
-        if not _is_real(self.eigen_gap_threshold) or not (
-            self.edge_probability is None or _is_real(self.edge_probability)
+        if not is_real(self.eigen_gap_threshold) or not (
+            self.edge_probability is None or is_real(self.edge_probability)
         ):
             raise InvalidInputError(
                 "eigen_gap_threshold and edge_probability must be numbers"
@@ -334,7 +335,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 )
                 continue
             result = _solve_trial(cfg, eig, n, trial)
-            verified_rank = _verify_support(cfg, eig, result)
+            verified_rank = _verify_support(eig, result)
             sparsity = len(result.support)
             records.append(
                 TrialRecord(
@@ -361,19 +362,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _solve_trial(
     cfg: ExperimentConfig, eig: EigenSystem, n: int, trial: int
 ) -> SolveResult:
-    gap = cfg.eigen_gap_threshold
     if cfg.solver == "deterministic":
-        return deterministic_greedy_vector(eig, "pbh", gap_threshold=gap)
+        return deterministic_greedy_vector(eig, "pbh")
     solver_seed = _derived_seed(cfg.seed, n, trial, _SOLVER_STREAM)
-    return randomized_greedy_vector(eig, solver_seed, "pbh", gap_threshold=gap)
+    return randomized_greedy_vector(eig, solver_seed, "pbh")
 
 
-def _verify_support(
-    cfg: ExperimentConfig, eig: EigenSystem, result: SolveResult
-) -> int:
+def _verify_support(eig: EigenSystem, result: SolveResult) -> int:
     b = np.zeros(eig.n)
     for idx, value in zip(result.support, result.values):
         b[idx] = value
-    return pbh_controllability_rank(
-        eig, b, gap_threshold=cfg.eigen_gap_threshold
-    )
+    return pbh_controllability_rank(eig, b)

@@ -29,7 +29,9 @@ an eigenvector with a large denominator, as in the symmetric reductions) the
 oracle falls back to fraction-free elimination over the rationals. Both give
 the same ranks, hence the same traces. Every solver takes the system matrix;
 with ``"pbh"`` it also takes an ``EigenSystem`` the caller already has, so a
-matrix is decomposed once however many solves and checks use it.
+matrix is decomposed once however many solves and checks use it. The pbh
+oracle rejects eigenvalues within that decomposition's ``cluster_gap`` (by
+default ``DEFAULT_EIGEN_GAP``); the solvers take no threshold of their own.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import numpy as np
 from minctrl._kernels import integer_rank
 from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
 from minctrl.linalg import (
-    DEFAULT_EIGEN_GAP,
     DEFAULT_ORTH_TOL_SCALE,
     EigenSystem,
     certified_left_eigenbasis,
@@ -155,7 +156,7 @@ class _ExactOracle:
     zero = Fraction(0)
     value = Fraction
 
-    def __init__(self, A: Matrix, **_):
+    def __init__(self, A: Matrix):
         A = as_rational(A)
         n = A.rows
         if A.cols != n:
@@ -219,26 +220,18 @@ class _ExactOracle:
 class _PbhOracle:
     """Counts left eigenvectors non-orthogonal to the input (distinct spectra).
 
-    Takes the system matrix, or a decomposition the caller already has.
+    Takes the system matrix, or a decomposition the caller already has; the
+    decomposition's ``cluster_gap`` is the distinctness threshold.
     """
 
     zero = 0.0
     value = float
 
-    def __init__(
-        self,
-        A: Matrix | EigenSystem,
-        gap_threshold: float = DEFAULT_EIGEN_GAP,
-        orth_tol_scale: float = DEFAULT_ORTH_TOL_SCALE,
-    ):
-        if isinstance(A, EigenSystem):
-            eig = A
-        else:
-            eig = left_eigensystem(as_dense(A), cluster_gap=gap_threshold)
-        require_distinct_spectrum(eig, gap_threshold)
+    def __init__(self, A: Matrix | EigenSystem):
+        eig = A if isinstance(A, EigenSystem) else left_eigensystem(as_dense(A))
+        require_distinct_spectrum(eig)
         self.n = eig.n
         self._rows = eig.left_eigenvectors
-        self._tol_scale = orth_tol_scale
 
     def begin_sweep(self, b: list[float]) -> None:
         vec = np.asarray(b, dtype=np.float64)
@@ -248,11 +241,11 @@ class _PbhOracle:
     def rank_with_vector(self, j: int, value: float) -> int:
         products = self._products + value * self._rows[:, j]
         norm_sq = self._norm_sq + value * value
-        return pbh_count(products, self._tol_scale * float(np.sqrt(norm_sq)))
+        return pbh_count(products, DEFAULT_ORTH_TOL_SCALE * float(np.sqrt(norm_sq)))
 
     def rank_with_block(self, support: Sequence[int]) -> int:
         # unit columns: each tolerance is the bare scale
-        return pbh_count(self._rows[:, list(support)], self._tol_scale)
+        return pbh_count(self._rows[:, list(support)], DEFAULT_ORTH_TOL_SCALE)
 
 
 class _SvdOracle:
@@ -261,7 +254,7 @@ class _SvdOracle:
     zero = 0.0
     value = float
 
-    def __init__(self, A: Matrix, **_):
+    def __init__(self, A: Matrix):
         dense = as_dense(A)
         if dense.rows != dense.cols:
             raise InvalidInputError(f"A must be square, got {dense.rows}x{dense.cols}")
@@ -293,12 +286,12 @@ class _SvdOracle:
 _ORACLES = {"exact": _ExactOracle, "pbh": _PbhOracle, "svd": _SvdOracle}
 
 
-def _make_oracle(A: Matrix | EigenSystem, backend: str, gap_threshold: float):
+def _make_oracle(A: Matrix | EigenSystem, backend: str):
     if backend not in _ORACLES:
         raise InvalidInputError(
             f"unknown rank backend {backend!r}; expected one of {RANK_BACKENDS}"
         )
-    return _ORACLES[backend](A, gap_threshold=gap_threshold)
+    return _ORACLES[backend](A)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +352,7 @@ def _greedy(
 
 
 def randomized_greedy_vector(
-    A: Matrix | EigenSystem,
-    seed: int,
-    rank_backend: str = "exact",
-    *,
-    gap_threshold: float = DEFAULT_EIGEN_GAP,
+    A: Matrix | EigenSystem, seed: int, rank_backend: str = "exact"
 ) -> SolveResult:
     """Greedy sparse-vector solve scored with standard-normal draws.
 
@@ -374,7 +363,7 @@ def randomized_greedy_vector(
     """
     if not is_integer(seed) or seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-    oracle = _make_oracle(A, rank_backend, gap_threshold)
+    oracle = _make_oracle(A, rank_backend)
     rng = np.random.default_rng(seed)
 
     def probes(_j: int):
@@ -384,13 +373,10 @@ def randomized_greedy_vector(
 
 
 def deterministic_greedy_vector(
-    A: Matrix | EigenSystem,
-    rank_backend: str = "exact",
-    *,
-    gap_threshold: float = DEFAULT_EIGEN_GAP,
+    A: Matrix | EigenSystem, rank_backend: str = "exact"
 ) -> SolveResult:
     """Greedy sparse-vector solve probing each coordinate with 1..2n+1."""
-    oracle = _make_oracle(A, rank_backend, gap_threshold)
+    oracle = _make_oracle(A, rank_backend)
     probe_range = range(1, 2 * oracle.n + 2)
 
     def probes(_j: int):
@@ -400,16 +386,13 @@ def deterministic_greedy_vector(
 
 
 def greedy_diagonal(
-    A: Matrix | EigenSystem,
-    rank_backend: str = "exact",
-    *,
-    gap_threshold: float = DEFAULT_EIGEN_GAP,
+    A: Matrix | EigenSystem, rank_backend: str = "exact"
 ) -> SolveResult:
     """Greedy diagonal-input solve: add unit diagonal entries until full rank.
 
     Because the identity input always controls the system, an exact rank
     backend can stall only at full rank.
     """
-    oracle = _make_oracle(A, rank_backend, gap_threshold)
+    oracle = _make_oracle(A, rank_backend)
     unit = (oracle.value(1),)
     return _greedy(oracle, lambda _j: unit, rank_backend, block=True)

@@ -11,6 +11,12 @@ Both an exact-rational backend (fraction-free elimination, zero tolerance)
 and a numeric backend (SVD thresholding, eigenvector counting) are provided;
 the numeric path exists because the raw controllability-matrix rank is badly
 conditioned for floats, while counting eigenvector orthogonality is not.
+
+The eigenvector count is one function, ``pbh_controllability_rank``, for a
+vector or a multi-column input. Its one setting is the distinctness
+threshold: the ``cluster_gap`` of the ``EigenSystem`` it is given, so a
+decomposition and every PBH count made from it agree on which eigenvalues
+count as repeated.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from minctrl.errors import (
     BackendPreconditionError,
     InvalidInputError,
     NumericBackendError,
+    is_real,
 )
 from minctrl.matrices import (
     DenseMatrix,
@@ -37,7 +44,8 @@ from minctrl.matrices import (
     scale_to_integers,
 )
 
-# Eigenvalues closer than this are treated as repeated (configurable per call).
+# Eigenvalues closer than this are treated as repeated; a decomposition can
+# be built with another ``cluster_gap``.
 DEFAULT_EIGEN_GAP = 0.01
 
 # Scale factor for the |v^T b| zero threshold in the PBH test.
@@ -51,25 +59,19 @@ EIGENBASIS_MAX_DENOMINATOR = 10**6
 VectorLike = Union[DenseMatrix, Sequence[float], np.ndarray]
 
 
-def _as_float_vector(b: VectorLike, n: int) -> np.ndarray:
-    if isinstance(b, DenseMatrix):
-        arr = b.array
-        if arr.shape == (n, 1):
-            arr = arr[:, 0]
-        elif arr.shape == (1, n):
-            arr = arr[0, :]
-        else:
-            raise InvalidInputError(
-                f"expected an {n}-vector, got matrix of shape {arr.shape}"
-            )
-        return np.asarray(arr, dtype=np.float64)
-    arr = np.asarray(b, dtype=np.float64)
-    if arr.ndim == 2 and 1 in arr.shape:
-        arr = arr.ravel()
-    if arr.shape != (n,):
-        raise InvalidInputError(f"expected an {n}-vector, got shape {arr.shape}")
+def _as_input_columns(B: VectorLike, n: int) -> np.ndarray:
+    """``B`` as an ``n x m`` float array; a vector is the one-column case."""
+    arr = np.asarray(B.array if isinstance(B, DenseMatrix) else B, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    elif arr.ndim == 2 and arr.shape == (1, n):
+        arr = arr.T
+    if arr.ndim != 2 or arr.shape[0] != n or arr.shape[1] < 1:
+        raise InvalidInputError(
+            f"expected an {n}-vector or an {n}-row matrix, got shape {arr.shape}"
+        )
     if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("input vector has non-finite entries")
+        raise InvalidInputError("input has non-finite entries")
     return arr
 
 
@@ -136,20 +138,21 @@ class EigenSystem:
     """Left eigenstructure of a square real matrix.
 
     Row ``i`` of ``left_eigenvectors`` satisfies ``v_i^T A = lambda_i v_i^T``
-    up to ``residual_tolerance`` and has unit Euclidean norm. Eigenvalues are
-    sorted by (real, imag) so the decomposition is reproducible.
+    up to ``1e-8 * max(1, ||A||_F)`` and has unit Euclidean norm. Eigenvalues
+    are sorted by (real, imag) so the decomposition is reproducible.
 
-    ``distinct_eigenvalues`` and ``geometric_multiplicities`` cost one SVD of
-    ``A - lambda I`` per cluster of eigenvalues closer than ``cluster_gap``,
-    so they are computed from the kept read-only copy ``matrix`` on first
-    access and cached. The PBH rank paths read only the eigenvectors and
-    never pay for them.
+    ``cluster_gap`` is the one distinctness threshold: eigenvalues closer
+    than it count as repeated, both for the clusters below and for every PBH
+    count, which rejects the system when ``min_pairwise_gap`` is not above
+    it. ``distinct_eigenvalues`` and ``geometric_multiplicities`` cost one
+    SVD of ``A - lambda I`` per cluster, so they are computed from the kept
+    read-only copy ``matrix`` on first access and cached. The PBH rank paths
+    read only the eigenvectors and never pay for them.
     """
 
     eigenvalues: np.ndarray
     left_eigenvectors: np.ndarray
     min_pairwise_gap: float
-    residual_tolerance: float
     matrix: np.ndarray = field(repr=False)
     cluster_gap: float
 
@@ -183,15 +186,19 @@ def left_eigensystem(
     A: DenseMatrix,
     *,
     cluster_gap: float = DEFAULT_EIGEN_GAP,
-    residual_tolerance: float | None = None,
 ) -> EigenSystem:
     """Eigenvalues and unit-norm left eigenvectors of a square matrix.
 
-    Geometric multiplicities, computed on first access, are estimated per
-    cluster of eigenvalues closer than ``cluster_gap``: nearly coincident
-    eigenvalues are deliberately treated as repeated, since floating point
-    cannot certify them distinct.
+    ``cluster_gap``, a positive real number, is the distinctness threshold
+    of the result: eigenvalues closer than it are deliberately treated as
+    repeated, since floating point cannot certify them distinct. Geometric
+    multiplicities, computed on first access, are estimated per cluster, and
+    the PBH counts reject the system outright.
     """
+    if not is_real(cluster_gap) or not cluster_gap > 0:
+        raise InvalidInputError(
+            f"cluster_gap must be a positive number, got {cluster_gap!r}"
+        )
     if A.rows != A.cols:
         raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
     n = A.rows
@@ -208,16 +215,14 @@ def left_eigensystem(
     norms = np.linalg.norm(rows, axis=1)
     rows = rows / norms[:, None]
 
-    if residual_tolerance is None:
-        scale = float(np.linalg.norm(A.array, ord="fro"))
-        residual_tolerance = 1e-8 * max(1.0, scale)
+    tolerance = 1e-8 * max(1.0, float(np.linalg.norm(A.array, ord="fro")))
     residual = float(
         np.linalg.norm(rows @ A.array - values[:, None] * rows, axis=1).max()
     )
-    if residual > residual_tolerance:
+    if residual > tolerance:
         raise NumericBackendError(
             f"eigenvector residual {residual:.3e} exceeds tolerance "
-            f"{residual_tolerance:.3e}",
+            f"{tolerance:.3e}",
             matrix_hash=A.sha256(),
         )
 
@@ -237,7 +242,6 @@ def left_eigensystem(
         eigenvalues=values,
         left_eigenvectors=rows,
         min_pairwise_gap=min_gap,
-        residual_tolerance=residual_tolerance,
         matrix=matrix,
         cluster_gap=cluster_gap,
     )
@@ -290,18 +294,17 @@ def is_vector_controllable_possible(eig: EigenSystem) -> bool:
     return all(m == 1 for m in eig.geometric_multiplicities)
 
 
-def require_distinct_spectrum(
-    eig: EigenSystem, gap_threshold: float = DEFAULT_EIGEN_GAP
-) -> None:
+def require_distinct_spectrum(eig: EigenSystem) -> None:
     """Reject (nearly) repeated eigenvalues before any PBH count.
 
     The eigenvector count only equals the controllability rank when every
-    eigenvalue is simple.
+    eigenvalue is simple; eigenvalues within ``eig.cluster_gap`` of each
+    other count as repeated.
     """
-    if eig.min_pairwise_gap <= gap_threshold:
+    if eig.min_pairwise_gap <= eig.cluster_gap:
         raise BackendPreconditionError(
             f"eigenvalue gap {eig.min_pairwise_gap:.3e} is below the "
-            f"distinctness threshold {gap_threshold:.3e}; the eigenvector "
+            f"distinctness threshold {eig.cluster_gap:.3e}; the eigenvector "
             "count only equals the controllability rank for distinct spectra"
         )
 
@@ -319,28 +322,20 @@ def pbh_count(products: np.ndarray, tol) -> int:
     return int(np.count_nonzero(above))
 
 
-def pbh_controllability_rank(
-    eig: EigenSystem,
-    b: VectorLike,
-    orth_tol: float | None = None,
-    *,
-    gap_threshold: float = DEFAULT_EIGEN_GAP,
-) -> int:
-    """Controllability rank by counting eigenvectors non-orthogonal to `b`.
+def pbh_controllability_rank(eig: EigenSystem, B: VectorLike) -> int:
+    """Controllability rank by counting eigenvectors non-orthogonal to `B`.
 
-    For a matrix with distinct eigenvalues this equals
-    ``rank C(A, b)`` whenever ``orth_tol`` separates true zeros of
-    ``|v_i^T b|`` from the rest; default is ``1e-8 * ||b||``. Matrices with
-    (nearly) repeated eigenvalues are rejected: use the exact rank or the
-    covered-count characterization instead.
+    ``B`` is an n-vector (a row or a column) or an ``n x m`` input matrix;
+    row ``i`` counts when ``|v_i^T B[:, c]| > 1e-8 * ||B[:, c]||`` for some
+    column ``c``. For a matrix with distinct eigenvalues this equals
+    ``rank C(A, B)`` whenever that cutoff separates true zeros from the
+    rest. Eigenvalues within ``eig.cluster_gap`` of each other are rejected:
+    use the exact rank or the covered-count characterization instead.
     """
-    require_distinct_spectrum(eig, gap_threshold)
-    if orth_tol is not None and orth_tol <= 0:
-        raise InvalidInputError("orth_tol must be positive")
-    vec = _as_float_vector(b, eig.n)
-    if orth_tol is None:
-        orth_tol = DEFAULT_ORTH_TOL_SCALE * float(np.linalg.norm(vec))
-    return pbh_count(eig.left_eigenvectors @ vec, orth_tol)
+    require_distinct_spectrum(eig)
+    cols = _as_input_columns(B, eig.n)
+    tol = DEFAULT_ORTH_TOL_SCALE * np.linalg.norm(cols, axis=0)
+    return pbh_count(eig.left_eigenvectors @ cols, tol)
 
 
 def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:

@@ -86,9 +86,6 @@ class DenseMatrix:
     def diagonal(cls, values: Sequence[float]) -> "DenseMatrix":
         return cls(np.diag(np.asarray(values, dtype=np.float64)))
 
-    def column(self, j: int) -> np.ndarray:
-        return self.array[:, j]
-
     def to_rational(self) -> "RationalMatrix":
         """Exact conversion: every finite float is a dyadic rational."""
         return RationalMatrix.from_rows(
@@ -183,9 +180,6 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.data)
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(tuple(zip(*self.data)))
 
@@ -221,12 +215,6 @@ class RationalMatrix:
                 )
             )
         return RationalMatrix(tuple(out))
-
-    def matvec(self, vec: Sequence[RationalLike | float]) -> tuple[Fraction, ...]:
-        v = [_as_fraction(x) for x in vec]
-        if len(v) != self.cols:
-            raise InvalidInputError("vector length does not match matrix width")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.data)
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse by Gauss-Jordan elimination with partial pivoting."""

@@ -13,22 +13,19 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from minctrl.errors import (
     EnumerationGuardError,
     InternalVerificationError,
     InvalidInputError,
 )
+from minctrl.greedy import RANK_BACKENDS
 from minctrl.linalg import (
-    DEFAULT_ORTH_TOL_SCALE,
     controllability_matrix,
     left_eigensystem,
-    pbh_count,
+    pbh_controllability_rank,
     pbh_support_test,
     rank_exact,
     rank_numeric,
-    require_distinct_spectrum,
 )
 from minctrl.matrices import Matrix, RationalMatrix, as_dense, as_rational
 from minctrl.reductions import HittingSetInstance
@@ -142,21 +139,26 @@ def _check_state_guard(V_rows: RationalMatrix, allow_large: bool) -> None:
         )
 
 
+def controllability_rank(A: Matrix, B: Matrix, rank_backend: str = "exact") -> int:
+    """Rank of the controllability matrix ``(B, AB, ..., A^{n-1}B)``.
+
+    ``"exact"`` eliminates over the rationals, ``"svd"`` thresholds singular
+    values, and ``"pbh"`` counts the left eigenvectors of ``A`` that are not
+    orthogonal to some column of ``B`` (distinct spectra only; see
+    ``pbh_controllability_rank``).
+    """
+    if rank_backend not in RANK_BACKENDS:
+        raise InvalidInputError(
+            f"unknown rank backend {rank_backend!r}; expected one of {RANK_BACKENDS}"
+        )
+    if rank_backend == "exact":
+        return rank_exact(controllability_matrix(as_rational(A), as_rational(B)))
+    Ad, Bd = as_dense(A), as_dense(B)
+    if rank_backend == "svd":
+        return rank_numeric(controllability_matrix(Ad, Bd))
+    return pbh_controllability_rank(left_eigensystem(Ad), Bd)
+
+
 def kalman_test(A: Matrix, B: Matrix, rank_backend: str = "exact") -> bool:
     """Full-rank test of the controllability matrix under a chosen backend."""
-    if rank_backend == "exact":
-        Ar, Br = as_rational(A), as_rational(B)
-        return rank_exact(controllability_matrix(Ar, Br)) == Ar.rows
-    if rank_backend == "svd":
-        Ad, Bd = as_dense(A), as_dense(B)
-        return rank_numeric(controllability_matrix(Ad, Bd)) == Ad.rows
-    if rank_backend == "pbh":
-        Ad, Bd = as_dense(A), as_dense(B)
-        eig = left_eigensystem(Ad)
-        require_distinct_spectrum(eig)
-        tol = DEFAULT_ORTH_TOL_SCALE * np.linalg.norm(Bd.array, axis=0)
-        return pbh_count(eig.left_eigenvectors @ Bd.array, tol) == Ad.rows
-    raise InvalidInputError(
-        f"unknown rank backend {rank_backend!r} for the Kalman test; "
-        "expected 'exact', 'pbh', or 'svd'"
-    )
+    return controllability_rank(A, B, rank_backend) == A.rows

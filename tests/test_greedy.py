@@ -23,6 +23,7 @@ from minctrl.linalg import (
     controllability_matrix,
     is_vector_controllable_possible,
     left_eigensystem,
+    pbh_controllability_rank,
     rank_exact,
 )
 from minctrl.matrices import DenseMatrix, RationalMatrix
@@ -274,6 +275,25 @@ def test_eigensystem_needs_pbh_backend(backend):
 def test_pbh_solvers_take_a_decomposition(paper_A, solve):
     A = paper_A.to_dense()
     assert solve(left_eigensystem(A)).to_json() == solve(A).to_json()
+
+
+@pytest.mark.parametrize(
+    "pbh_entry",
+    [
+        lambda eig: deterministic_greedy_vector(eig, "pbh"),
+        lambda eig: randomized_greedy_vector(eig, 4, "pbh"),
+        lambda eig: greedy_diagonal(eig, "pbh"),
+        lambda eig: pbh_controllability_rank(eig, [1.0, 1.0, 1.0]),
+    ],
+    ids=["det", "rand", "diag", "rank"],
+)
+def test_cluster_gap_is_the_pbh_threshold(pbh_entry):
+    # eigenvalues 1 and 1.05 are 0.05 apart: repeated under a 0.1 gap,
+    # distinct under 0.01, whichever PBH entry reads the decomposition
+    A = DenseMatrix.diagonal([1, 1.05, 3])
+    with pytest.raises(BackendPreconditionError, match="threshold 1.000e-01"):
+        pbh_entry(left_eigensystem(A, cluster_gap=0.1))
+    pbh_entry(left_eigensystem(A, cluster_gap=0.01))
 
 
 # The exact oracle against the exact rank of the controllability matrix it

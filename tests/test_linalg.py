@@ -24,6 +24,7 @@ from minctrl.linalg import (
     pbh_support_test,
     rank_exact,
     rank_numeric,
+    require_distinct_spectrum,
 )
 from minctrl.matrices import DenseMatrix, RationalMatrix
 from minctrl.reductions import build_reduction
@@ -276,6 +277,31 @@ def test_pbh_rank_rejects_repeated_eigenvalues():
         pbh_controllability_rank(eig, [1, 1])
 
 
+@pytest.mark.parametrize(
+    "gap", [True, "0.01", 0, 0.0, -0.5, float("nan")], ids=repr
+)
+def test_left_eigensystem_rejects_bad_cluster_gap(gap):
+    # the gap decides whether PBH accepts a spectrum; `x <= nan` is false,
+    # so a NaN gap would otherwise accept every repeated eigenvalue
+    with pytest.raises(InvalidInputError, match="cluster_gap"):
+        left_eigensystem(DenseMatrix.identity(2), cluster_gap=gap)
+    with pytest.raises(BackendPreconditionError):
+        require_distinct_spectrum(left_eigensystem(DenseMatrix.identity(2)))
+
+
+def test_pbh_rank_takes_columns_rows_and_matrices():
+    eig = left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
+    for b in ([1, 0, 1], np.array([[1.0], [0.0], [1.0]]),
+              DenseMatrix.from_rows([[1, 0, 1]])):
+        assert pbh_controllability_rank(eig, b) == 2
+    # each column has its own tolerance: a tiny column still counts
+    B = np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
+    assert pbh_controllability_rank(eig, B) == 2
+    for bad in ([1, 0], np.ones((2, 3)), np.ones((3, 0)), np.ones((1, 1, 3))):
+        with pytest.raises(InvalidInputError):
+            pbh_controllability_rank(eig, bad)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_pbh_rank_rejects_non_finite_vector(bad):
     # every comparison with NaN is false, so no threshold count means anything
@@ -315,6 +341,12 @@ def test_pbh_rank_matches_exact_rank(n, seed):
     )
     eig = left_eigensystem(A.to_dense())
     assert pbh_controllability_rank(eig, [float(x) for x in b]) == expected
+    # a multi-column input: one sparse 0/1 column beside b
+    B = RationalMatrix.from_rows(
+        [[x, int(rng.random() < 0.3)] for x in b]
+    )
+    expected = rank_exact(controllability_matrix(A, B))
+    assert pbh_controllability_rank(eig, B.to_dense()) == expected
 
 
 # --- covered count ------------------------------------------------------------

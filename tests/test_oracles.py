@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from helpers import random_instance, random_invertible_rational
 from minctrl.errors import EnumerationGuardError, InvalidInputError
+from minctrl.greedy import RANK_BACKENDS
 from minctrl.matrices import DenseMatrix, RationalMatrix
 from minctrl.oracles import (
     brute_force_hitting_set,
     brute_force_min_diagonal_support,
     brute_force_min_vector_support,
+    controllability_rank,
     kalman_test,
 )
 from minctrl.reductions import HittingSetInstance, build_reduction
@@ -191,6 +193,14 @@ def test_kalman_backends_agree_on_multi_column_inputs():
             assert len(answers) == 1
             outcomes.append(answers.pop())
     assert True in outcomes and False in outcomes
+
+
+def test_controllability_rank_backends_agree(paper_A):
+    b = RationalMatrix.from_rows([[1], [0], [0], [0], [0], [0], [0], [0]])
+    ranks = {controllability_rank(paper_A, b, backend) for backend in RANK_BACKENDS}
+    assert ranks == {4}
+    with pytest.raises(InvalidInputError, match=r"\('exact', 'pbh', 'svd'\)"):
+        controllability_rank(paper_A, b, "cholesky")
 
 
 def test_oracle_json(paper_instance):
