@@ -13,7 +13,8 @@ of a rational vector (a positive multiple, so no rank changes) and
 which keeps the integers the rank kernel sees small. ``RationalMatrix``
 products run on integers the same way: each row of the left factor and each
 column of the right factor is scaled to integers over its own denominator,
-only nonzero products are summed, and each entry becomes one ``Fraction``.
+``integer_product`` sums only nonzero products, and each entry becomes one
+``Fraction``.
 
 File formats:
 
@@ -191,30 +192,20 @@ class RationalMatrix:
             )
         # Integer kernel: row i of self is ints_i / d_i and column j of other
         # is ints_j / e_j, so entry (i, j) is (sum of integer products) /
-        # (d_i e_j). Zeros are skipped on both sides.
+        # (d_i e_j).
         columns = [scale_to_integers(c) for c in zip(*other.data)]
         col_scales = [scale for _, scale in columns]
-        right = [
-            [(j, v) for j, v in enumerate(row) if v]
-            for row in zip(*(ints for ints, _ in columns))
-        ]
+        right = [list(row) for row in zip(*(ints for ints, _ in columns))]
         del columns
+        left = [scale_to_integers(r) for r in self.data]
+        acc = integer_product([ints for ints, _ in left], right)
         zero = Fraction(0)
-        out = []
-        for r in self.data:
-            ints, scale = scale_to_integers(r)
-            acc = [0] * len(col_scales)
-            for a, row in zip(ints, right):
-                if a:
-                    for j, v in row:
-                        acc[j] += a * v
-            out.append(
-                tuple(
-                    Fraction(x, scale * e) if x else zero
-                    for x, e in zip(acc, col_scales)
-                )
+        return RationalMatrix(
+            tuple(
+                tuple(Fraction(x, d * e) if x else zero for x, e in zip(row, col_scales))
+                for row, (_, d) in zip(acc, left)
             )
-        return RationalMatrix(tuple(out))
+        )
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse by Gauss-Jordan elimination with partial pivoting."""
@@ -361,6 +352,20 @@ def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The integers ``s * values`` and ``s``, the lcm of the denominators."""
     scale = lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def integer_product(X: Sequence[Sequence[int]], Y: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Product of two integer matrices given as lists of rows; zeros are skipped."""
+    right = [[(j, v) for j, v in enumerate(row) if v] for row in Y]
+    out = []
+    for row in X:
+        acc = [0] * len(Y[0])
+        for a, nonzeros in zip(row, right):
+            if a:
+                for j, v in nonzeros:
+                    acc[j] += a * v
+        out.append(acc)
+    return out
 
 
 def primitive_vector(ints: list[int]) -> list[int]:

@@ -145,18 +145,22 @@ def controllability_rank(A: Matrix, B: Matrix, rank_backend: str = "exact") -> i
     ``"exact"`` eliminates over the rationals, ``"svd"`` thresholds singular
     values, and ``"pbh"`` counts the left eigenvectors of ``A`` that are not
     orthogonal to some column of ``B`` (distinct spectra only; see
-    ``pbh_controllability_rank``).
+    ``pbh_controllability_rank``). Every backend needs ``B`` to have one row
+    per state: a ``1 x n`` ``B`` is rejected, not read as a column.
     """
     if rank_backend not in RANK_BACKENDS:
         raise InvalidInputError(
             f"unknown rank backend {rank_backend!r}; expected one of {RANK_BACKENDS}"
         )
+    convert = as_rational if rank_backend == "exact" else as_dense
+    A, B = convert(A), convert(B)
+    if B.rows != A.rows:
+        raise InvalidInputError(f"B has {B.rows} rows but A is {A.rows}x{A.cols}")
     if rank_backend == "exact":
-        return rank_exact(controllability_matrix(as_rational(A), as_rational(B)))
-    Ad, Bd = as_dense(A), as_dense(B)
+        return rank_exact(controllability_matrix(A, B))
     if rank_backend == "svd":
-        return rank_numeric(controllability_matrix(Ad, Bd))
-    return pbh_controllability_rank(left_eigensystem(Ad), Bd)
+        return rank_numeric(controllability_matrix(A, B))
+    return pbh_controllability_rank(left_eigensystem(A), B)
 
 
 def kalman_test(A: Matrix, B: Matrix, rank_backend: str = "exact") -> bool:

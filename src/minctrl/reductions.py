@@ -18,12 +18,19 @@ product) plus a final column, then completes the rows to an exact orthogonal
 basis; conjugating a diagonal from an orthogonal-row matrix is symmetric.
 
 All arithmetic is exact; every construction re-verifies its own defining
-identities before returning. The work runs on integers: matrix products use
-``RationalMatrix``'s integer kernel, the plain build conjugates with the
-closed-form inverse of the eigenvector matrix (certified by ``V @ V_inv ==
-I``, no elimination), and the orthogonal completion runs Gram-Schmidt
-fraction-free, over primitive integer copies of the basis vectors, with its
-orthogonality postconditions checked in integers.
+identities before returning. The work runs on integers, with no
+``RationalMatrix`` product. Both builds make one integer conjugation over a
+common denominator: integer left-eigenvector rows ``W`` and an integer ``U``
+with ``W U = L I`` give ``A = U diag(1..n) W / L``, certified by ``W (L A)
+== L diag(1..n) W``, and each entry of ``A`` becomes one ``Fraction``. The
+plain build takes ``U / L`` from the closed-form inverse of the eigenvector
+matrix (certified as a right inverse in integers, no elimination). The
+symmetric build takes ``W`` as the primitive rows of its orthogonal
+eigenvector matrix, checks ``W W^T`` diagonal, and uses ``U = W^T diag(L /
+|w_k|^2)`` with ``L`` the lcm of the squared norms. The orthogonal
+completion carries each vector as an integer numerator over one
+denominator, through fraction-free Gram-Schmidt and the repair step, and
+builds its ``Fraction`` output once.
 
 Ground-set elements are 1-based (matching the instance file format); matrix
 coordinates are 0-based.
@@ -34,12 +41,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from typing import Sequence
 
 from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
-from minctrl.matrices import RationalMatrix, primitive_vector, scale_to_integers
+from minctrl.matrices import (
+    RationalMatrix,
+    integer_product,
+    primitive_vector,
+    scale_to_integers,
+)
 
 
 @dataclass(frozen=True)
@@ -187,17 +199,13 @@ def eigenvector_matrix(inst: HittingSetInstance) -> RationalMatrix:
     last = [0] * n
     last[n - 1] = 1
     rows.append(last)
-    V = RationalMatrix.from_rows(rows)
-    if not _strictly_diagonally_dominant(V):
+    if not _strictly_diagonally_dominant(rows):
         raise InternalVerificationError("eigenvector matrix lost diagonal dominance")
-    return V
+    return _over(rows, 1)
 
 
-def _strictly_diagonally_dominant(M: RationalMatrix) -> bool:
-    return all(
-        abs(row[i]) > sum(abs(x) for j, x in enumerate(row) if j != i)
-        for i, row in enumerate(M.data)
-    )
+def _strictly_diagonally_dominant(rows: list[list[int]]) -> bool:
+    return all(2 * abs(row[i]) > sum(map(abs, row)) for i, row in enumerate(rows))
 
 
 def eigenvector_matrix_inverse(inst: HittingSetInstance) -> RationalMatrix:
@@ -211,37 +219,63 @@ def eigenvector_matrix_inverse(inst: HittingSetInstance) -> RationalMatrix:
     """
     m = inst.ground_size
     n = inst.state_dim
-    rows = []
+    # Integer numerators over the one denominator L = 2(m+1).
+    L = 2 * (m + 1)
+    U = []
     for i in range(m):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1, 2)
-        row[n - 1] = Fraction(-1, 2)
-        rows.append(row)
+        row = [0] * n
+        row[i] = m + 1
+        row[n - 1] = -(m + 1)
+        U.append(row)
     for i, s in enumerate(inst.sets):
-        row = [Fraction(0)] * n
-        row[m + i] = Fraction(1, m + 1)
+        row = [0] * n
+        row[m + i] = 2
         for e in s:
-            row[e - 1] = Fraction(-1, 2 * (m + 1))
-        row[n - 1] = Fraction(len(s), 2 * (m + 1))
-        rows.append(row)
-    last = [Fraction(0)] * n
-    last[n - 1] = Fraction(1)
-    rows.append(last)
-    out = RationalMatrix.from_rows(rows)
-    # A square matrix's right inverse is its inverse.
-    if eigenvector_matrix(inst) @ out != RationalMatrix.identity(n):
+            row[e - 1] = -1
+        row[n - 1] = len(s)
+        U.append(row)
+    last = [0] * n
+    last[n - 1] = L
+    U.append(last)
+    # A square matrix's right inverse is its inverse. With the rows of V
+    # scaled to integers, W = S V, the identity V (U / L) == I reads W U == L S.
+    W, S = _integer_rows(eigenvector_matrix(inst))
+    if integer_product(W, U) != [[L * s if j == i else 0 for j in range(n)] for i, s in enumerate(S)]:
         raise InternalVerificationError("closed-form inverse is not a right inverse")
-    return out
+    return _over(U, L)
 
 
-def _conjugated_diagonal(V: RationalMatrix, V_inv: RationalMatrix) -> RationalMatrix:
-    """``V_inv diag(1..n) V``, verified exactly against ``V A = D V``."""
-    n = V.rows
-    D = RationalMatrix.diagonal(list(range(1, n + 1)))
-    A = V_inv @ D @ V
-    if V @ A != D @ V:
+def _integer_rows(M: RationalMatrix) -> tuple[list[list[int]], list[int]]:
+    """The rows of ``M`` scaled to integers, and their positive scales."""
+    scaled = [scale_to_integers(row) for row in M.data]
+    return [ints for ints, _ in scaled], [scale for _, scale in scaled]
+
+
+def _common_denominator(M: RationalMatrix) -> tuple[list[list[int]], int]:
+    """Integer ``U`` and positive ``L`` with ``M == U / L``."""
+    ints, L = scale_to_integers([x for row in M.data for x in row])
+    c = M.cols
+    return [ints[i * c : (i + 1) * c] for i in range(M.rows)], L
+
+
+def _over(M: list[list[int]], L: int) -> RationalMatrix:
+    """The rational matrix ``M / L``, one ``Fraction`` per nonzero entry."""
+    zero = Fraction(0)
+    return RationalMatrix(tuple(tuple(Fraction(x, L) if x else zero for x in row) for row in M))
+
+
+def _conjugated_diagonal(W: list[list[int]], U: list[list[int]], L: int) -> RationalMatrix:
+    """``A = U diag(1..n) W / L`` for integer ``W``, ``U`` and ``L > 0`` with ``W U = L I``.
+
+    ``W`` holds the left eigenvectors, any positive row scaling of ``V``.
+    ``A`` is certified in integers by ``W M == L diag(1..n) W`` for
+    ``M = L A``, which is ``V A == diag(1..n) V`` and holds only if
+    ``W U == L I``.
+    """
+    M = integer_product([[x * (k + 1) for k, x in enumerate(row)] for row in U], W)
+    if integer_product(W, M) != [[L * (i + 1) * x for x in row] for i, row in enumerate(W)]:
         raise InternalVerificationError("left-eigenvector identity failed")
-    return A
+    return _over(M, L)
 
 
 def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
@@ -253,7 +287,8 @@ def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
     """
     m, p = inst.ground_size, inst.num_sets
     V = eigenvector_matrix(inst)
-    A = _conjugated_diagonal(V, eigenvector_matrix_inverse(inst))
+    W, _ = _integer_rows(V)
+    A = _conjugated_diagonal(W, *_common_denominator(eigenvector_matrix_inverse(inst)))
     return ReductionOutput(
         left_eigenvectors=V,
         system_matrix=A,
@@ -277,31 +312,33 @@ def orthogonal_extension(
     returned vector has a nonzero first coordinate.
 
     Method: seed with the first standard basis vector, Gram-Schmidt the
-    remaining coordinates (fraction-free, in integers), then repair each
+    remaining coordinates (fraction-free), then repair each
     zero-first-coordinate vector ``u`` against the seed ``a`` via
     ``u <- (|a|^2/|u|^2) u + a`` and ``a <- a - u`` (old values), which
-    preserves orthogonality and leaves both first coordinates nonzero. The
-    postconditions are checked on primitive integer copies of the output.
+    preserves orthogonality and leaves both first coordinates nonzero. Every
+    vector is carried as an integer numerator over one positive denominator;
+    the input checks and the postconditions run on integers, and the
+    ``Fraction`` output is built once at the end.
     """
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-    if not vecs:
+    basis = [scale_to_integers([Fraction(x) for x in v]) for v in vectors]
+    if not basis:
         raise InvalidInputError("need at least one input vector")
-    n = len(vecs[0])
-    k = len(vecs)
+    n = len(basis[0][0])
+    k = len(basis)
     if k >= n:
         raise InvalidInputError(f"{k} vectors already span or exceed {n}-space")
-    if any(len(v) != n for v in vecs):
+    if any(len(v) != n for v, _ in basis):
         raise InvalidInputError("input vectors have mixed lengths")
-    for idx, v in enumerate(vecs):
+    for idx, (v, _) in enumerate(basis):
         if v[0] != 0:
             raise InvalidInputError(
                 f"input vector #{idx + 1} has nonzero first coordinate"
             )
-        if all(x == 0 for x in v):
+        if not any(v):
             raise InvalidInputError(f"input vector #{idx + 1} is zero")
     for i in range(k):
         for j in range(i + 1, k):
-            if _dot(vecs[i], vecs[j]) != 0:
+            if _dot(basis[i][0], basis[j][0]) != 0:
                 raise InvalidInputError(
                     f"input vectors #{i + 1} and #{j + 1} are not orthogonal"
                 )
@@ -312,11 +349,9 @@ def orthogonal_extension(
     # ``e_t`` onto its complement subtracts ``(w_t / |w|^2) w`` for each ``w``
     # with ``w_t != 0``; the candidate is kept as ``num / den`` over the lcm
     # of those squared norms.
-    basis = list(vecs)
-    seed = tuple(Fraction(int(t == 0)) for t in range(n))
-    basis.append(seed)
-    ints = [primitive_vector(scale_to_integers(v)[0]) for v in vecs]
-    ints.append([int(t == 0) for t in range(n)])
+    seed = [int(t == 0) for t in range(n)]
+    basis.append((seed, 1))
+    ints = [primitive_vector(v) for v, _ in basis]
     norms = [_dot(w, w) for w in ints]
     for axis in range(1, n):
         if len(basis) == n:
@@ -331,25 +366,27 @@ def orthogonal_extension(
                 if x:
                     num[t] -= f * x
         if any(num):
-            basis.append(tuple(Fraction(c, den) for c in num))
+            basis.append((num, den))
             w = primitive_vector(num)
             ints.append(w)
             norms.append(_dot(w, w))
     if len(basis) != n:
         raise InternalVerificationError("Gram-Schmidt failed to complete a basis")
 
-    seed_idx = k
+    # The repair on ``u = nu/du`` and the seed ``a = na/da``: with
+    # ``p = |na|^2 du`` and ``q = |nu|^2 da``, ``(|a|^2/|u|^2) u + a`` is
+    # ``(p nu + q na) / (q da)`` and ``a - u`` is ``(du na - da nu) / (da du)``.
     for l in range(k + 1, n):
-        if basis[l][0] != 0:
+        nu, du = basis[l]
+        if nu[0] != 0:
             continue
-        a = basis[seed_idx]
-        u = basis[l]
-        c = _dot(a, a) / _dot(u, u)
-        basis[l] = tuple(c * x + y for x, y in zip(u, a))
-        basis[seed_idx] = tuple(y - x for x, y in zip(u, a))
+        na, da = basis[k]
+        p, q = _dot(na, na) * du, _dot(nu, nu) * da
+        basis[l] = _lowest([p * x + q * y for x, y in zip(nu, na)], q * da)
+        basis[k] = _lowest([du * y - da * x for x, y in zip(nu, na)], da * du)
 
-    out = [basis[i] for i in range(k, n)]
-    out_ints = [primitive_vector(scale_to_integers(v)[0]) for v in out]
+    out = basis[k:]
+    out_ints = [primitive_vector(num) for num, _ in out]
     for i, v in enumerate(out_ints):
         if v[0] == 0:
             raise InternalVerificationError("extension vector kept a zero first coordinate")
@@ -359,11 +396,18 @@ def orthogonal_extension(
         for w in ints[:k]:
             if _dot(v, w) != 0:
                 raise InternalVerificationError("extension not orthogonal to inputs")
-    return out
+    zero = Fraction(0)
+    return [tuple(Fraction(x, den) if x else zero for x in num) for num, den in out]
+
+
+def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
+    """``num / den`` with the common factor of ``den`` and every entry divided out."""
+    g = gcd(den, *num)
+    return ([x // g for x in num], den // g) if g > 1 else (num, den)
 
 
 def _dot(a, b):
-    """Inner product of two vectors of ``Fraction``s or of ints."""
+    """Inner product of two integer vectors."""
     return sum(x * y for x, y in zip(a, b))
 
 
@@ -386,16 +430,15 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     pair_col = {pair: base + idx for idx, pair in enumerate(pairs)}
     final_col = r - 1
 
-    rows = []
-    for i in range(base):
-        rows.append(list(V.row(i)) + [Fraction(0)] * (r - base))
+    # V is an integer matrix (every row scale is 1), so the padded rows are too.
+    V_ints, _ = _integer_rows(V)
+    padded = [row + [0] * (r - base) for row in V_ints]
     for (i, j) in pairs:
-        inner = _dot(V.row(i - 1), V.row(j - 1))
+        inner = _dot(V_ints[i - 1], V_ints[j - 1])
         if inner:
             col = pair_col[(i, j)]
-            rows[i - 1][col] = Fraction(1)
-            rows[j - 1][col] = -inner
-    padded = [tuple(row) for row in rows]
+            padded[i - 1][col] = 1
+            padded[j - 1][col] = -inner
     for a in range(base):
         for b in range(a + 1, base):
             if _dot(padded[a], padded[b]) != 0:
@@ -405,25 +448,22 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     # run the first-axis extension on coordinate-swapped copies.
     swapped = [_swap_ends(row) for row in padded]
     extension = [_swap_ends(v) for v in orthogonal_extension(swapped)]
+    V_hat = RationalMatrix(_over(padded, 1).data + tuple(extension))
 
-    all_rows = list(padded) + extension
-    V_hat = RationalMatrix(tuple(all_rows))
-
-    gram = V_hat @ V_hat.transpose()
-    if any(
-        gram.data[i][j] != 0
-        for i in range(r)
-        for j in range(r)
-        if i != j
-    ):
-        raise InternalVerificationError("extended rows are not orthogonal")
-
-    # Orthogonal rows invert by transpose over the row norms.
-    norms = [gram.data[i][i] for i in range(r)]
-    inv_rows = [
-        [V_hat.data[j][i] / norms[j] for j in range(r)] for i in range(r)
-    ]
-    A_hat = _conjugated_diagonal(V_hat, RationalMatrix.from_rows(inv_rows))
+    # Primitive integer rows W of V_hat (the row scales cancel in A_hat).
+    # Once W W^T is checked diagonal, U = W^T diag(L / |w_k|^2) with L the
+    # lcm of the squared norms satisfies W U == L I.
+    W = [primitive_vector(w) for w in _integer_rows(V_hat)[0]]
+    nonzeros = [[(t, x) for t, x in enumerate(w) if x] for w in W]
+    for a in range(r):
+        for b in range(a + 1, r):
+            w = W[b]
+            if sum(x * w[t] for t, x in nonzeros[a]):
+                raise InternalVerificationError("extended rows are not orthogonal")
+    norms = [_dot(w, w) for w in W]
+    L = lcm(*norms)
+    U = [[W[k][i] * (L // norms[k]) for k in range(r)] for i in range(r)]
+    A_hat = _conjugated_diagonal(W, U, L)
     if not A_hat.is_symmetric():
         raise InternalVerificationError("extended system matrix is not symmetric")
 
@@ -436,7 +476,7 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     )
 
 
-def _swap_ends(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _swap_ends(vec: Sequence[Fraction | int]) -> tuple[Fraction | int, ...]:
     out = list(vec)
     out[0], out[-1] = out[-1], out[0]
     return tuple(out)

@@ -203,6 +203,16 @@ def test_controllability_rank_backends_agree(paper_A):
         controllability_rank(paper_A, b, "cholesky")
 
 
+@pytest.mark.parametrize("backend", RANK_BACKENDS)
+def test_controllability_rank_rejects_row_b_for_every_backend(backend):
+    A = DenseMatrix.diagonal([1, 2, 3])
+    with pytest.raises(InvalidInputError, match="B has 1 rows but A is 3x3"):
+        controllability_rank(A, DenseMatrix.from_rows([[1, 1, 1]]), backend)
+    with pytest.raises(InvalidInputError, match="B has 1 rows"):
+        kalman_test(A.to_rational(), RationalMatrix.from_rows([[1, 1, 1]]), backend)
+    assert controllability_rank(A, DenseMatrix.from_rows([[1], [1], [1]]), backend) == 3
+
+
 def test_oracle_json(paper_instance):
     result = brute_force_hitting_set(paper_instance)
     obj = result.to_json_dict()

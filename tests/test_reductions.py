@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import minctrl.reductions
@@ -443,3 +443,122 @@ def test_corrupted_inverse_fails_left_eigenvector_identity(monkeypatch, paper_in
     )
     with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
         build_reduction(paper_instance)
+
+
+# --- integer conjugation: differential check, guards and certificates -------------
+
+def _fmatmul(X, Y):
+    """Dense ``Fraction`` product of two matrices given as lists of rows."""
+    return [[_fdot(row, col) for col in zip(*Y)] for row in X]
+
+
+def _fraction_conjugation(V, V_inv):
+    """``V_inv diag(1..n) V`` in dense ``Fraction`` arithmetic."""
+    D = [[Fraction(i + 1) if i == j else Fraction(0) for j in range(len(V))] for i in range(len(V))]
+    return _fmatmul(_fmatmul(V_inv, D), V)
+
+
+def _fraction_reduction(inst):
+    """``(V, A)`` of the plain build, with the Gauss-Jordan inverse of ``V``."""
+    m, n = inst.ground_size, inst.state_dim
+    V = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(m):
+        V[i][i], V[i][n - 1] = Fraction(2), Fraction(1)
+    for i, s in enumerate(inst.sets):
+        for e in s:
+            V[m + i][e - 1] = Fraction(1)
+        V[m + i][m + i] = Fraction(m + 1)
+    V[n - 1][n - 1] = Fraction(1)
+    V_inv = [list(row) for row in RationalMatrix.from_rows(V).inverse().data]
+    return V, _fraction_conjugation(V, V_inv)
+
+
+def _fraction_symmetric_extension(inst):
+    """``(V_hat, A_hat)`` in ``Fraction`` arithmetic: pair columns, the
+    ``Fraction`` Gram-Schmidt completion, and the inverse ``V_hat^T / |v_hat|^2``."""
+    V, _ = _fraction_reduction(inst)
+    base = len(V)
+    pairs = [(i, j) for i in range(base) for j in range(i + 1, base)]
+    r = base + 1 + len(pairs)
+    rows = [row + [Fraction(0)] * (r - base) for row in V]
+    for col, (i, j) in enumerate(pairs, start=base):
+        inner = _fdot(V[i], V[j])
+        if inner:
+            rows[i][col], rows[j][col] = Fraction(1), -inner
+    swap = lambda v: [v[-1]] + list(v[1:-1]) + [v[0]]  # noqa: E731
+    V_hat = rows + [swap(v) for v in _fraction_extension([swap(row) for row in rows])]
+    V_hat_inv = [[V_hat[j][i] / _fdot(V_hat[j], V_hat[j]) for j in range(r)] for i in range(r)]
+    return V_hat, _fraction_conjugation(V_hat, V_hat_inv)
+
+
+@pytest.fixture()
+def no_rational_products(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("RationalMatrix.__matmul__ was called")
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
+
+
+def _rows(mat: RationalMatrix) -> list[list[Fraction]]:
+    return [list(row) for row in mat.data]
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(seed=st.integers(0, 2**32 - 1), symmetric=st.booleans())
+def test_builders_equal_fraction_reference(no_rational_products, seed, symmetric):
+    rng = random.Random(seed)
+    if symmetric:  # r <= 22
+        inst = random_instance(rng, max_m=3, max_p=2)
+        sym = build_symmetric_extension(inst)
+        V_hat, A_hat = _fraction_symmetric_extension(inst)
+        assert _rows(sym.left_eigenvectors) == V_hat
+        assert _rows(sym.system_matrix) == A_hat
+    else:
+        inst = random_instance(rng, max_m=6, max_p=7)
+        red = build_reduction(inst)
+        V, A = _fraction_reduction(inst)
+        assert _rows(red.left_eigenvectors) == V
+        assert _rows(red.system_matrix) == A
+
+
+def test_perturbed_extension_fails_gram_check(monkeypatch):
+    inst = HittingSetInstance.from_sets(2, [[1, 2]])
+    real = orthogonal_extension
+
+    def perturbed(vectors):
+        out = [list(v) for v in real(vectors)]
+        out[1][2] += Fraction(1, 7)
+        return [tuple(v) for v in out]
+
+    monkeypatch.setattr(minctrl.reductions, "orthogonal_extension", perturbed)
+    with pytest.raises(InternalVerificationError, match="extended rows are not orthogonal"):
+        build_symmetric_extension(inst)
+
+
+def _paper_conjugation_inputs(paper_instance):
+    """Integer ``W = V``, ``U = 8 V^{-1}`` and ``L = 8`` for the golden instance."""
+    W = [[int(x) for x in row] for row in eigenvector_matrix(paper_instance).data]
+    U = [[int(8 * x) for x in row] for row in eigenvector_matrix_inverse(paper_instance).data]
+    return W, U, 8
+
+
+def test_conjugated_diagonal_takes_any_positive_row_scaling(paper_instance, paper_A):
+    W, U, L = _paper_conjugation_inputs(paper_instance)
+    conjugate = minctrl.reductions._conjugated_diagonal
+    assert conjugate(W, U, L) == paper_A
+    # W' = S W and U' = U diag(2 / s) give W' U' = 2L I and the same A.
+    s = [1 + i % 2 for i in range(len(W))]
+    W2 = [[s[i] * x for x in row] for i, row in enumerate(W)]
+    U2 = [[x * (2 // s[k]) for k, x in enumerate(row)] for row in U]
+    assert conjugate(W2, U2, 2 * L) == paper_A
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (3, 1), (7, 7), (5, 7), (2, 4)])
+def test_changed_common_denominator_inverse_fails_left_eigenvector_identity(paper_instance, entry):
+    W, U, L = _paper_conjugation_inputs(paper_instance)
+    i, j = entry
+    U[i][j] += 1
+    with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
+        minctrl.reductions._conjugated_diagonal(W, U, L)
