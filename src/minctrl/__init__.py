@@ -35,7 +35,6 @@ from minctrl.linalg import (
     JordanSpec,
     controllability_matrix,
     covered_count,
-    is_vector_controllable_possible,
     left_eigensystem,
     pbh_controllability_rank,
     pbh_support_test,

@@ -141,7 +141,7 @@ def _cmd_experiment(args) -> int:
             base = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise InvalidInputError(f"cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a JSON integer past the digit limit
             raise InvalidInputError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(base, dict):
             raise InvalidInputError(f"{args.config}: expected a JSON object")

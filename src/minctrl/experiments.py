@@ -16,8 +16,7 @@ their distinctness threshold from it, so the filter, the solver and the
 verification can never disagree about the gap. A graph whose
 decomposition fails its residual check is rejected like any other. The
 verification still recomputes every ``v_i^T b`` from the recorded support
-and values, independently of the solver's incremental products. Neither
-reads the eigenvalue cluster multiplicities, so no trial pays for their SVDs.
+and values, independently of the solver's incremental products.
 
 Before any decomposition, an exact O(n^2) scan rejects a graph with two
 *isolated* nodes (no off-diagonal nonzero in the node's row, or none in its
@@ -42,8 +41,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -198,9 +195,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
 
     def records_to_csv(self) -> str:
         header = (

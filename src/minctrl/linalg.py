@@ -22,9 +22,8 @@ count as repeated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -105,11 +104,11 @@ def controllability_matrix(A: Matrix, B: Matrix) -> Matrix:
     return RationalMatrix(tuple(rows))
 
 
-def rank_numeric(M: DenseMatrix | np.ndarray, absolute_tolerance: float | None = None) -> int:
-    """Number of singular values above threshold.
+def rank_numeric(M: DenseMatrix | np.ndarray) -> int:
+    """Number of singular values above ``max(rows, cols) * sigma_max * eps``.
 
-    Default threshold is ``max(rows, cols) * sigma_max * machine epsilon``;
-    pass ``absolute_tolerance`` to override with a fixed cutoff.
+    The cutoff is relative to the largest singular value, so scaling ``M``
+    does not change its rank.
     """
     arr = M.array if isinstance(M, DenseMatrix) else np.asarray(M)
     try:
@@ -118,11 +117,7 @@ def rank_numeric(M: DenseMatrix | np.ndarray, absolute_tolerance: float | None =
         raise NumericBackendError(f"SVD failed: {exc}") from exc
     if sigma.size == 0:
         return 0
-    if absolute_tolerance is None:
-        eps = np.finfo(np.float64).eps
-        threshold = max(arr.shape) * sigma[0] * eps
-    else:
-        threshold = absolute_tolerance
+    threshold = max(arr.shape) * sigma[0] * np.finfo(np.float64).eps
     return int(np.count_nonzero(sigma > threshold))
 
 
@@ -141,45 +136,18 @@ class EigenSystem:
     up to ``1e-8 * max(1, ||A||_F)`` and has unit Euclidean norm. Eigenvalues
     are sorted by (real, imag) so the decomposition is reproducible.
 
-    ``cluster_gap`` is the one distinctness threshold: eigenvalues closer
-    than it count as repeated, both for the clusters below and for every PBH
-    count, which rejects the system when ``min_pairwise_gap`` is not above
-    it. ``distinct_eigenvalues`` and ``geometric_multiplicities`` cost one
-    SVD of ``A - lambda I`` per cluster, so they are computed from the kept
-    read-only copy ``matrix`` on first access and cached. The PBH rank paths
-    read only the eigenvectors and never pay for them.
+    ``cluster_gap`` is the PBH distinctness threshold: every PBH count
+    rejects the system when ``min_pairwise_gap`` is not above it.
     """
 
     eigenvalues: np.ndarray
     left_eigenvectors: np.ndarray
     min_pairwise_gap: float
-    matrix: np.ndarray = field(repr=False)
     cluster_gap: float
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
-
-    @cached_property
-    def _clusters(self) -> tuple[tuple[complex, ...], tuple[int, ...]]:
-        try:
-            return _cluster_multiplicities(
-                self.matrix, self.eigenvalues, self.cluster_gap
-            )
-        except np.linalg.LinAlgError as exc:
-            raise NumericBackendError(
-                f"SVD failed: {exc}", matrix_hash=DenseMatrix(self.matrix).sha256()
-            ) from exc
-
-    @property
-    def distinct_eigenvalues(self) -> tuple[complex, ...]:
-        """One representative (the cluster mean) per eigenvalue cluster."""
-        return self._clusters[0]
-
-    @property
-    def geometric_multiplicities(self) -> tuple[int, ...]:
-        """Estimated eigenspace dimension of each cluster, in the same order."""
-        return self._clusters[1]
 
 
 def left_eigensystem(
@@ -189,11 +157,10 @@ def left_eigensystem(
 ) -> EigenSystem:
     """Eigenvalues and unit-norm left eigenvectors of a square matrix.
 
-    ``cluster_gap``, a positive real number, is the distinctness threshold
-    of the result: eigenvalues closer than it are deliberately treated as
-    repeated, since floating point cannot certify them distinct. Geometric
-    multiplicities, computed on first access, are estimated per cluster, and
-    the PBH counts reject the system outright.
+    ``cluster_gap``, a positive real number, is the PBH distinctness
+    threshold of the result: eigenvalues closer than it are deliberately
+    treated as repeated, since floating point cannot certify them distinct,
+    and the PBH counts reject the system outright.
     """
     if not is_real(cluster_gap) or not cluster_gap > 0:
         raise InvalidInputError(
@@ -232,66 +199,15 @@ def left_eigensystem(
         diff = np.abs(values[:, None] - values[None, :])
         min_gap = float(np.min(diff[np.triu_indices(n, k=1)]))
 
-    rows = rows.copy()
+    # both arrays are fresh copies, owned by the result alone
     rows.flags.writeable = False
-    values = values.copy()
     values.flags.writeable = False
-    matrix = A.array.copy()
-    matrix.flags.writeable = False
     return EigenSystem(
         eigenvalues=values,
         left_eigenvectors=rows,
         min_pairwise_gap=min_gap,
-        matrix=matrix,
         cluster_gap=cluster_gap,
     )
-
-
-def _cluster_multiplicities(
-    arr: np.ndarray, values: np.ndarray, cluster_gap: float
-) -> tuple[tuple[complex, ...], tuple[int, ...]]:
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= cluster_gap:
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-
-    reps: list[complex] = []
-    mults: list[int] = []
-    eye = np.eye(n)
-    for members in sorted(clusters.values(), key=lambda ms: ms[0]):
-        center = complex(np.mean(values[members]))
-        radius = max(abs(values[i] - center) for i in members)
-        shifted = arr.astype(complex) - center * eye
-        sigma = np.linalg.svd(shifted, compute_uv=False)
-        eps = np.finfo(np.float64).eps
-        base = n * (sigma[0] if sigma[0] > 0 else 1.0) * eps
-        # eigen-directions of near-coincident eigenvalues look like one space
-        threshold = max(base, 2.0 * radius + base)
-        dim = int(np.count_nonzero(sigma <= threshold))
-        reps.append(center)
-        mults.append(max(dim, 1))
-    return tuple(reps), tuple(mults)
-
-
-def is_vector_controllable_possible(eig: EigenSystem) -> bool:
-    """True iff every eigenspace is one-dimensional.
-
-    A repeated eigenvalue with a two-dimensional eigenspace defeats every
-    single-input choice, so no vector `b` can make the system controllable.
-    """
-    return all(m == 1 for m in eig.geometric_multiplicities)
 
 
 def require_distinct_spectrum(eig: EigenSystem) -> None:

@@ -21,7 +21,9 @@ File formats:
 * JSON object ``{"rows": r, "cols": c, "data": [...]}`` with row-major data.
   ``r`` and ``c`` must be positive JSON integers (not ``true``, ``2.0`` or
   ``"2"``). Numeric entries load as a ``DenseMatrix``; any string entry
-  (``"num/den"``) switches the whole matrix to ``RationalMatrix``.
+  (``"num/den"``) switches the whole matrix to ``RationalMatrix``. Entries
+  past Python's 4,300-digit ``int``/``str`` conversion limit are written and
+  read through ``decimal``, which has no such limit.
 * Headerless CSV, one row per line, for dense real matrices.
 """
 
@@ -30,6 +32,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -40,6 +44,8 @@ import numpy as np
 from minctrl.errors import InvalidInputError, is_integer
 
 RationalLike = Union[int, str, Fraction]
+
+_INTEGER_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 class DenseMatrix:
@@ -124,10 +130,28 @@ def _as_fraction(value: RationalLike | float) -> Fraction:
         return Fraction(value)  # exact: binary floats are rationals
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _parse_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"bad rational entry {value!r}: {exc}") from exc
     raise InvalidInputError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:
+        # an "n" or "n/d" past the int-from-str digit limit
+        match = _INTEGER_RATIO.fullmatch(text.strip())
+        if match is None:
+            raise
+        num, den = match.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+
+
+def _rational_text(x: Fraction) -> str:
+    """``str(x)``, also past the int-to-str digit limit."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 class RationalMatrix:
@@ -263,7 +287,10 @@ Matrix = Union[DenseMatrix, RationalMatrix]
 def matrix_to_json_dict(mat: Matrix) -> dict:
     if isinstance(mat, DenseMatrix):
         return {"rows": mat.rows, "cols": mat.cols, "data": mat.entries}
-    data = [str(x) for row in mat.data for x in row]
+    try:
+        data = [str(x) for row in mat.data for x in row]
+    except ValueError:  # an entry past the int-to-str digit limit
+        data = [_rational_text(x) for row in mat.data for x in row]
     return {"rows": mat.rows, "cols": mat.cols, "data": data}
 
 
@@ -296,12 +323,12 @@ def load_matrix(path: str | Path) -> Matrix:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() != ".csv":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a JSON integer past the digit limit
             if text.lstrip().startswith(("{", "[")):
                 raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
             obj = None

@@ -129,7 +129,7 @@ def load_instance(path: str | Path) -> HittingSetInstance:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a JSON integer past the digit limit
         raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{path}: expected a JSON instance object")

