@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve, reduce, oracle, experiment, verify. Exit codes are fixed:
-0 success, 1 infeasible / not controllable, 2 invalid input, 3 internal or
-numeric error. Output payloads are JSON with a ``schema_version`` field and
-go to --out when given, stdout otherwise. The default rank backend comes
-from ``MINCTRL_BACKEND`` (falling back to "exact"); seeds default to a fixed
+0 success, 1 infeasible / not controllable, 2 invalid input (an unreadable
+input or an unwritable output path included), 3 internal or numeric error.
+Output payloads are JSON with a ``schema_version`` field and go to --out
+when given, stdout otherwise. The default rank backend comes from
+``MINCTRL_BACKEND`` (falling back to "exact"); seeds default to a fixed
 constant, never the clock.
 """
 
@@ -260,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError) as exc:  # OSError: an unusable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MinctrlError as exc:

@@ -232,18 +232,16 @@ def sample_er_digraph(
 def eigen_gap_filter(A: DenseMatrix | EigenSystem, threshold: float) -> bool:
     """Accept iff the closest eigenvalue pair is farther apart than threshold.
 
-    Reads ``min_pairwise_gap`` of an ``EigenSystem``. A matrix is first
-    checked for a repeated isolated eigenvalue (rejected without an
-    eigensolver) and otherwise decomposed with ``left_eigensystem``.
+    Reads ``min_pairwise_gap`` of an ``EigenSystem``. A matrix is accepted
+    iff ``_accepted_eigensystem`` accepts it, the harness's own test: a
+    repeated isolated eigenvalue or a failed residual check rejects it.
     """
     if threshold <= 0:
         raise InvalidInputError("threshold must be positive")
     if isinstance(A, DenseMatrix):
         if A.rows != A.cols:
             raise InvalidInputError("matrix must be square")
-        if repeats_isolated_eigenvalue(A):
-            return False
-        A = left_eigensystem(A, cluster_gap=threshold)
+        return _accepted_eigensystem(A, threshold) is not None
     return A.min_pairwise_gap > threshold
 
 

@@ -49,15 +49,19 @@ from minctrl.linalg import (
     DEFAULT_ORTH_TOL_SCALE,
     EigenSystem,
     certified_left_eigenbasis,
+    controllability_matrix,
     left_eigensystem,
     pbh_count,
     rank_numeric,
     require_distinct_spectrum,
 )
 from minctrl.matrices import (
+    DenseMatrix,
     Matrix,
     as_dense,
     as_rational,
+    integer_form,
+    integer_product,
     primitive_vector,
     scale_to_integers,
 )
@@ -147,10 +151,13 @@ class _ExactOracle:
     is then ``"eigenbasis"``. Otherwise (a repeated, complex or irrational
     eigenvalue, a Jordan block, or an eigenvector the certificate cannot
     rationalise) ``path`` is ``"bareiss"``: fraction-free integer ranks of
-    integer-scaled power columns. Scaling ``A`` or ``b`` by a positive
-    constant, and dividing a column of the controllability matrix by the
-    gcd of its entries, leave every rank unchanged, so all arithmetic stays
-    in (fast) plain integers. Both paths give the same ranks.
+    Krylov columns. The columns ``A^k e_j`` of the powers of ``A``'s
+    ``integer_form`` are tabulated once, and each sweep forms ``A^k b`` from
+    them; every step is one ``integer_product``, which skips zero entries.
+    Scaling ``A`` or ``b`` by a positive constant, and dividing a column of
+    the controllability matrix by the gcd of its entries, leave every rank
+    unchanged, so all arithmetic stays in (fast) plain integers. Both paths
+    give the same ranks.
     """
 
     zero = Fraction(0)
@@ -166,16 +173,12 @@ class _ExactOracle:
         self.path = "bareiss" if self._basis is None else "eigenbasis"
         if self._basis is not None:
             return
-        flat, _ = scale_to_integers([x for row in A.data for x in row])
-        scaled = [flat[i * n : (i + 1) * n] for i in range(n)]
+        # row j of entry k is column j of A^k, so entry k + 1 is entry k times A^T
+        transposed, _ = integer_form(A.transpose())
         column = [[int(i == j) for i in range(n)] for j in range(n)]
-        self._powers: list[list[list[int]]] = []  # [k][j] -> column j of A^k
-        for k in range(n):
-            if k:
-                column = [
-                    [sum(a * c for a, c in zip(row, col)) for row in scaled]
-                    for col in column
-                ]
+        self._powers: list[list[list[int]]] = [column]  # [k][j] -> column j of A^k
+        for _ in range(1, n):
+            column = integer_product(column, transposed)
             self._powers.append(column)
 
     def begin_sweep(self, b: list[Fraction]) -> None:
@@ -185,11 +188,8 @@ class _ExactOracle:
                 sum(a * x for a, x in zip(row, b_int)) for row in self._basis
             ]
             return
-        terms = [(j, v) for j, v in enumerate(b_int) if v]
-        self._cols = [
-            [sum(v * pk[j][i] for j, v in terms) for i in range(self.n)]
-            for pk in self._powers
-        ]
+        # A^k b_int, as a row, is b_int times entry k, (A^k)^T
+        self._cols = [integer_product([b_int], pk)[0] for pk in self._powers]
 
     def rank_with_vector(self, j: int, value: Fraction) -> int:
         # s*q*(b + (p/q) e_j) is q*b_int + s*p*e_j: its products with v_i are
@@ -249,7 +249,9 @@ class _PbhOracle:
 
 
 class _SvdOracle:
-    """Thresholded singular values of the controllability matrix."""
+    """Thresholded singular values: ``rank_numeric`` of the input vector's
+    ``controllability_matrix``, or of the columns ``A^k e_j`` over a diagonal
+    block's support, read from ``controllability_matrix(A, I)``."""
 
     zero = 0.0
     value = float
@@ -259,12 +261,9 @@ class _SvdOracle:
         if dense.rows != dense.cols:
             raise InvalidInputError(f"A must be square, got {dense.rows}x{dense.cols}")
         self.n = dense.rows
-        self._arr = dense.array
-        power = np.eye(self.n)
-        self._powers = []
-        for _ in range(self.n):
-            self._powers.append(power.copy())
-            power = dense.array @ power
+        self._A = dense
+        # column k*n + j is A^k e_j
+        self._units = controllability_matrix(dense, DenseMatrix.identity(self.n)).array
 
     def begin_sweep(self, b: list[float]) -> None:
         self._b = np.asarray(b, dtype=np.float64)
@@ -272,15 +271,11 @@ class _SvdOracle:
     def rank_with_vector(self, j: int, value: float) -> int:
         v = self._b.copy()
         v[j] = v[j] + value
-        ctrb = np.empty((self.n, self.n))
-        for k in range(self.n):
-            ctrb[:, k] = v
-            v = self._arr @ v
-        return rank_numeric(ctrb)
+        return rank_numeric(controllability_matrix(self._A, DenseMatrix(v[:, None])))
 
     def rank_with_block(self, support: Sequence[int]) -> int:
-        cols = np.column_stack([p[:, j] for j in support for p in self._powers])
-        return rank_numeric(cols)
+        n = self.n
+        return rank_numeric(self._units[:, [k * n + j for j in support for k in range(n)]])
 
 
 _ORACLES = {"exact": _ExactOracle, "pbh": _PbhOracle, "svd": _SvdOracle}

@@ -39,6 +39,9 @@ from minctrl.matrices import (
     DenseMatrix,
     Matrix,
     RationalMatrix,
+    integer_form,
+    integer_product,
+    integer_rows,
     primitive_vector,
     scale_to_integers,
 )
@@ -123,9 +126,7 @@ def rank_numeric(M: DenseMatrix | np.ndarray) -> int:
 
 def rank_exact(M: RationalMatrix) -> int:
     """True rank over the rationals; deterministic, no tolerances."""
-    return integer_rank(
-        [primitive_vector(scale_to_integers(row)[0]) for row in M.data]
-    )
+    return integer_rank([primitive_vector(row) for row in integer_rows(M)[0]])
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,6 @@ def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
     complex or irrational eigenvalue, a Jordan block, a denominator above
     the bound, entries too large for floats, or an eigensolver failure.
     """
-    n = A.rows
     try:
         values, vectors = np.linalg.eig(A.to_dense().array.T)
     except (OverflowError, np.linalg.LinAlgError):
@@ -282,8 +282,7 @@ def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
     ):
         return None
     rows = vectors.real.T[np.argsort(values.real, kind="stable")]
-    flat, _ = scale_to_integers([x for row in A.data for x in row])
-    columns = [flat[c::n] for c in range(n)]
+    A_int, _ = integer_form(A)
     basis: list[list[int]] = []
     eigenvalues: set[Fraction] = set()
     for row in rows:
@@ -293,11 +292,10 @@ def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
             for x in row / row[k]
         ]
         v = primitive_vector(scale_to_integers(guess)[0])
-        w_k = sum(a * b for a, b in zip(v, columns[k]))
-        for c in range(n):
-            if v[k] * sum(a * b for a, b in zip(v, columns[c])) != w_k * v[c]:
-                return None
-        mu = Fraction(w_k, v[k])
+        w = integer_product([v], A_int)[0]
+        if any(v[k] * w_c != w[k] * v_c for v_c, w_c in zip(v, w)):
+            return None
+        mu = Fraction(w[k], v[k])
         if mu in eigenvalues:
             return None
         eigenvalues.add(mu)

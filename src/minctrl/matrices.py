@@ -7,23 +7,26 @@ Two matrix families cover everything downstream:
 * ``RationalMatrix`` -- exact-fraction matrices for the reduction pipeline,
   exact rank, and exact inverses.
 
-Exact ranks run on integers: ``scale_to_integers`` clears the denominators
-of a rational vector (a positive multiple, so no rank changes) and
-``primitive_vector`` divides an integer vector by the gcd of its entries,
-which keeps the integers the rank kernel sees small. ``RationalMatrix``
-products run on integers the same way: each row of the left factor and each
-column of the right factor is scaled to integers over its own denominator,
-``integer_product`` sums only nonzero products, and each entry becomes one
-``Fraction``.
+Every exact computation runs on integers, and this module holds the one
+conversion each way. ``scale_to_integers`` clears the denominators of a
+rational vector (a positive multiple, so no rank changes), ``integer_rows``
+does so row by row, and ``primitive_vector`` divides an integer vector by the
+gcd of its entries, which keeps the integers the rank kernel sees small.
+``integer_form`` writes a whole matrix as ``U / L`` over one common
+denominator, ``integer_product`` multiplies integer matrices summing only
+nonzero products, and ``RationalMatrix.from_integers`` turns ``U / L`` back
+into one ``Fraction`` per entry. A ``RationalMatrix`` product is these three
+steps: ``(X / a) @ (Y / b) == (X Y) / (a b)``.
 
 File formats:
 
 * JSON object ``{"rows": r, "cols": c, "data": [...]}`` with row-major data.
   ``r`` and ``c`` must be positive JSON integers (not ``true``, ``2.0`` or
-  ``"2"``). Numeric entries load as a ``DenseMatrix``; any string entry
-  (``"num/den"``) switches the whole matrix to ``RationalMatrix``. Entries
-  past Python's 4,300-digit ``int``/``str`` conversion limit are written and
-  read through ``decimal``, which has no such limit.
+  ``"2"``). Numeric entries (not ``true`` or ``false``) load as a
+  ``DenseMatrix``; any string entry (``"num/den"``) switches the whole
+  matrix to ``RationalMatrix``. Entries past Python's 4,300-digit
+  ``int``/``str`` conversion limit are written and read through
+  ``decimal``, which has no such limit.
 * Headerless CSV, one row per line, for dense real matrices.
 """
 
@@ -41,7 +44,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from minctrl.errors import InvalidInputError, is_integer
+from minctrl.errors import InvalidInputError, is_integer, is_real
 
 RationalLike = Union[int, str, Fraction]
 
@@ -159,9 +162,9 @@ class RationalMatrix:
 
     ``Fraction`` keeps every entry normalized (positive denominator, reduced
     to lowest terms), which is exactly the storage invariant we need. The
-    product ``@`` is a sparse integer kernel (see the module docstring); its
-    entries are the same normalized ``Fraction`` values as a sum of
-    ``Fraction`` products would give.
+    product ``@`` multiplies the integer forms of its factors (see the module
+    docstring); its entries are the same normalized ``Fraction`` values as a
+    sum of ``Fraction`` products would give.
     """
 
     __slots__ = ("data",)
@@ -190,6 +193,12 @@ class RationalMatrix:
         return cls(tuple(tuple(_as_fraction(v) for v in row) for row in rows))
 
     @classmethod
+    def from_integers(cls, U: Sequence[Sequence[int]], L: int) -> "RationalMatrix":
+        """The matrix ``U / L`` for integer rows ``U`` and a positive integer ``L``."""
+        zero = Fraction(0)
+        return cls(tuple(tuple(Fraction(x, L) if x else zero for x in row) for row in U))
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls.from_rows(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -214,22 +223,9 @@ class RationalMatrix:
                 f"dimension mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        # Integer kernel: row i of self is ints_i / d_i and column j of other
-        # is ints_j / e_j, so entry (i, j) is (sum of integer products) /
-        # (d_i e_j).
-        columns = [scale_to_integers(c) for c in zip(*other.data)]
-        col_scales = [scale for _, scale in columns]
-        right = [list(row) for row in zip(*(ints for ints, _ in columns))]
-        del columns
-        left = [scale_to_integers(r) for r in self.data]
-        acc = integer_product([ints for ints, _ in left], right)
-        zero = Fraction(0)
-        return RationalMatrix(
-            tuple(
-                tuple(Fraction(x, d * e) if x else zero for x, e in zip(row, col_scales))
-                for row, (_, d) in zip(acc, left)
-            )
-        )
+        X, a = integer_form(self)
+        Y, b = integer_form(other)
+        return RationalMatrix.from_integers(integer_product(X, Y), a * b)
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse by Gauss-Jordan elimination with partial pivoting."""
@@ -313,7 +309,7 @@ def matrix_from_json_dict(obj: dict) -> Matrix:
     grid = [data[i * cols : (i + 1) * cols] for i in range(rows)]
     if any(isinstance(v, str) for v in data):
         return RationalMatrix.from_rows(grid)
-    if not all(isinstance(v, (int, float)) for v in data):
+    if not all(is_real(v) for v in data):  # not booleans
         raise InvalidInputError("matrix data must contain numbers or rational strings")
     return DenseMatrix.from_rows(grid)
 
@@ -381,14 +377,33 @@ def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
+def integer_rows(M: RationalMatrix) -> tuple[list[list[int]], list[int]]:
+    """The rows of ``M`` scaled to integers, and their positive scales."""
+    scaled = [scale_to_integers(row) for row in M.data]
+    return [ints for ints, _ in scaled], [scale for _, scale in scaled]
+
+
+def integer_form(M: RationalMatrix) -> tuple[list[list[int]], int]:
+    """Integer ``U`` and positive ``L``, the lcm of every denominator, with ``M == U / L``."""
+    L = lcm(*(x.denominator for row in M.data for x in row))
+    return [[x.numerator * (L // x.denominator) for x in row] for row in M.data], L
+
+
 def integer_product(X: Sequence[Sequence[int]], Y: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Product of two integer matrices given as lists of rows; zeros are skipped."""
-    right = [[(j, v) for j, v in enumerate(row) if v] for row in Y]
+    """Product of two integer matrices given as lists of rows; zeros are skipped.
+
+    A row of ``Y`` is scanned for its nonzeros only when some row of ``X`` is
+    nonzero against it, so a sparse ``X`` costs little however large ``Y`` is.
+    """
+    right: list = [None] * len(Y)
     out = []
     for row in X:
         acc = [0] * len(Y[0])
-        for a, nonzeros in zip(row, right):
+        for t, a in enumerate(row):
             if a:
+                nonzeros = right[t]
+                if nonzeros is None:
+                    nonzeros = right[t] = [(j, v) for j, v in enumerate(Y[t]) if v]
                 for j, v in nonzeros:
                     acc[j] += a * v
         out.append(acc)

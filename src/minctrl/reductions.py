@@ -48,7 +48,9 @@ from typing import Sequence
 from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
 from minctrl.matrices import (
     RationalMatrix,
+    integer_form,
     integer_product,
+    integer_rows,
     primitive_vector,
     scale_to_integers,
 )
@@ -201,7 +203,7 @@ def eigenvector_matrix(inst: HittingSetInstance) -> RationalMatrix:
     rows.append(last)
     if not _strictly_diagonally_dominant(rows):
         raise InternalVerificationError("eigenvector matrix lost diagonal dominance")
-    return _over(rows, 1)
+    return RationalMatrix.from_integers(rows, 1)
 
 
 def _strictly_diagonally_dominant(rows: list[list[int]]) -> bool:
@@ -239,29 +241,10 @@ def eigenvector_matrix_inverse(inst: HittingSetInstance) -> RationalMatrix:
     U.append(last)
     # A square matrix's right inverse is its inverse. With the rows of V
     # scaled to integers, W = S V, the identity V (U / L) == I reads W U == L S.
-    W, S = _integer_rows(eigenvector_matrix(inst))
+    W, S = integer_rows(eigenvector_matrix(inst))
     if integer_product(W, U) != [[L * s if j == i else 0 for j in range(n)] for i, s in enumerate(S)]:
         raise InternalVerificationError("closed-form inverse is not a right inverse")
-    return _over(U, L)
-
-
-def _integer_rows(M: RationalMatrix) -> tuple[list[list[int]], list[int]]:
-    """The rows of ``M`` scaled to integers, and their positive scales."""
-    scaled = [scale_to_integers(row) for row in M.data]
-    return [ints for ints, _ in scaled], [scale for _, scale in scaled]
-
-
-def _common_denominator(M: RationalMatrix) -> tuple[list[list[int]], int]:
-    """Integer ``U`` and positive ``L`` with ``M == U / L``."""
-    ints, L = scale_to_integers([x for row in M.data for x in row])
-    c = M.cols
-    return [ints[i * c : (i + 1) * c] for i in range(M.rows)], L
-
-
-def _over(M: list[list[int]], L: int) -> RationalMatrix:
-    """The rational matrix ``M / L``, one ``Fraction`` per nonzero entry."""
-    zero = Fraction(0)
-    return RationalMatrix(tuple(tuple(Fraction(x, L) if x else zero for x in row) for row in M))
+    return RationalMatrix.from_integers(U, L)
 
 
 def _conjugated_diagonal(W: list[list[int]], U: list[list[int]], L: int) -> RationalMatrix:
@@ -275,7 +258,7 @@ def _conjugated_diagonal(W: list[list[int]], U: list[list[int]], L: int) -> Rati
     M = integer_product([[x * (k + 1) for k, x in enumerate(row)] for row in U], W)
     if integer_product(W, M) != [[L * (i + 1) * x for x in row] for i, row in enumerate(W)]:
         raise InternalVerificationError("left-eigenvector identity failed")
-    return _over(M, L)
+    return RationalMatrix.from_integers(M, L)
 
 
 def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
@@ -287,8 +270,8 @@ def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
     """
     m, p = inst.ground_size, inst.num_sets
     V = eigenvector_matrix(inst)
-    W, _ = _integer_rows(V)
-    A = _conjugated_diagonal(W, *_common_denominator(eigenvector_matrix_inverse(inst)))
+    W, _ = integer_rows(V)
+    A = _conjugated_diagonal(W, *integer_form(eigenvector_matrix_inverse(inst)))
     return ReductionOutput(
         left_eigenvectors=V,
         system_matrix=A,
@@ -431,7 +414,7 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     final_col = r - 1
 
     # V is an integer matrix (every row scale is 1), so the padded rows are too.
-    V_ints, _ = _integer_rows(V)
+    V_ints, _ = integer_rows(V)
     padded = [row + [0] * (r - base) for row in V_ints]
     for (i, j) in pairs:
         inner = _dot(V_ints[i - 1], V_ints[j - 1])
@@ -448,12 +431,12 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     # run the first-axis extension on coordinate-swapped copies.
     swapped = [_swap_ends(row) for row in padded]
     extension = [_swap_ends(v) for v in orthogonal_extension(swapped)]
-    V_hat = RationalMatrix(_over(padded, 1).data + tuple(extension))
+    V_hat = RationalMatrix.from_rows(padded + extension)
 
     # Primitive integer rows W of V_hat (the row scales cancel in A_hat).
     # Once W W^T is checked diagonal, U = W^T diag(L / |w_k|^2) with L the
     # lcm of the squared norms satisfies W U == L I.
-    W = [primitive_vector(w) for w in _integer_rows(V_hat)[0]]
+    W = [primitive_vector(w) for w in integer_rows(V_hat)[0]]
     nonzeros = [[(t, x) for t, x in enumerate(w) if x] for w in W]
     for a in range(r):
         for b in range(a + 1, r):

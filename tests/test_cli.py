@@ -204,6 +204,67 @@ def test_undecodable_input_file_is_invalid_input(workdir, capsys, command):
     assert err.startswith("error: ") and "internal" not in err
 
 
+@pytest.mark.parametrize(
+    "command, matrix, b",
+    [
+        ("solve", [True, False, False, True], None),
+        ("verify", [1, 0, 0, 2], [True, True]),
+    ],
+    ids=["solve-matrix", "verify-b"],
+)
+def test_boolean_matrix_entries_are_invalid_input(workdir, capsys, command, matrix, b):
+    # JSON true/false would otherwise load as the numbers 1 and 0
+    args = [workdir / "A.json"]
+    args[0].write_text(json.dumps({"rows": 2, "cols": 2, "data": matrix}))
+    if b is not None:
+        args.append(workdir / "b.json")
+        args[1].write_text(json.dumps({"rows": 2, "cols": 1, "data": b}))
+    assert run(command, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("reduce", "inst.json", "--out-dir", "a_file"),
+        ("solve", "diag123.json", "--out", "no/dir/x.json"),
+        ("experiment", "--n-values", "5", "--trials", "1", "--csv", "no/dir/r.csv"),
+    ],
+    ids=["reduce-out-dir", "solve-out", "experiment-csv"],
+)
+def test_unusable_output_path_is_invalid_input(workdir, capsys, monkeypatch, args):
+    monkeypatch.chdir(workdir)
+    (workdir / "a_file").write_text("")
+    assert run(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "A.json", "--mode", "vector"),
+        ("solve", "A.json", "--mode", "diagonal"),
+        ("verify", "A.json", "b.json"),
+    ],
+    ids=["solve-vector", "solve-diagonal", "verify"],
+)
+def test_svd_controllability_matrix_overflow_is_invalid_input(
+    workdir, capsys, monkeypatch, args
+):
+    # A^2 overflows float64; every svd rank goes through the one
+    # controllability matrix, which rejects non-finite entries
+    monkeypatch.chdir(workdir)
+    (workdir / "A.json").write_text(
+        json.dumps({"rows": 3, "cols": 3, "data": [1e200, 1, 0, 0, 2e200, 1, 0, 0, 3e200]})
+    )
+    (workdir / "b.json").write_text(json.dumps({"rows": 3, "cols": 1, "data": [1, 1, 1]}))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run(*args, "--backend", "svd") == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_verify_dimension_mismatch(workdir, capsys):
     assert run("verify", workdir / "diag123.json", workdir / "eye2.json") == 2
 

@@ -228,10 +228,13 @@ def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
     # One left_eigensystem call per sampled graph that the isolated-node
     # pre-check lets through; the accepted graph's call is its trial's only
     # decomposition, shared by the gap filter, the solver and the verification.
+    # The gap filter reads each decomposition once.
     calls = []
     sampled = []
+    filtered = []
     original = minctrl.linalg.left_eigensystem
     original_sample = minctrl.experiments.sample_er_digraph
+    original_filter = minctrl.experiments.eigen_gap_filter
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -241,9 +244,14 @@ def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
         sampled.append(original_sample(*args, **kwargs))
         return sampled[-1]
 
+    def filtering(*args, **kwargs):
+        filtered.append(1)
+        return original_filter(*args, **kwargs)
+
     for module in (minctrl.linalg, minctrl.greedy, minctrl.experiments):
         monkeypatch.setattr(module, "left_eigensystem", counting)
     monkeypatch.setattr(minctrl.experiments, "sample_er_digraph", recording)
+    monkeypatch.setattr(minctrl.experiments, "eigen_gap_filter", filtering)
     cfg = ExperimentConfig(n_values=(6, 12), trials_per_n=3, seed=8, solver=solver)
     report = run_experiment(cfg)
     accepted = report.accepted_records()
@@ -251,17 +259,20 @@ def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
     assert all(r.controllable for r in accepted)
     assert len(sampled) == len(accepted) + report.rejected_graph_count
     assert len(calls) == len(sampled)  # no graph here has an isolated repeat
+    assert len(filtered) == len(calls)
     # sparse graphs: most are rejected by the pre-check, without a call
     sparse = ExperimentConfig(
         n_values=(30,), trials_per_n=3, seed=1, edge_probability=0.08, solver=solver
     )
     calls.clear()
     sampled.clear()
+    filtered.clear()
     report = run_experiment(sparse)
     assert len(sampled) == len(report.accepted_records()) + report.rejected_graph_count
     decomposed = [A for A in sampled if not repeats_isolated_eigenvalue(A)]
     assert 0 < len(decomposed) < len(sampled)
     assert len(calls) == len(decomposed)
+    assert len(filtered) == len(calls)
 
 
 def test_failed_decomposition_is_a_rejected_graph(monkeypatch):
@@ -283,6 +294,17 @@ def test_failed_decomposition_is_a_rejected_graph(monkeypatch):
     assert first.accepted and first.regenerations_used == 1
     assert second.to_json_dict() == baseline.records[1].to_json_dict()
     assert report.rejected_graph_count == baseline.rejected_graph_count + 1
+
+
+def test_gap_filter_rejects_a_failed_decomposition(monkeypatch):
+    # one definition of "accepted": the harness's, on a matrix passed directly
+    def failing(*args, **kwargs):
+        raise NumericBackendError("eigenvector residual exceeds tolerance")
+
+    A = DenseMatrix.diagonal([1, 2, 3])
+    assert eigen_gap_filter(A, 0.01)
+    monkeypatch.setattr(minctrl.experiments, "left_eigensystem", failing)
+    assert not eigen_gap_filter(A, 0.01)
 
 
 def test_pbh_paths_control_triangular_system(tmp_path):

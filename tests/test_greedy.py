@@ -303,18 +303,20 @@ def test_cluster_gap_is_the_pbh_threshold(pbh_entry):
 
 
 # The exact oracle against the exact rank of the controllability matrix it
-# stands for, on rational matrices with non-integer entries.
+# stands for, on rational matrices with non-integer entries and on sparse
+# ones, whose zeros the integer products skip.
 
 _fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
 def _rational_system(draw):
-    n = draw(st.integers(1, 4))
-    rows = draw(
-        st.lists(st.lists(_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-    assume(any(x.denominator > 1 for row in rows for x in row))
+    sparse = draw(st.booleans(), label="sparse")
+    n = draw(st.integers(1, 6 if sparse else 4))
+    # one_of picks among its branches about evenly: most sparse entries are zero
+    entry = st.one_of(*[st.just(Fraction(0))] * 3, _fractions) if sparse else _fractions
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(sparse or any(x.denominator > 1 for row in rows for x in row))
     return RationalMatrix.from_rows(rows)
 
 

@@ -1,8 +1,15 @@
-"""Layering guard: no module imports another module's private names.
+"""Layering guards.
 
-A name with a leading underscore belongs to the module that defines it. The
-``minctrl._kernels`` package is private to the package as a whole, so its
-path may be imported from anywhere.
+No module imports another module's private names: a name with a leading
+underscore belongs to the module that defines it. The ``minctrl._kernels``
+package is private to the package as a whole, so its path may be imported
+from anywhere.
+
+No module but ``matrices`` flattens a matrix's entries by hand: a
+comprehension over ``<x>.data`` that then iterates each row is how a
+rational matrix gets cleared to integers, and ``matrices.integer_form``,
+``integer_rows`` and ``RationalMatrix.from_integers`` are the one place
+that does it.
 """
 
 import ast
@@ -40,6 +47,32 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def _row_flattening(path: Path) -> list[str]:
+    """Comprehensions that iterate ``<x>.data`` and then each of its rows."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, _COMPREHENSIONS):
+            continue
+        rows = {
+            gen.target.id
+            for gen in node.generators
+            if isinstance(gen.iter, ast.Attribute)
+            and gen.iter.attr == "data"
+            and isinstance(gen.target, ast.Name)
+        }
+        if any(
+            isinstance(inner, ast.comprehension)
+            and isinstance(inner.iter, ast.Name)
+            and inner.iter.id in rows
+            for inner in ast.walk(node)
+        ):
+            found.append(f"line {node.lineno}")
+    return found
+
+
 def test_modules_found():
     assert SRC / "greedy.py" in MODULES and SRC / "_kernels" / "pure.py" in MODULES
 
@@ -63,3 +96,24 @@ def test_guard_flags_private_imports(tmp_path):
         "line 2: _cluster_multiplicities from linalg",
         "line 3: module minctrl._private",
     ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "matrices.py"],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_no_matrix_flattened_outside_matrices(path):
+    assert _row_flattening(path) == []
+
+
+def test_guard_flags_row_flattening(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "flat = [x for row in A.data for x in row]\n"
+        "U = tuple(tuple(f(x) for x in r) for r in self.data)\n"
+        "ok = all(any(row[j] for j in idx) for row in V.data)\n"
+        "scaled = [scale(row) for row in M.data]\n"
+        "pairs = {i: x for row in rows for i, x in enumerate(row)}\n"
+    )
+    assert _row_flattening(bad) == ["line 1", "line 2"]

@@ -16,6 +16,8 @@ from minctrl.matrices import (
     RationalMatrix,
     as_dense,
     as_rational,
+    integer_form,
+    integer_rows,
     load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -108,6 +110,7 @@ def test_json_round_trip_past_int_digit_limit(tmp_path):
     path = tmp_path / "m.json"
     save_matrix(m, path)
     assert load_matrix(path) == m
+    _assert_integer_forms(m)
 
 
 @pytest.mark.parametrize(
@@ -129,6 +132,16 @@ def test_json_dict_shapes():
 def test_json_data_length_checked():
     with pytest.raises(InvalidInputError):
         matrix_from_json_dict({"rows": 2, "cols": 2, "data": [1, 2, 3]})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[True, False, False, True], [1, 0, 0, True], [1.5, False, 0, 1], ["1", True, "0", "1"]],
+    ids=["all-booleans", "int-and-boolean", "float-and-boolean", "rational-and-boolean"],
+)
+def test_json_boolean_entries_rejected(data):
+    with pytest.raises(InvalidInputError):
+        matrix_from_json_dict({"rows": 2, "cols": 2, "data": data})
 
 
 @pytest.mark.parametrize(
@@ -248,6 +261,14 @@ def _factor_pair(draw):
     return left, right
 
 
+def _assert_integer_forms(M):
+    """``integer_form`` and ``integer_rows`` of ``M``; ``from_integers`` inverts the former."""
+    U, L = integer_form(M)
+    assert L == math.lcm(*(x.denominator for row in M.data for x in row))
+    assert RationalMatrix.from_integers(U, L) == M
+    assert list(zip(*integer_rows(M))) == [scale_to_integers(row) for row in M.data]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_factor_pair())
 def test_matmul_equals_fraction_reference(pair):
@@ -256,6 +277,8 @@ def test_matmul_equals_fraction_reference(pair):
     expected = RationalMatrix.from_rows(_naive_product(left, right))
     assert product == expected
     assert matrix_to_json_dict(product) == matrix_to_json_dict(expected)
+    for M in (RationalMatrix.from_rows(left), RationalMatrix.from_rows(right), product):
+        _assert_integer_forms(M)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 1), (4, 1, 4), (1, 3, 5), (5, 3, 1)])
@@ -266,6 +289,7 @@ def test_matmul_edge_shapes(shape):
     product = RationalMatrix.from_rows(left) @ RationalMatrix.from_rows(right)
     assert (product.rows, product.cols) == (r, c)
     assert product == RationalMatrix.from_rows(_naive_product(left, right))
+    _assert_integer_forms(product)
 
 
 def test_matmul_rejects_dimension_mismatch():
