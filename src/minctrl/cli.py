@@ -63,6 +63,13 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_output_paths(*paths: str | None) -> None:
+    """Reject an output path whose directory is missing, before any work."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise InvalidInputError(f"cannot write {path}: no such directory")
+
+
 def _cmd_solve(args) -> int:
     matrix = load_matrix(args.matrix)
     backend = args.backend or _default_backend()
@@ -260,6 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args.out, getattr(args, "csv", None))
         return args.func(args)
     except (InvalidInputError, OSError) as exc:  # OSError: an unusable output path
         print(f"error: {exc}", file=sys.stderr)

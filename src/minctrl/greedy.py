@@ -19,14 +19,19 @@ candidate is scored:
 Each rank backend is one oracle class: ``"exact"``, ``"pbh"`` (count
 eigenvectors non-orthogonal to the candidate; distinct eigenvalues only, far
 better conditioned than SVD on the controllability matrix), and ``"svd"``
-(thresholded singular values). The exact oracle first asks
-``certified_left_eigenbasis`` for integer left eigenvectors ``v_i`` of n
-distinct eigenvalues, proven in integer arithmetic; every plain hitting-set
-reduction has them. With the certificate, the PBH/Hautus test makes
-``#{i : v_i b != 0}`` the exact rank, so a probe costs n integer products.
-Without it (a repeated, complex or irrational eigenvalue, a Jordan block, or
-an eigenvector with a large denominator, as in the symmetric reductions) the
-oracle falls back to fraction-free elimination over the rationals. Both give
+(thresholded singular values). Each oracle scores a coordinate's probes in
+one call, ``best_probe``, which returns the best rank and the first probe
+that reaches it. The exact oracle first asks ``certified_left_eigenbasis``
+for integer left eigenvectors ``v_i`` of n distinct eigenvalues, proven in
+integer arithmetic; every plain hitting-set reduction has them. With the
+certificate, the PBH/Hautus test makes ``#{i : v_i b != 0}`` the exact
+rank. Adding ``value * e_j`` zeroes ``v_i b`` only at the one root
+``-(v_i b) / v_ij`` (or never, or always, when ``v_ij = 0``), so all the
+probes of a coordinate cost one pass over the nonzeros of column ``j`` and
+one lookup each. Without the certificate (a repeated, complex or irrational
+eigenvalue, a Jordan block, or an eigenvector with a large denominator, as
+in the symmetric reductions) the oracle falls back to fraction-free
+elimination over the rationals, one rank per probe. Both give
 the same ranks, hence the same traces. Every solver takes the system matrix;
 with ``"pbh"`` it also takes an ``EigenSystem`` the caller already has, so a
 matrix is decomposed once however many solves and checks use it. The pbh
@@ -39,6 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -137,8 +143,27 @@ class SolveResult:
 #
 # One class per backend. ``rank_with_vector(j, value)`` is the rank of
 # ``C(A, b + value * e_j)`` for the ``b`` last passed to ``begin_sweep``;
-# ``rank_with_block(support)`` is the rank of the span of ``A^k e_s`` over
-# ``s`` in ``support`` (the diagonal input with those unit entries).
+# ``best_probe(j, values)`` is the highest of those ranks over ``values`` and
+# the first value, in probe order, that reaches it; ``rank_with_block(support)``
+# is the rank of the span of ``A^k e_s`` over ``s`` in ``support`` (the
+# diagonal input with those unit entries).
+
+
+def _first_best(scored: Iterable[tuple[int, object]], top: int) -> tuple[int, object]:
+    """The highest rank of the ``(rank, value)`` pairs and the first value with
+    it; stops at ``top``, the highest rank there can be."""
+    best_rank, best_value = -1, None
+    for rank, value in scored:
+        if rank > best_rank:
+            best_rank, best_value = rank, value
+            if rank == top:
+                break
+    return best_rank, best_value
+
+
+def _probe_each(oracle, j: int, values: Sequence) -> tuple[int, object]:
+    """``best_probe`` by one ``rank_with_vector`` per value, up to full rank."""
+    return _first_best(((oracle.rank_with_vector(j, v), v) for v in values), oracle.n)
 
 
 class _ExactOracle:
@@ -148,16 +173,23 @@ class _ExactOracle:
     eigenvalues with integer left eigenvectors ``v_i``, the PBH/Hautus test
     gives ``rank C(A, b) = #{i : v_i b != 0}`` exactly, and a diagonal
     block's rank is the number of ``v_i`` nonzero on its support; ``path``
-    is then ``"eigenbasis"``. Otherwise (a repeated, complex or irrational
-    eigenvalue, a Jordan block, or an eigenvector the certificate cannot
-    rationalise) ``path`` is ``"bareiss"``: fraction-free integer ranks of
-    Krylov columns. The columns ``A^k e_j`` of the powers of ``A``'s
-    ``integer_form`` are tabulated once, and each sweep forms ``A^k b`` from
-    them; every step is one ``integer_product``, which skips zero entries.
-    Scaling ``A`` or ``b`` by a positive constant, and dividing a column of
-    the controllability matrix by the gcd of its entries, leave every rank
-    unchanged, so all arithmetic stays in (fast) plain integers. Both paths
-    give the same ranks.
+    is then ``"eigenbasis"``. The nonzeros ``(i, v_ij)`` of each column
+    ``j`` are listed once. A sweep scales ``b`` to integers ``s * b`` and
+    forms the products ``P_i = v_i (s b)``; the probe ``p/q`` at ``j`` then
+    zeroes row ``i`` exactly when ``q P_i + s p v_ij = 0``: at the one value
+    ``-P_i / (s v_ij)`` if ``v_ij != 0``, else always or never as ``P_i`` is
+    zero or not. So ``best_probe`` counts those roots, as reduced integer
+    pairs, in one pass over column ``j``, and reads each probe's rank off the
+    count; no rank is recounted per probe. Otherwise (a repeated, complex or
+    irrational eigenvalue, a Jordan block, or an eigenvector the certificate
+    cannot rationalise) ``path`` is ``"bareiss"``: fraction-free integer
+    ranks of Krylov columns, one per probe. The columns ``A^k e_j`` of the
+    powers of ``A``'s ``integer_form`` are tabulated once, and each sweep
+    forms ``A^k b`` from them; every step is one ``integer_product``, which
+    skips zero entries. Scaling ``A`` or ``b`` by a positive constant, and
+    dividing a column of the controllability matrix by the gcd of its
+    entries, leave every rank unchanged, so all arithmetic stays in (fast)
+    plain integers. Both paths give the same ranks.
     """
 
     zero = Fraction(0)
@@ -172,6 +204,11 @@ class _ExactOracle:
         self._basis = certified_left_eigenbasis(A)
         self.path = "bareiss" if self._basis is None else "eigenbasis"
         if self._basis is not None:
+            # [j] -> the nonzeros (i, v_ij) of column j
+            self._columns = [
+                [(i, row[j]) for i, row in enumerate(self._basis) if row[j]]
+                for j in range(n)
+            ]
             return
         # row j of entry k is column j of A^k, so entry k + 1 is entry k times A^T
         transposed, _ = integer_form(A.transpose())
@@ -187,21 +224,43 @@ class _ExactOracle:
             self._products = [
                 sum(a * x for a, x in zip(row, b_int)) for row in self._basis
             ]
+            self._rank = sum(1 for product in self._products if product)
             return
         # A^k b_int, as a row, is b_int times entry k, (A^k)^T
         self._cols = [integer_product([b_int], pk)[0] for pk in self._powers]
 
+    def best_probe(self, j: int, values: Sequence[Fraction]) -> tuple[int, Fraction]:
+        if self._basis is None:
+            return _probe_each(self, j, values)
+        # rows with v_ij = 0 keep their product; each other row is zero at
+        # exactly one value, its root -P_i / (s v_ij), kept as (num, den).
+        # ``full`` is the rank at a value that is no row's root.
+        full = self._rank
+        roots: dict[tuple[int, int], int] = {}
+        for i, v in self._columns[j]:
+            product = self._products[i]
+            if product:
+                den = self._scale * v
+                g = gcd(product, den)
+                if den < 0:
+                    g = -g
+                root = (-product // g, den // g)
+            else:
+                full += 1
+                root = (0, 1)
+            roots[root] = roots.get(root, 0) + 1
+        return _first_best(
+            ((full - roots.get((v.numerator, v.denominator), 0), v) for v in values),
+            full,
+        )
+
     def rank_with_vector(self, j: int, value: Fraction) -> int:
-        # s*q*(b + (p/q) e_j) is q*b_int + s*p*e_j: its products with v_i are
-        # q*(v_i b_int) + s*p*v_ij, and its power columns q*b_int + s*p*A^k e_j
+        if self._basis is not None:
+            return self.best_probe(j, (value,))[0]
+        # s*q*(b + (p/q) e_j) is q*b_int + s*p*e_j, whose power columns are
+        # q*b_int + s*p*A^k e_j
         q = value.denominator
         shift = self._scale * value.numerator
-        if self._basis is not None:
-            return sum(
-                1
-                for product, row in zip(self._products, self._basis)
-                if q * product + shift * row[j]
-            )
         return integer_rank(
             [
                 primitive_vector([q * x + shift * y for x, y in zip(base, pk[j])])
@@ -211,7 +270,7 @@ class _ExactOracle:
 
     def rank_with_block(self, support: Sequence[int]) -> int:
         if self._basis is not None:
-            return sum(1 for row in self._basis if any(row[j] for j in support))
+            return len({i for j in support for i, _ in self._columns[j]})
         return integer_rank(
             [primitive_vector(pk[j]) for j in support for pk in self._powers]
         )
@@ -237,6 +296,8 @@ class _PbhOracle:
         vec = np.asarray(b, dtype=np.float64)
         self._products = self._rows @ vec
         self._norm_sq = float(vec @ vec)
+
+    best_probe = _probe_each
 
     def rank_with_vector(self, j: int, value: float) -> int:
         products = self._products + value * self._rows[:, j]
@@ -268,6 +329,8 @@ class _SvdOracle:
     def begin_sweep(self, b: list[float]) -> None:
         self._b = np.asarray(b, dtype=np.float64)
 
+    best_probe = _probe_each
+
     def rank_with_vector(self, j: int, value: float) -> int:
         v = self._b.copy()
         v[j] = v[j] + value
@@ -294,7 +357,7 @@ def _make_oracle(A: Matrix | EigenSystem, backend: str):
 
 
 def _greedy(
-    oracle, probe_values: Callable[[int], Iterable], backend: str, *, block: bool
+    oracle, probe_values: Callable[[int], Sequence], backend: str, *, block: bool
 ) -> SolveResult:
     """Commit the best (coordinate, probe) per sweep until the rank stalls.
 
@@ -307,10 +370,10 @@ def _greedy(
     rank = 0
     trace: list[TraceStep] = []
     if block:
-        def score(j, _value):
-            return oracle.rank_with_block(support + [j])
+        def best_probe(j, values):
+            return oracle.rank_with_block(support + [j]), values[0]
     else:
-        score = oracle.rank_with_vector
+        best_probe = oracle.best_probe
     while rank < n:
         if not block:
             oracle.begin_sweep(b)
@@ -321,14 +384,12 @@ def _greedy(
         for j in range(n):
             if j in support:
                 continue
-            for value in probe_values(j):
-                c = score(j, value) - rank
-                if c > best_c:
-                    best_c, best_j, best_v = c, j, value
-                    if c == cap:
-                        break
-            if best_c == cap:
-                break
+            score, value = best_probe(j, probe_values(j))
+            c = score - rank
+            if c > best_c:
+                best_c, best_j, best_v = c, j, value
+                if c == cap:
+                    break
         if best_c <= 0:
             break
         b[best_j] = best_v
@@ -372,12 +433,8 @@ def deterministic_greedy_vector(
 ) -> SolveResult:
     """Greedy sparse-vector solve probing each coordinate with 1..2n+1."""
     oracle = _make_oracle(A, rank_backend)
-    probe_range = range(1, 2 * oracle.n + 2)
-
-    def probes(_j: int):
-        return (oracle.value(p) for p in probe_range)
-
-    return _greedy(oracle, probes, rank_backend, block=False)
+    values = tuple(oracle.value(p) for p in range(1, 2 * oracle.n + 2))
+    return _greedy(oracle, lambda _j: values, rank_backend, block=False)
 
 
 def greedy_diagonal(

@@ -81,7 +81,8 @@ def controllability_matrix(A: Matrix, B: Matrix) -> Matrix:
     """Horizontal stack of ``B, AB, A^2 B, ..., A^{n-1} B``.
 
     `A` must be square and `B` must have matching row count. Dense inputs
-    give a dense result; rational inputs stay exact.
+    give a dense result, and a power ``A^k B`` that overflows float64 is
+    invalid input; rational inputs stay exact.
     """
     dense = isinstance(A, DenseMatrix) and isinstance(B, DenseMatrix)
     if not dense and not (
@@ -98,7 +99,13 @@ def controllability_matrix(A: Matrix, B: Matrix) -> Matrix:
         out = np.zeros((n, n * m))
         out[:, :m] = B.array
         for k in range(1, n):
-            out[:, k * m : (k + 1) * m] = A.array @ out[:, (k - 1) * m : k * m]
+            block = A.array @ out[:, (k - 1) * m : k * m]
+            if not np.all(np.isfinite(block)):
+                raise InvalidInputError(
+                    f"A^{k} B overflowed float64: controllability matrix "
+                    "entries must be finite"
+                )
+            out[:, k * m : (k + 1) * m] = block
         return DenseMatrix(out)
     blocks = [B]
     for _ in range(1, n):
@@ -283,12 +290,13 @@ def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
         return None
     rows = vectors.real.T[np.argsort(values.real, kind="stable")]
     A_int, _ = integer_form(A)
+    zero = Fraction(0)
     basis: list[list[int]] = []
     eigenvalues: set[Fraction] = set()
     for row in rows:
         k = int(np.argmax(np.abs(row)))
         guess = [
-            Fraction(x).limit_denominator(EIGENBASIS_MAX_DENOMINATOR)
+            Fraction(x).limit_denominator(EIGENBASIS_MAX_DENOMINATOR) if x else zero
             for x in row / row[k]
         ]
         v = primitive_vector(scale_to_integers(guess)[0])

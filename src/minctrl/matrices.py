@@ -24,9 +24,9 @@ File formats:
   ``r`` and ``c`` must be positive JSON integers (not ``true``, ``2.0`` or
   ``"2"``). Numeric entries (not ``true`` or ``false``) load as a
   ``DenseMatrix``; any string entry (``"num/den"``) switches the whole
-  matrix to ``RationalMatrix``. Entries past Python's 4,300-digit
-  ``int``/``str`` conversion limit are written and read through
-  ``decimal``, which has no such limit.
+  matrix to ``RationalMatrix``; each distinct string is parsed once per
+  load. Entries past Python's 4,300-digit ``int``/``str`` conversion limit
+  are written and read in chunks of 4,000 digits.
 * Headerless CSV, one row per line, for dense real matrices.
 """
 
@@ -36,7 +36,6 @@ import csv
 import hashlib
 import json
 import re
-from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -49,6 +48,10 @@ from minctrl.errors import InvalidInputError, is_integer, is_real
 RationalLike = Union[int, str, Fraction]
 
 _INTEGER_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+# Integers past Python's 4,300-digit int/str limit are converted in chunks of
+# this many digits, each within the limit.
+_DIGIT_CHUNK = 4000
+_CHUNK_BASE = 10**_DIGIT_CHUNK
 
 
 class DenseMatrix:
@@ -148,13 +151,33 @@ def _parse_rational(text: str) -> Fraction:
         if match is None:
             raise
         num, den = match.groups()
-        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+        return Fraction(_parse_integer(num), _parse_integer(den or "1"))
+
+
+def _parse_integer(text: str) -> int:
+    """``int(text)`` for an optionally signed digit string of any length."""
+    digits = text.lstrip("+-")
+    head = len(digits) % _DIGIT_CHUNK or _DIGIT_CHUNK
+    value = int(digits[:head])
+    for start in range(head, len(digits), _DIGIT_CHUNK):
+        value = value * _CHUNK_BASE + int(digits[start : start + _DIGIT_CHUNK])
+    return -value if text.startswith("-") else value
+
+
+def _integer_text(x: int) -> str:
+    """``str(x)`` for an integer of any length."""
+    rest, chunks = abs(x), []
+    while rest >= _CHUNK_BASE:
+        rest, low = divmod(rest, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_DIGIT_CHUNK))
+    chunks.append(str(rest))
+    return ("-" if x < 0 else "") + "".join(reversed(chunks))
 
 
 def _rational_text(x: Fraction) -> str:
     """``str(x)``, also past the int-to-str digit limit."""
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    num = _integer_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_integer_text(x.denominator)}"
 
 
 class RationalMatrix:
@@ -306,9 +329,23 @@ def matrix_from_json_dict(obj: dict) -> Matrix:
             f"matrix data length {len(data) if isinstance(data, list) else '?'} "
             f"does not equal rows*cols = {rows * cols}"
         )
-    grid = [data[i * cols : (i + 1) * cols] for i in range(rows)]
     if any(isinstance(v, str) for v in data):
-        return RationalMatrix.from_rows(grid)
+        # a reduction's file repeats a few strings ("0" most of all); only
+        # strings are cached, since True == 1 == 1.0 as keys
+        parsed: dict[str, Fraction] = {}
+        entries = []
+        for v in data:
+            if isinstance(v, str):
+                x = parsed.get(v)
+                if x is None:
+                    x = parsed[v] = _as_fraction(v)
+            else:
+                x = _as_fraction(v)
+            entries.append(x)
+        return RationalMatrix(
+            tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+        )
+    grid = [data[i * cols : (i + 1) * cols] for i in range(rows)]
     if not all(is_real(v) for v in data):  # not booleans
         raise InvalidInputError("matrix data must contain numbers or rational strings")
     return DenseMatrix.from_rows(grid)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import minctrl.cli
 from helpers import GOLDEN_A_ROWS
 from minctrl.cli import main
 from minctrl.matrices import RationalMatrix, load_matrix
@@ -225,20 +226,35 @@ def test_boolean_matrix_entries_are_invalid_input(workdir, capsys, command, matr
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, work",
     [
-        ("reduce", "inst.json", "--out-dir", "a_file"),
-        ("solve", "diag123.json", "--out", "no/dir/x.json"),
-        ("experiment", "--n-values", "5", "--trials", "1", "--csv", "no/dir/r.csv"),
+        (("reduce", "inst.json", "--out-dir", "a_file"), None),
+        (("solve", "diag123.json", "--out", "no/dir/x.json"), "load_matrix"),
+        (
+            ("experiment", "--n-values", "5", "--trials", "1", "--csv", "no/dir/r.csv"),
+            "run_experiment",
+        ),
+        (
+            ("experiment", "--n-values", "5", "--trials", "1", "--out", "no/dir/r.json"),
+            "run_experiment",
+        ),
     ],
-    ids=["reduce-out-dir", "solve-out", "experiment-csv"],
+    ids=["reduce-out-dir", "solve-out", "experiment-csv", "experiment-out"],
 )
-def test_unusable_output_path_is_invalid_input(workdir, capsys, monkeypatch, args):
+def test_unusable_output_path_is_invalid_input(workdir, capsys, monkeypatch, args, work):
     monkeypatch.chdir(workdir)
     (workdir / "a_file").write_text("")
+    if work is not None:
+        # the output path is checked before any input is read or trial run
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError(f"{work} called before the output path was checked")
+
+        monkeypatch.setattr(minctrl.cli, work, forbidden)
     assert run(*args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "internal" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "internal" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -262,7 +278,9 @@ def test_svd_controllability_matrix_overflow_is_invalid_input(
     (workdir / "b.json").write_text(json.dumps({"rows": 3, "cols": 1, "data": [1, 1, 1]}))
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert run(*args, "--backend", "svd") == 2
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "overflow" in err
 
 
 def test_verify_dimension_mismatch(workdir, capsys):

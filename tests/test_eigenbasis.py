@@ -235,6 +235,89 @@ def test_solves_identical_with_certificate_off(A):
 
 
 # ---------------------------------------------------------------------------
+# best_probe: one call per coordinate, the first argmax of the probe ranks
+
+
+@st.composite
+def _jordan_system(draw):
+    """Inputs without an eigenbasis: a Jordan block, or ``J_2(1) + J_2(2)``."""
+    if draw(st.booleans(), label="J_2(1) + J_2(2)"):
+        return RationalMatrix.from_rows(
+            [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]
+        )
+    n = draw(st.integers(2, 4))
+    eigenvalue = draw(_fractions)
+    return RationalMatrix.from_rows(
+        [[eigenvalue if i == k else int(k == i + 1) for k in range(n)] for i in range(n)]
+    )
+
+
+def _without_certificate(A) -> _ExactOracle:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minctrl.greedy, "certified_left_eigenbasis", lambda _A: None)
+        return _ExactOracle(A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_systems, _jordan_system()), st.data())
+def test_best_probe_is_first_argmax_of_vector_ranks(A, data):
+    n = A.rows
+    entries = st.one_of(st.just(Fraction(0)), _fractions)
+    b = data.draw(st.lists(entries, min_size=n, max_size=n))
+    j = data.draw(st.integers(0, n - 1))
+    # each row's own root -(v_i b) / v_ij zeroes that row's product
+    basis = certified_left_eigenbasis(A) or []
+    roots = [
+        -sum(v * x for v, x in zip(row, b)) / row[j] for row in basis if row[j]
+    ]
+    probes = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    if roots:
+        # only roots: every probe loses a row, so ranks tie below the top
+        only_roots = data.draw(st.booleans(), label="roots only")
+        probes = st.sampled_from(roots) if only_roots else st.one_of(
+            probes, st.sampled_from(roots)
+        )
+    drawn = data.draw(st.lists(probes, min_size=1, max_size=6))
+    # repeats, in probe order
+    values = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=3))
+    oracle = _ExactOracle(A)
+    bareiss = _without_certificate(A)
+    for o in (oracle, bareiss):
+        o.begin_sweep(b)
+    ranks = [oracle.rank_with_vector(j, v) for v in values]
+    assert ranks == [bareiss.rank_with_vector(j, v) for v in values]
+    best = max(ranks)
+    expected = (best, values[ranks.index(best)])
+    assert oracle.best_probe(j, values) == expected
+    assert bareiss.best_probe(j, values) == expected
+
+
+def test_certified_det_solve_scores_each_coordinate_once(monkeypatch):
+    calls = {"best_probe": 0}
+    original = _ExactOracle.best_probe
+
+    def counting(self, j, values):
+        calls["best_probe"] += 1
+        return original(self, j, values)
+
+    def per_value(self, j, value):
+        raise AssertionError("rank_with_vector called per probe value")
+
+    def forbidden(rows):
+        raise AssertionError("integer_rank called on a certified input")
+
+    monkeypatch.setattr(_ExactOracle, "best_probe", counting)
+    monkeypatch.setattr(_ExactOracle, "rank_with_vector", per_value)
+    monkeypatch.setattr(minctrl.greedy, "integer_rank", forbidden)
+    A = build_reduction(_benchmark_instances()[0]).system_matrix
+    assert A.rows == 17
+    result = deterministic_greedy_vector(A, "exact")
+    assert result.controllable
+    # at most one call per unused coordinate per sweep
+    assert 0 < calls["best_probe"] <= len(result.trace) * A.rows
+
+
+# ---------------------------------------------------------------------------
 # guard: the benchmark's exact solves never reach the Bareiss kernel
 
 

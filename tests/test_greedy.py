@@ -147,6 +147,8 @@ def test_rank_evaluations_per_sweep_bounded(monkeypatch):
     sweeps = len(result.trace)
     # one initial rank plus at most n*(2n+1) probes per sweep
     assert 0 < calls["n"] <= 1 + sweeps * n * (2 * n + 1)
+    # probing a coordinate stops at its first full-rank probe, as it always has
+    assert calls["n"] == 55
 
 
 def test_seed_determinism_bit_for_bit(paper_instance):

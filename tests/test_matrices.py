@@ -1,7 +1,9 @@
 """Matrix types, invariants, and the JSON/CSV file formats."""
 
+import decimal
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minctrl.matrices
 from minctrl.errors import InvalidInputError
 from minctrl.linalg import left_eigensystem
 from minctrl.matrices import (
@@ -111,6 +114,60 @@ def test_json_round_trip_past_int_digit_limit(tmp_path):
     save_matrix(m, path)
     assert load_matrix(path) == m
     _assert_integer_forms(m)
+
+
+def test_json_round_trip_past_int_digit_limit_without_decimal(tmp_path, monkeypatch):
+    # conversions past the limit go by 4,000-digit chunks, not through decimal
+    def no_decimal(*_args, **_kwargs):
+        raise AssertionError("decimal used")
+
+    monkeypatch.setattr(decimal, "Decimal", no_decimal)
+    monkeypatch.setattr(minctrl.matrices, "Decimal", no_decimal, raising=False)
+    nines = 10**12000 - 1  # 12,000 digits
+    padded = 10**8001 + 7  # inner chunks with leading zeros
+    m = RationalMatrix.from_rows(
+        [[Fraction(nines, 10**12000 - 3), -nines], [padded, Fraction(-1, padded)]]
+    )
+    path = tmp_path / "m.json"
+    save_matrix(m, path)
+    data = json.loads(path.read_text())["data"]
+    assert data[2] == "1" + "0" * 8000 + "7"
+    assert data[3] == "-1/" + data[2]
+    assert load_matrix(path) == m
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (["0", " 1/0", "0", " 1/0"], "bad rational entry ' 1/0': Fraction(1, 0)"),
+        (["1/3", "x/2", "0", "x/2"], "bad rational entry 'x/2'"),
+        (["x/2", "y", "x/2", "1"], "bad rational entry 'x/2'"),
+        (["1", "1_" + "0" * 5000, "0", "1"], "bad rational entry '1_000"),
+    ],
+    ids=["zero-denominator", "repeated", "first-bad-string", "long-underscore"],
+)
+def test_parsed_strings_rejected_as_before(data, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        matrix_from_json_dict({"rows": 2, "cols": 2, "data": data})
+
+
+def test_each_distinct_string_parsed_once(monkeypatch):
+    parsed = []
+    original = minctrl.matrices._parse_rational
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(minctrl.matrices, "_parse_rational", counting)
+    data = ["1_0", "0", "1/2", "0", "2/4", 0.5, "1_0", 1, "0"]
+    m = matrix_from_json_dict({"rows": 3, "cols": 3, "data": data})
+    # Fraction's own syntax: "1_0" is 10
+    assert m.data == tuple(
+        tuple(map(Fraction, row))
+        for row in [[10, 0, Fraction(1, 2)], [0, Fraction(1, 2), 0.5], [10, 1, 0]]
+    )
+    assert sorted(parsed) == ["0", "1/2", "1_0", "2/4"]
 
 
 @pytest.mark.parametrize(
