@@ -12,6 +12,7 @@ constant, never the clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -180,15 +181,11 @@ def _cmd_verify(args) -> int:
     b = load_matrix(args.b)
     backend = args.backend or _default_backend()
     n = matrix.rows
-    if matrix.cols != n:
-        raise InvalidInputError(f"A must be square, got {matrix.rows}x{matrix.cols}")
     if sorted((b.rows, b.cols)) != sorted((n, 1)):
-        raise InvalidInputError(
-            f"b must be an {n}-vector, got {b.rows}x{b.cols}"
-        )
+        raise InvalidInputError(f"b must be an {n}-vector, got {b.rows}x{b.cols}")
     if b.rows == 1 and n != 1:
-        b = _transpose(b)
-    rank = controllability_rank(matrix, b, backend)
+        b = b.transpose() if isinstance(b, RationalMatrix) else DenseMatrix(b.array.T)
+    rank = controllability_rank(matrix, b, backend)  # also rejects a non-square A
     payload = {
         "schema_version": 1,
         "n": n,
@@ -201,12 +198,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if rank == n else EXIT_INFEASIBLE
 
 
-def _transpose(mat):
-    if isinstance(mat, RationalMatrix):
-        return mat.transpose()
-    return DenseMatrix(mat.array.T)
-
-
+@functools.cache  # once per process; subcommands look up their helpers when run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minctrl",
@@ -264,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_output_paths(args.out, getattr(args, "csv", None))
         return args.func(args)

@@ -16,27 +16,23 @@ candidate is scored:
 * ``greedy_diagonal`` -- the single value 1, scored as a new unit entry of a
   diagonal input matrix.
 
-Each rank backend is one oracle class: ``"exact"``, ``"pbh"`` (count
-eigenvectors non-orthogonal to the candidate; distinct eigenvalues only, far
-better conditioned than SVD on the controllability matrix), and ``"svd"``
-(thresholded singular values). Each oracle scores a coordinate's probes in
-one call, ``best_probe``, which returns the best rank and the first probe
-that reaches it. The exact oracle first asks ``certified_left_eigenbasis``
-for integer left eigenvectors ``v_i`` of n distinct eigenvalues, proven in
-integer arithmetic; every plain hitting-set reduction has them. With the
-certificate, the PBH/Hautus test makes ``#{i : v_i b != 0}`` the exact
-rank. Adding ``value * e_j`` zeroes ``v_i b`` only at the one root
-``-(v_i b) / v_ij`` (or never, or always, when ``v_ij = 0``), so all the
-probes of a coordinate cost one pass over the nonzeros of column ``j`` and
-one lookup each. Without the certificate (a repeated, complex or irrational
-eigenvalue, a Jordan block, or an eigenvector with a large denominator, as
-in the symmetric reductions) the oracle falls back to fraction-free
-elimination over the rationals, one rank per probe. Both give
-the same ranks, hence the same traces. Every solver takes the system matrix;
-with ``"pbh"`` it also takes an ``EigenSystem`` the caller already has, so a
-matrix is decomposed once however many solves and checks use it. The pbh
-oracle rejects eigenvalues within that decomposition's ``cluster_gap`` (by
-default ``DEFAULT_EIGEN_GAP``); the solvers take no threshold of their own.
+``rank_oracle`` gives the backend's oracle, which ranks any input matrix
+(``input_rank``) and scores a coordinate's probes in one call
+(``best_probe``). ``"pbh"`` counts eigenvectors non-orthogonal to the
+candidate (distinct eigenvalues only; far better conditioned than SVD on the
+controllability matrix) and ``"svd"`` thresholds singular values.
+``"exact"`` counts the same over integer left eigenvectors of n distinct
+eigenvalues that ``certified_left_eigenbasis`` proves, as every plain
+hitting-set reduction has them; then all the probes of a coordinate cost
+one pass over the nonzeros of its column. Without them (a repeated, complex
+or irrational eigenvalue, a Jordan block, or an eigenvector with a large
+denominator, as in the symmetric reductions) it eliminates integer Krylov
+columns, one rank per probe. Both give the same ranks, hence the same
+traces. Every solver takes the system matrix; with ``"pbh"`` it also takes
+an ``EigenSystem`` the caller already has, so a matrix is decomposed once
+however many solves and checks use it. The pbh oracle rejects eigenvalues
+within that decomposition's ``cluster_gap`` (by default
+``DEFAULT_EIGEN_GAP``); the solvers take no threshold of their own.
 """
 
 from __future__ import annotations
@@ -57,6 +53,7 @@ from minctrl.linalg import (
     certified_left_eigenbasis,
     controllability_matrix,
     left_eigensystem,
+    pbh_controllability_rank,
     pbh_count,
     rank_numeric,
     require_distinct_spectrum,
@@ -64,6 +61,7 @@ from minctrl.linalg import (
 from minctrl.matrices import (
     DenseMatrix,
     Matrix,
+    RationalMatrix,
     as_dense,
     as_rational,
     integer_form,
@@ -139,14 +137,22 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# rank oracles
-#
-# One class per backend. ``rank_with_vector(j, value)`` is the rank of
+# rank oracles: ``input_rank(B)`` is the rank of ``C(A, B)`` for the
+# ``sparse_columns`` of ``B``; ``rank_with_vector(j, value)`` is that of
 # ``C(A, b + value * e_j)`` for the ``b`` last passed to ``begin_sweep``;
 # ``best_probe(j, values)`` is the highest of those ranks over ``values`` and
-# the first value, in probe order, that reaches it; ``rank_with_block(support)``
-# is the rank of the span of ``A^k e_s`` over ``s`` in ``support`` (the
-# diagonal input with those unit entries).
+# the first value, in probe order, that reaches it.
+
+
+def sparse_columns(B: Matrix, value: Callable = Fraction) -> list[tuple]:
+    """Each column of ``B`` as the pairs ``(i, value(B[i, c]))`` of its nonzeros."""
+    rows = B.array.tolist() if isinstance(B, DenseMatrix) else as_rational(B).data
+    return [tuple((i, value(x)) for i, x in enumerate(col) if x) for col in zip(*rows)]
+
+
+def _dense(column: Sequence, n: int) -> list:
+    entries = dict(column)
+    return [entries.get(i, 0) for i in range(n)]
 
 
 def _first_best(scored: Iterable[tuple[int, object]], top: int) -> tuple[int, object]:
@@ -166,79 +172,49 @@ def _probe_each(oracle, j: int, values: Sequence) -> tuple[int, object]:
     return _first_best(((oracle.rank_with_vector(j, v), v) for v in values), oracle.n)
 
 
-class _ExactOracle:
-    """Exact ranks: a PBH count over a certified eigenbasis, else Bareiss.
+class _EigenbasisOracle:
+    """Exact ranks ``#{i : v_i B != 0}`` over a certified integer eigenbasis.
 
-    When ``certified_left_eigenbasis`` proves that ``A`` has n distinct
-    eigenvalues with integer left eigenvectors ``v_i``, the PBH/Hautus test
-    gives ``rank C(A, b) = #{i : v_i b != 0}`` exactly, and a diagonal
-    block's rank is the number of ``v_i`` nonzero on its support; ``path``
-    is then ``"eigenbasis"``. The nonzeros ``(i, v_ij)`` of each column
-    ``j`` are listed once. A sweep scales ``b`` to integers ``s * b`` and
-    forms the products ``P_i = v_i (s b)``; the probe ``p/q`` at ``j`` then
-    zeroes row ``i`` exactly when ``q P_i + s p v_ij = 0``: at the one value
-    ``-P_i / (s v_ij)`` if ``v_ij != 0``, else always or never as ``P_i`` is
-    zero or not. So ``best_probe`` counts those roots, as reduced integer
-    pairs, in one pass over column ``j``, and reads each probe's rank off the
-    count; no rank is recounted per probe. Otherwise (a repeated, complex or
-    irrational eigenvalue, a Jordan block, or an eigenvector the certificate
-    cannot rationalise) ``path`` is ``"bareiss"``: fraction-free integer
-    ranks of Krylov columns, one per probe. The columns ``A^k e_j`` of the
-    powers of ``A``'s ``integer_form`` are tabulated once, and each sweep
-    forms ``A^k b`` from them; every step is one ``integer_product``, which
-    skips zero entries. Scaling ``A`` or ``b`` by a positive constant, and
-    dividing a column of the controllability matrix by the gcd of its
-    entries, leave every rank unchanged, so all arithmetic stays in (fast)
-    plain integers. Both paths give the same ranks.
+    The nonzeros ``(i, v_ij)`` of each column ``j`` are listed once. A sweep
+    forms the products ``P_i = v_i (s b)`` of ``b`` scaled to integers; the
+    probe ``p/q`` at ``j`` zeroes row ``i`` exactly when
+    ``q P_i + s p v_ij = 0``: at the one root ``-P_i / (s v_ij)`` if
+    ``v_ij != 0``, else always or never as ``P_i`` is zero or not. So
+    ``best_probe`` counts those roots, as reduced integer pairs, in one pass
+    over column ``j``, and reads each probe's rank off the count.
     """
 
+    path = "eigenbasis"
     zero = Fraction(0)
     value = Fraction
 
-    def __init__(self, A: Matrix):
-        A = as_rational(A)
-        n = A.rows
-        if A.cols != n:
-            raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
-        self.n = n
-        self._basis = certified_left_eigenbasis(A)
-        self.path = "bareiss" if self._basis is None else "eigenbasis"
-        if self._basis is not None:
-            # [j] -> the nonzeros (i, v_ij) of column j
-            self._columns = [
-                [(i, row[j]) for i, row in enumerate(self._basis) if row[j]]
-                for j in range(n)
-            ]
-            return
-        # row j of entry k is column j of A^k, so entry k + 1 is entry k times A^T
-        transposed, _ = integer_form(A.transpose())
-        column = [[int(i == j) for i in range(n)] for j in range(n)]
-        self._powers: list[list[list[int]]] = [column]  # [k][j] -> column j of A^k
-        for _ in range(1, n):
-            column = integer_product(column, transposed)
-            self._powers.append(column)
+    def __init__(self, basis: list[list[int]]):
+        self.n = len(basis)
+        # [j] -> the nonzeros (i, v_ij) of column j
+        self._columns = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*basis)]
+        self._reached: dict[tuple, frozenset[int]] = {}  # column -> rows, once asked
+
+    def _project(self, column: Sequence) -> tuple[dict[int, int], int]:
+        """The nonzero ``v_i (s c)`` by ``i``, for ``s`` clearing ``c``'s denominators."""
+        ints, scale = scale_to_integers([x for _, x in column])
+        products: dict[int, int] = {}
+        for (k, _), x in zip(column, ints):
+            for i, v in self._columns[k]:
+                products[i] = products.get(i, 0) + v * x
+        return {i: p for i, p in products.items() if p}, scale
 
     def begin_sweep(self, b: list[Fraction]) -> None:
-        b_int, self._scale = scale_to_integers(b)
-        if self._basis is not None:
-            self._products = [
-                sum(a * x for a, x in zip(row, b_int)) for row in self._basis
-            ]
-            self._rank = sum(1 for product in self._products if product)
-            return
-        # A^k b_int, as a row, is b_int times entry k, (A^k)^T
-        self._cols = [integer_product([b_int], pk)[0] for pk in self._powers]
+        self._products, self._scale = self._project([(i, x) for i, x in enumerate(b) if x])
+        self._rank = len(self._products)
 
     def best_probe(self, j: int, values: Sequence[Fraction]) -> tuple[int, Fraction]:
-        if self._basis is None:
-            return _probe_each(self, j, values)
         # rows with v_ij = 0 keep their product; each other row is zero at
         # exactly one value, its root -P_i / (s v_ij), kept as (num, den).
         # ``full`` is the rank at a value that is no row's root.
         full = self._rank
         roots: dict[tuple[int, int], int] = {}
         for i, v in self._columns[j]:
-            product = self._products[i]
+            product = self._products.get(i, 0)
             if product:
                 den = self._scale * v
                 g = gcd(product, den)
@@ -255,25 +231,71 @@ class _ExactOracle:
         )
 
     def rank_with_vector(self, j: int, value: Fraction) -> int:
-        if self._basis is not None:
-            return self.best_probe(j, (value,))[0]
+        return self.best_probe(j, (value,))[0]
+
+    def input_rank(self, B: Sequence[tuple]) -> int:
+        rows: set[int] = set()
+        for column in B:
+            reached = self._reached.get(column)
+            if reached is None:
+                reached = self._reached[column] = frozenset(self._project(column)[0])
+            rows |= reached
+        return len(rows)
+
+
+def _krylov_rank(columns: Iterable[list[int]]) -> int:
+    """Exact rank of the matrix with these integer columns, eliminated by rows
+    (faster than by columns), each column and then each row made primitive."""
+    return integer_rank(
+        [primitive_vector(list(row)) for row in zip(*map(primitive_vector, columns))]
+    )
+
+
+class _KrylovOracle:
+    """Exact ranks without a certificate: ``integer_rank`` of the integer
+    Krylov columns ``A^k c``, ``k < n``, of each input column ``c``, built
+    on first use and kept, each step one ``integer_product`` with ``A``'s
+    ``integer_form``. Scaling ``A`` or ``b`` by a positive constant, and
+    dividing a column by the gcd of its entries, leave every rank unchanged,
+    so all arithmetic stays in (fast) plain integers.
+    """
+
+    path = "bareiss"
+    zero = Fraction(0)
+    value = Fraction
+
+    def __init__(self, A: RationalMatrix):
+        self.n = A.rows
+        # a column x, kept as a list, steps to A x as the row x times A^T
+        self._transposed, _ = integer_form(A.transpose())
+        self._built: dict[tuple, list[list[int]]] = {}  # column -> A^k c, once asked
+
+    def _columns(self, column: tuple) -> list[list[int]]:
+        if column not in self._built:
+            krylov = [scale_to_integers(_dense(column, self.n))[0]]
+            for _ in range(1, self.n):
+                krylov.append(integer_product([krylov[-1]], self._transposed)[0])
+            self._built[column] = krylov
+        return self._built[column]
+
+    def begin_sweep(self, b: list[Fraction]) -> None:
+        self._scale = scale_to_integers(b)[1]
+        self._cols = self._columns(tuple((i, x) for i, x in enumerate(b) if x))
+
+    best_probe = _probe_each
+
+    def rank_with_vector(self, j: int, value: Fraction) -> int:
         # s*q*(b + (p/q) e_j) is q*b_int + s*p*e_j, whose power columns are
         # q*b_int + s*p*A^k e_j
         q = value.denominator
         shift = self._scale * value.numerator
-        return integer_rank(
-            [
-                primitive_vector([q * x + shift * y for x, y in zip(base, pk[j])])
-                for base, pk in zip(self._cols, self._powers)
-            ]
+        return _krylov_rank(
+            [q * x + shift * y for x, y in zip(base, unit)]
+            for base, unit in zip(self._cols, self._columns(((j, 1),)))
         )
 
-    def rank_with_block(self, support: Sequence[int]) -> int:
-        if self._basis is not None:
-            return len({i for j in support for i, _ in self._columns[j]})
-        return integer_rank(
-            [primitive_vector(pk[j]) for j in support for pk in self._powers]
-        )
+    def input_rank(self, B: Sequence[tuple]) -> int:
+        return _krylov_rank([c for column in B for c in self._columns(column)])
 
 
 class _PbhOracle:
@@ -290,41 +312,34 @@ class _PbhOracle:
         eig = A if isinstance(A, EigenSystem) else left_eigensystem(as_dense(A))
         require_distinct_spectrum(eig)
         self.n = eig.n
-        self._rows = eig.left_eigenvectors
+        self._eig = eig
 
     def begin_sweep(self, b: list[float]) -> None:
         vec = np.asarray(b, dtype=np.float64)
-        self._products = self._rows @ vec
+        self._products = self._eig.left_eigenvectors @ vec
         self._norm_sq = float(vec @ vec)
 
     best_probe = _probe_each
 
     def rank_with_vector(self, j: int, value: float) -> int:
-        products = self._products + value * self._rows[:, j]
+        products = self._products + value * self._eig.left_eigenvectors[:, j]
         norm_sq = self._norm_sq + value * value
         return pbh_count(products, DEFAULT_ORTH_TOL_SCALE * float(np.sqrt(norm_sq)))
 
-    def rank_with_block(self, support: Sequence[int]) -> int:
-        # unit columns: each tolerance is the bare scale
-        return pbh_count(self._rows[:, list(support)], DEFAULT_ORTH_TOL_SCALE)
+    def input_rank(self, B: Sequence[Sequence]) -> int:
+        return pbh_controllability_rank(self._eig, np.array([_dense(c, self.n) for c in B]).T)
 
 
 class _SvdOracle:
-    """Thresholded singular values: ``rank_numeric`` of the input vector's
-    ``controllability_matrix``, or of the columns ``A^k e_j`` over a diagonal
-    block's support, read from ``controllability_matrix(A, I)``."""
+    """Thresholded singular values: ``rank_numeric`` of the input's
+    ``controllability_matrix``."""
 
     zero = 0.0
     value = float
 
-    def __init__(self, A: Matrix):
-        dense = as_dense(A)
-        if dense.rows != dense.cols:
-            raise InvalidInputError(f"A must be square, got {dense.rows}x{dense.cols}")
-        self.n = dense.rows
-        self._A = dense
-        # column k*n + j is A^k e_j
-        self._units = controllability_matrix(dense, DenseMatrix.identity(self.n)).array
+    def __init__(self, A: DenseMatrix):
+        self.n = A.rows
+        self._A = A
 
     def begin_sweep(self, b: list[float]) -> None:
         self._b = np.asarray(b, dtype=np.float64)
@@ -336,20 +351,26 @@ class _SvdOracle:
         v[j] = v[j] + value
         return rank_numeric(controllability_matrix(self._A, DenseMatrix(v[:, None])))
 
-    def rank_with_block(self, support: Sequence[int]) -> int:
-        n = self.n
-        return rank_numeric(self._units[:, [k * n + j for j in support for k in range(n)]])
+    def input_rank(self, B: Sequence[Sequence]) -> int:
+        inputs = DenseMatrix(np.array([_dense(c, self.n) for c in B]).T)
+        return rank_numeric(controllability_matrix(self._A, inputs))
 
 
-_ORACLES = {"exact": _ExactOracle, "pbh": _PbhOracle, "svd": _SvdOracle}
-
-
-def _make_oracle(A: Matrix | EigenSystem, backend: str):
-    if backend not in _ORACLES:
+def rank_oracle(A: Matrix | EigenSystem, backend: str):
+    """The ``backend`` oracle for ``A``: ``"exact"`` prefers a certified eigenbasis."""
+    if backend not in RANK_BACKENDS:
         raise InvalidInputError(
             f"unknown rank backend {backend!r}; expected one of {RANK_BACKENDS}"
         )
-    return _ORACLES[backend](A)
+    if backend == "pbh":
+        return _PbhOracle(A)
+    A = as_rational(A) if backend == "exact" else as_dense(A)
+    if A.cols != A.rows:
+        raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
+    if backend == "svd":
+        return _SvdOracle(A)
+    basis = certified_left_eigenbasis(A)
+    return _KrylovOracle(A) if basis is None else _EigenbasisOracle(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +391,10 @@ def _greedy(
     rank = 0
     trace: list[TraceStep] = []
     if block:
+        units = [((j, 1),) for j in range(n)]
+
         def best_probe(j, values):
-            return oracle.rank_with_block(support + [j]), values[0]
+            return oracle.input_rank([units[s] for s in support] + [units[j]]), values[0]
     else:
         best_probe = oracle.best_probe
     while rank < n:
@@ -419,7 +442,7 @@ def randomized_greedy_vector(
     """
     if not is_integer(seed) or seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-    oracle = _make_oracle(A, rank_backend)
+    oracle = rank_oracle(A, rank_backend)
     rng = np.random.default_rng(seed)
 
     def probes(_j: int):
@@ -432,7 +455,7 @@ def deterministic_greedy_vector(
     A: Matrix | EigenSystem, rank_backend: str = "exact"
 ) -> SolveResult:
     """Greedy sparse-vector solve probing each coordinate with 1..2n+1."""
-    oracle = _make_oracle(A, rank_backend)
+    oracle = rank_oracle(A, rank_backend)
     values = tuple(oracle.value(p) for p in range(1, 2 * oracle.n + 2))
     return _greedy(oracle, lambda _j: values, rank_backend, block=False)
 
@@ -445,6 +468,6 @@ def greedy_diagonal(
     Because the identity input always controls the system, an exact rank
     backend can stall only at full rank.
     """
-    oracle = _make_oracle(A, rank_backend)
+    oracle = rank_oracle(A, rank_backend)
     unit = (oracle.value(1),)
     return _greedy(oracle, lambda _j: unit, rank_backend, block=True)

@@ -265,14 +265,14 @@ def pbh_controllability_rank(eig: EigenSystem, B: VectorLike) -> int:
 def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
     """Exact integer left eigenvectors of `A` for n distinct eigenvalues, or None.
 
-    Each numeric left eigenvector from ``np.linalg.eig(A.T)`` (sorted like
-    ``left_eigensystem``) is divided by its largest-magnitude entry,
-    rationalised entry by entry with denominators up to
-    ``EIGENBASIS_MAX_DENOMINATOR`` and scaled to a primitive integer vector
-    ``v``. The guess only proposes ``v``; the certificate is exact: with
-    ``A_int = s * A``, ``w = v A_int`` must equal ``mu * v`` in integers
+    With ``A == A_int / L`` (``integer_form``), each numeric left eigenvector
+    of the floats ``A_int / L`` (sorted like ``left_eigensystem``) is
+    divided by its largest-magnitude entry, rationalised entry by entry with
+    denominators up to ``EIGENBASIS_MAX_DENOMINATOR`` and scaled to a
+    primitive integer vector ``v``. The guess only proposes ``v``; the
+    certificate is exact: ``w = v A_int`` must equal ``mu * v`` in integers
     (checked as ``v_k w == w_k v``), so ``v`` is a left eigenvector for the
-    eigenvalue ``w_k / (s v_k)``, and the n eigenvalues must be pairwise
+    eigenvalue ``w_k / (L v_k)``, and the n eigenvalues must be pairwise
     distinct. Nonzero eigenvectors of distinct eigenvalues are independent,
     so the rows are a basis and no tolerance decides anything.
 
@@ -280,8 +280,9 @@ def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
     complex or irrational eigenvalue, a Jordan block, a denominator above
     the bound, entries too large for floats, or an eigensolver failure.
     """
+    A_int, L = integer_form(A)
     try:
-        values, vectors = np.linalg.eig(A.to_dense().array.T)
+        values, vectors = np.linalg.eig((np.array(A_int, dtype=np.float64) / L).T)
     except (OverflowError, np.linalg.LinAlgError):
         return None
     if np.any(values.imag != 0) or not (
@@ -289,7 +290,6 @@ def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
     ):
         return None
     rows = vectors.real.T[np.argsort(values.real, kind="stable")]
-    A_int, _ = integer_form(A)
     zero = Fraction(0)
     basis: list[list[int]] = []
     eigenvalues: set[Fraction] = set()

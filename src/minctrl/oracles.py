@@ -18,16 +18,9 @@ from minctrl.errors import (
     InternalVerificationError,
     InvalidInputError,
 )
-from minctrl.greedy import RANK_BACKENDS
-from minctrl.linalg import (
-    controllability_matrix,
-    left_eigensystem,
-    pbh_controllability_rank,
-    pbh_support_test,
-    rank_exact,
-    rank_numeric,
-)
-from minctrl.matrices import Matrix, RationalMatrix, as_dense, as_rational
+from minctrl.greedy import rank_oracle, sparse_columns
+from minctrl.linalg import pbh_support_test
+from minctrl.matrices import Matrix, RationalMatrix
 from minctrl.reductions import HittingSetInstance
 
 MAX_GROUND_SIZE = 20
@@ -142,25 +135,18 @@ def _check_state_guard(V_rows: RationalMatrix, allow_large: bool) -> None:
 def controllability_rank(A: Matrix, B: Matrix, rank_backend: str = "exact") -> int:
     """Rank of the controllability matrix ``(B, AB, ..., A^{n-1}B)``.
 
-    ``"exact"`` eliminates over the rationals, ``"svd"`` thresholds singular
-    values, and ``"pbh"`` counts the left eigenvectors of ``A`` that are not
-    orthogonal to some column of ``B`` (distinct spectra only; see
-    ``pbh_controllability_rank``). Every backend needs ``B`` to have one row
-    per state: a ``1 x n`` ``B`` is rejected, not read as a column.
+    The ``input_rank`` of ``rank_oracle(A, rank_backend)``: ``"exact"``
+    counts over a certified eigenbasis, else eliminates integer Krylov
+    columns; ``"svd"`` thresholds singular values; ``"pbh"`` counts the left
+    eigenvectors of ``A`` not orthogonal to some column of ``B`` (distinct
+    spectra only; see ``pbh_controllability_rank``). ``B`` needs one row per
+    state for every backend: a ``1 x n`` ``B`` is rejected, not read as a column.
     """
-    if rank_backend not in RANK_BACKENDS:
-        raise InvalidInputError(
-            f"unknown rank backend {rank_backend!r}; expected one of {RANK_BACKENDS}"
-        )
-    convert = as_rational if rank_backend == "exact" else as_dense
-    A, B = convert(A), convert(B)
-    if B.rows != A.rows:
-        raise InvalidInputError(f"B has {B.rows} rows but A is {A.rows}x{A.cols}")
-    if rank_backend == "exact":
-        return rank_exact(controllability_matrix(A, B))
-    if rank_backend == "svd":
-        return rank_numeric(controllability_matrix(A, B))
-    return pbh_controllability_rank(left_eigensystem(A), B)
+    oracle = rank_oracle(A, rank_backend)
+    columns = sparse_columns(B, oracle.value)
+    if B.rows != oracle.n:
+        raise InvalidInputError(f"B has {B.rows} rows but A is {oracle.n}x{oracle.n}")
+    return oracle.input_rank(columns)
 
 
 def kalman_test(A: Matrix, B: Matrix, rank_backend: str = "exact") -> bool:

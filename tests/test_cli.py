@@ -283,8 +283,22 @@ def test_svd_controllability_matrix_overflow_is_invalid_input(
     assert "overflow" in err
 
 
+def test_parser_built_once_per_process():
+    assert minctrl.cli.build_parser() is minctrl.cli.build_parser()
+
+
 def test_verify_dimension_mismatch(workdir, capsys):
     assert run("verify", workdir / "diag123.json", workdir / "eye2.json") == 2
+
+
+@pytest.mark.parametrize("backend", ("exact", "pbh", "svd"))
+def test_verify_rejects_non_square_matrix(workdir, capsys, backend):
+    (workdir / "wide.json").write_text(
+        json.dumps({"rows": 2, "cols": 3, "data": [1, 0, 0, 0, 2, 0]})
+    )
+    (workdir / "b2.json").write_text(json.dumps({"rows": 2, "cols": 1, "data": [1, 1]}))
+    assert run("verify", workdir / "wide.json", workdir / "b2.json", "--backend", backend) == 2
+    assert "A must be square, got 2x3" in capsys.readouterr().err
 
 
 def test_experiment_flags_and_determinism(workdir, capsys):

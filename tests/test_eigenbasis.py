@@ -23,11 +23,15 @@ from hypothesis import strategies as st
 
 import minctrl.greedy
 from helpers import golden_instance, random_instance
+from minctrl.cli import main
 from minctrl.greedy import (
-    _ExactOracle,
+    _EigenbasisOracle,
+    _KrylovOracle,
     deterministic_greedy_vector,
     greedy_diagonal,
     randomized_greedy_vector,
+    rank_oracle,
+    sparse_columns,
 )
 from minctrl.linalg import (
     EIGENBASIS_MAX_DENOMINATOR,
@@ -35,7 +39,8 @@ from minctrl.linalg import (
     controllability_matrix,
     rank_exact,
 )
-from minctrl.matrices import RationalMatrix
+from minctrl.matrices import RationalMatrix, save_matrix
+from minctrl.oracles import controllability_rank, kalman_test
 from minctrl.reductions import HittingSetInstance, build_reduction, eigenvector_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -106,13 +111,27 @@ def test_certificate_rejects(name):
 
 @pytest.mark.parametrize("name", FALLBACK)
 def test_fallback_takes_bareiss(name):
-    assert _ExactOracle(FALLBACK[name]()).path == "bareiss"
+    assert rank_oracle(FALLBACK[name](), "exact").path == "bareiss"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 10**400], [0, 2]], [[Fraction(1, 10**400), 0], [0, 2]]],
+    ids=["entry", "denominator"],
+)
+def test_certificate_declines_integers_too_large_for_floats(rows):
+    # the float guess is A_int / L: an entry or a common denominator past
+    # the float range ends the certificate instead of raising
+    A = RationalMatrix.from_rows(rows)
+    assert certified_left_eigenbasis(A) is None
+    assert rank_oracle(A, "exact").path == "bareiss"
+    assert greedy_diagonal(A, "exact").controllable
 
 
 def test_certificate_reads_exact_eigenvalues():
     A = CERTIFIED["near_double_diagonal"]()
     assert certified_left_eigenbasis(A) == [[1, 0], [0, 1]]
-    assert _ExactOracle(A).path == "eigenbasis"
+    assert rank_oracle(A, "exact").path == "eigenbasis"
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -198,7 +217,7 @@ def test_eigenbasis_vector_rank_matches_controllability_rank(A, data):
         # a wrongly scaled probe misses the eigenvectors orthogonal to it
         b = [Fraction(int(i == landing)) - (value if i == j else 0) for i in range(n)]
     assume(any(b) or not dyadic)
-    oracle = _ExactOracle(A)
+    oracle = rank_oracle(A, "exact")
     assert oracle.path == "eigenbasis"
     oracle.begin_sweep(b)
     probed = [[x + (value if i == j else 0)] for i, x in enumerate(b)]
@@ -216,9 +235,9 @@ def test_eigenbasis_block_rank_matches_controllability_rank(A, data):
     units = RationalMatrix.from_rows(
         [[int(i == s) for s in support] for i in range(n)]
     )
-    oracle = _ExactOracle(A)
+    oracle = rank_oracle(A, "exact")
     assert oracle.path == "eigenbasis"
-    assert oracle.rank_with_block(support) == rank_exact(
+    assert oracle.input_rank(sparse_columns(units)) == rank_exact(
         controllability_matrix(A, units)
     )
 
@@ -229,7 +248,7 @@ def test_solves_identical_with_certificate_off(A):
     on = {name: solve(A).to_json() for name, solve in SOLVERS.items()}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minctrl.greedy, "certified_left_eigenbasis", lambda _A: None)
-        assert _ExactOracle(A).path == "bareiss"
+        assert rank_oracle(A, "exact").path == "bareiss"
         off = {name: solve(A).to_json() for name, solve in SOLVERS.items()}
     assert on == off
 
@@ -252,10 +271,10 @@ def _jordan_system(draw):
     )
 
 
-def _without_certificate(A) -> _ExactOracle:
+def _without_certificate(A) -> _KrylovOracle:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minctrl.greedy, "certified_left_eigenbasis", lambda _A: None)
-        return _ExactOracle(A)
+        return rank_oracle(A, "exact")
 
 
 @settings(max_examples=80, deadline=None)
@@ -280,7 +299,7 @@ def test_best_probe_is_first_argmax_of_vector_ranks(A, data):
     drawn = data.draw(st.lists(probes, min_size=1, max_size=6))
     # repeats, in probe order
     values = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=3))
-    oracle = _ExactOracle(A)
+    oracle = rank_oracle(A, "exact")
     bareiss = _without_certificate(A)
     for o in (oracle, bareiss):
         o.begin_sweep(b)
@@ -294,7 +313,7 @@ def test_best_probe_is_first_argmax_of_vector_ranks(A, data):
 
 def test_certified_det_solve_scores_each_coordinate_once(monkeypatch):
     calls = {"best_probe": 0}
-    original = _ExactOracle.best_probe
+    original = _EigenbasisOracle.best_probe
 
     def counting(self, j, values):
         calls["best_probe"] += 1
@@ -306,8 +325,8 @@ def test_certified_det_solve_scores_each_coordinate_once(monkeypatch):
     def forbidden(rows):
         raise AssertionError("integer_rank called on a certified input")
 
-    monkeypatch.setattr(_ExactOracle, "best_probe", counting)
-    monkeypatch.setattr(_ExactOracle, "rank_with_vector", per_value)
+    monkeypatch.setattr(_EigenbasisOracle, "best_probe", counting)
+    monkeypatch.setattr(_EigenbasisOracle, "rank_with_vector", per_value)
     monkeypatch.setattr(minctrl.greedy, "integer_rank", forbidden)
     A = build_reduction(_benchmark_instances()[0]).system_matrix
     assert A.rows == 17
@@ -315,6 +334,55 @@ def test_certified_det_solve_scores_each_coordinate_once(monkeypatch):
     assert result.controllable
     # at most one call per unused coordinate per sweep
     assert 0 < calls["best_probe"] <= len(result.trace) * A.rows
+
+
+# ---------------------------------------------------------------------------
+# controllability_rank(A, B, "exact") against the exact rank of C(A, B)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_systems, _jordan_system()), st.data())
+def test_exact_controllability_rank_matches_rank_exact(A, data):
+    n = A.rows
+    entries = st.one_of(st.just(Fraction(0)), _fractions)
+    columns = data.draw(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3)
+    )
+    if data.draw(st.booleans(), label="a one-entry column"):
+        single = [Fraction(0)] * n
+        single[data.draw(st.integers(0, n - 1))] = data.draw(_fractions.filter(bool))
+        columns.append(single)
+    if data.draw(st.booleans(), label="a zero column"):
+        columns.insert(data.draw(st.integers(0, len(columns))), [Fraction(0)] * n)
+    B = RationalMatrix.from_rows([list(row) for row in zip(*columns)])
+    path = "eigenbasis" if certified_left_eigenbasis(A) else "bareiss"
+    assert rank_oracle(A, "exact").path == path
+    assert controllability_rank(A, B, "exact") == rank_exact(controllability_matrix(A, B))
+
+
+def test_exact_verify_on_certified_reduction_never_eliminates(monkeypatch, tmp_path, capsys):
+    calls = {"n": 0}
+
+    def counting(rows):
+        calls["n"] += 1
+        return 0
+
+    for module in list(sys.modules.values()):  # every binding of the kernel
+        if getattr(module, "__name__", "").startswith("minctrl"):
+            if hasattr(module, "integer_rank"):
+                monkeypatch.setattr(module, "integer_rank", counting)
+    A = build_reduction(_benchmark_instances()[0]).system_matrix
+    n = A.rows
+    ones = RationalMatrix.from_rows([[1]] * n)
+    first = RationalMatrix.from_rows([[int(i == 0)] for i in range(n)])
+    assert kalman_test(A, ones, "exact")
+    assert controllability_rank(A, first, "exact") < n
+    save_matrix(A, tmp_path / "A.json")
+    save_matrix(ones, tmp_path / "b.json")
+    argv = ["verify", str(tmp_path / "A.json"), str(tmp_path / "b.json"), "--backend", "exact"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["controllable"] is True
+    assert calls["n"] == 0
 
 
 # ---------------------------------------------------------------------------

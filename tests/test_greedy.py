@@ -14,10 +14,11 @@ import minctrl.greedy
 from helpers import random_unimodular
 from minctrl.errors import BackendPreconditionError, InvalidInputError
 from minctrl.greedy import (
-    _ExactOracle,
     deterministic_greedy_vector,
     greedy_diagonal,
     randomized_greedy_vector,
+    rank_oracle,
+    sparse_columns,
 )
 from minctrl.linalg import (
     controllability_matrix,
@@ -339,7 +340,7 @@ def test_exact_oracle_vector_rank_matches_controllability_rank(A, data):
         # a wrongly scaled probe misses the low rank of b + value e_j
         b = [Fraction(int(i == landing)) - (value if i == j else 0) for i in range(n)]
     assume(any(b) or not dyadic)
-    oracle = _ExactOracle(A)
+    oracle = rank_oracle(A, "exact")
     oracle.begin_sweep(b)
     probed = [[x + (value if i == j else 0)] for i, x in enumerate(b)]
     expected = rank_exact(controllability_matrix(A, RationalMatrix.from_rows(probed)))
@@ -357,4 +358,4 @@ def test_exact_oracle_block_rank_matches_controllability_rank(A, data):
         [[int(i == s) for s in support] for i in range(n)]
     )
     expected = rank_exact(controllability_matrix(A, units))
-    assert _ExactOracle(A).rank_with_block(support) == expected
+    assert rank_oracle(A, "exact").input_rank(sparse_columns(units)) == expected

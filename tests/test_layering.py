@@ -10,6 +10,10 @@ comprehension over ``<x>.data`` that then iterates each row is how a
 rational matrix gets cleared to integers, and ``matrices.integer_form``,
 ``integer_rows`` and ``RationalMatrix.from_integers`` are the one place
 that does it.
+
+No module but ``linalg`` uses ``rank_exact``: exact ranks go through the
+rank oracles, and ``rank_exact(controllability_matrix(A, B))`` stays an
+independent reference for the tests.
 """
 
 import ast
@@ -117,3 +121,36 @@ def test_guard_flags_row_flattening(tmp_path):
         "pairs = {i: x for row in rows for i, x in enumerate(row)}\n"
     )
     assert _row_flattening(bad) == ["line 1", "line 2"]
+
+
+def _rank_exact_uses(path: Path) -> list[str]:
+    """Reads of the name ``rank_exact``, bare or as an attribute."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "rank_exact")
+        or (isinstance(node, ast.Attribute) and node.attr == "rank_exact")
+    )
+    return [f"line {line}" for line in lines]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "linalg.py"],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_rank_exact_used_only_in_linalg(path):
+    assert _rank_exact_uses(path) == []
+
+
+def test_guard_flags_rank_exact_uses(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from minctrl.linalg import rank_exact\n"
+        "r = rank_exact(C)\n"
+        "r = linalg.rank_exact(C)\n"
+        "f = rank_exact\n"
+        "r = rank_exact_like(C)\n"
+        '__all__ = ["rank_exact"]\n'
+    )
+    assert _rank_exact_uses(bad) == ["line 2", "line 3", "line 4"]

@@ -8,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_instance, random_invertible_rational
-from minctrl.errors import EnumerationGuardError, InvalidInputError
+from minctrl.errors import EnumerationGuardError, InvalidInputError, MinctrlError
 from minctrl.greedy import RANK_BACKENDS
-from minctrl.matrices import DenseMatrix, RationalMatrix
+from minctrl.linalg import (
+    controllability_matrix,
+    left_eigensystem,
+    pbh_controllability_rank,
+    rank_numeric,
+)
+from minctrl.matrices import DenseMatrix, RationalMatrix, as_dense
 from minctrl.oracles import (
     brute_force_hitting_set,
     brute_force_min_diagonal_support,
@@ -211,6 +217,44 @@ def test_controllability_rank_rejects_row_b_for_every_backend(backend):
     with pytest.raises(InvalidInputError, match="B has 1 rows"):
         kalman_test(A.to_rational(), RationalMatrix.from_rows([[1, 1, 1]]), backend)
     assert controllability_rank(A, DenseMatrix.from_rows([[1], [1], [1]]), backend) == 3
+
+
+# The pbh and svd backends of ``controllability_rank`` go through the greedy
+# solvers' rank oracles; they must still return what their own formulas give.
+
+_entries = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 0.5, 2.0, -3.25, 7.0])
+
+
+def _grid(rows: int, cols: int):
+    return st.lists(
+        st.lists(_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_numeric_backends_match_their_formulas(data):
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans(), label="diagonal A"):
+        # distinct or repeated eigenvalues, and often rank-deficient inputs
+        A = DenseMatrix.diagonal(data.draw(st.lists(_entries, min_size=n, max_size=n)))
+    else:
+        A = DenseMatrix.from_rows(data.draw(_grid(n, n)))
+    B = DenseMatrix.from_rows(data.draw(_grid(n, m)))
+    if data.draw(st.booleans(), label="rational inputs"):
+        A, B = A.to_rational(), B.to_rational()
+    dense_A, dense_B = as_dense(A), as_dense(B)
+    assert controllability_rank(A, B, "svd") == rank_numeric(
+        controllability_matrix(dense_A, dense_B)
+    )
+    try:
+        expected = pbh_controllability_rank(left_eigensystem(dense_A), dense_B)
+    except MinctrlError as exc:
+        with pytest.raises(type(exc)):
+            controllability_rank(A, B, "pbh")
+    else:
+        assert controllability_rank(A, B, "pbh") == expected
 
 
 def test_oracle_json(paper_instance):
