@@ -42,8 +42,6 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from minctrl.errors import InvalidInputError, NumericBackendError, is_integer, is_real
 from minctrl.greedy import (
     SolveResult,
@@ -56,7 +54,7 @@ from minctrl.linalg import (
     left_eigensystem,
     pbh_controllability_rank,
 )
-from minctrl.matrices import DenseMatrix
+from minctrl.matrices import DenseMatrix, np
 
 DEFAULT_SEED = 1729
 DEFAULT_MAX_REGENERATIONS = 50

@@ -43,8 +43,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from minctrl._kernels import integer_rank
 from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
 from minctrl.linalg import (
@@ -53,7 +51,6 @@ from minctrl.linalg import (
     certified_left_eigenbasis,
     controllability_matrix,
     left_eigensystem,
-    pbh_controllability_rank,
     pbh_count,
     rank_numeric,
     require_distinct_spectrum,
@@ -66,6 +63,7 @@ from minctrl.matrices import (
     as_rational,
     integer_form,
     integer_product,
+    np,
     primitive_vector,
     scale_to_integers,
 )
@@ -303,6 +301,9 @@ class _PbhOracle:
 
     Takes the system matrix, or a decomposition the caller already has; the
     decomposition's ``cluster_gap`` is the distinctness threshold.
+    ``input_rank`` reads each column's nonzeros off the eigenvector columns
+    they select, as ``pbh_controllability_rank`` counts a dense input; for a
+    one-entry column the product is exactly the dense one.
     """
 
     zero = 0.0
@@ -313,6 +314,7 @@ class _PbhOracle:
         require_distinct_spectrum(eig)
         self.n = eig.n
         self._eig = eig
+        self._reached: dict[tuple, np.ndarray] = {}  # column -> row mask, once asked
 
     def begin_sweep(self, b: list[float]) -> None:
         vec = np.asarray(b, dtype=np.float64)
@@ -326,8 +328,20 @@ class _PbhOracle:
         norm_sq = self._norm_sq + value * value
         return pbh_count(products, DEFAULT_ORTH_TOL_SCALE * float(np.sqrt(norm_sq)))
 
-    def input_rank(self, B: Sequence[Sequence]) -> int:
-        return pbh_controllability_rank(self._eig, np.array([_dense(c, self.n) for c in B]).T)
+    def _reached_rows(self, column: tuple) -> np.ndarray:
+        """The rows ``i`` with ``|v_i c| > 1e-8 * ||c||``, as a mask."""
+        values = np.array([x for _, x in column], dtype=np.float64)
+        products = self._eig.left_eigenvectors[:, [i for i, _ in column]] @ values
+        return np.abs(products) > DEFAULT_ORTH_TOL_SCALE * np.linalg.norm(values)
+
+    def input_rank(self, B: Sequence[tuple]) -> int:
+        reached = np.zeros(self.n, dtype=bool)
+        for column in B:
+            rows = self._reached.get(column)
+            if rows is None:
+                rows = self._reached[column] = self._reached_rows(column)
+            reached |= rows
+        return int(np.count_nonzero(reached))
 
 
 class _SvdOracle:
@@ -391,10 +405,8 @@ def _greedy(
     rank = 0
     trace: list[TraceStep] = []
     if block:
-        units = [((j, 1),) for j in range(n)]
-
         def best_probe(j, values):
-            return oracle.input_rank([units[s] for s in support] + [units[j]]), values[0]
+            return oracle.input_rank([((s, 1),) for s in (*support, j)]), values[0]
     else:
         best_probe = oracle.best_probe
     while rank < n:

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from minctrl._kernels import integer_rank
 from minctrl.errors import (
     BackendPreconditionError,
@@ -42,8 +40,8 @@ from minctrl.matrices import (
     integer_form,
     integer_product,
     integer_rows,
+    np,
     primitive_vector,
-    scale_to_integers,
 )
 
 # Eigenvalues closer than this are treated as repeated; a decomposition can
@@ -58,7 +56,8 @@ DEFAULT_ORTH_TOL_SCALE = 1e-8
 # exact check, not the rounding, decides.
 EIGENBASIS_MAX_DENOMINATOR = 10**6
 
-VectorLike = Union[DenseMatrix, Sequence[float], np.ndarray]
+# a string, so that defining the alias does not execute numpy
+VectorLike = Union[DenseMatrix, Sequence[float], "np.ndarray"]
 
 
 def _as_input_columns(B: VectorLike, n: int) -> np.ndarray:
@@ -262,15 +261,43 @@ def pbh_controllability_rank(eig: EigenSystem, B: VectorLike) -> int:
     return pbh_count(eig.left_eigenvectors @ cols, tol)
 
 
+def limit_denominator(x: float, max_denominator: int) -> tuple[int, int]:
+    """``Fraction(x).limit_denominator(max_denominator)`` as a pair ``(p, q)``.
+
+    The closest fraction to the finite float ``x`` with ``0 < q <=
+    max_denominator``, in lowest terms: CPython's continued-fraction
+    algorithm on ``x.as_integer_ratio()``, in plain integers. As there, a
+    tie goes to the last convergent ``p1 / q1``.
+    """
+    n, d = x.as_integer_ratio()
+    if d <= max_denominator:
+        return n, d
+    whole = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    # the two candidates lie on either side of x, 1 / (q1 (q0 + k q1)) apart,
+    # and p1/q1 is d / (q1 whole) from x
+    if 2 * d * (q0 + k * q1) <= whole:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
     """Exact integer left eigenvectors of `A` for n distinct eigenvalues, or None.
 
     With ``A == A_int / L`` (``integer_form``), each numeric left eigenvector
     of the floats ``A_int / L`` (sorted like ``left_eigensystem``) is
     divided by its largest-magnitude entry, rationalised entry by entry with
-    denominators up to ``EIGENBASIS_MAX_DENOMINATOR`` and scaled to a
-    primitive integer vector ``v``. The guess only proposes ``v``; the
-    certificate is exact: ``w = v A_int`` must equal ``mu * v`` in integers
+    denominators up to ``EIGENBASIS_MAX_DENOMINATOR`` (``limit_denominator``,
+    as integer pairs) and scaled to a primitive integer vector ``v``. The
+    guess only proposes ``v``; the certificate is exact: ``w = v A_int`` must equal ``mu * v`` in integers
     (checked as ``v_k w == w_k v``), so ``v`` is a left eigenvector for the
     eigenvalue ``w_k / (L v_k)``, and the n eigenvalues must be pairwise
     distinct. Nonzero eigenvectors of distinct eigenvalues are independent,
@@ -290,16 +317,16 @@ def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
     ):
         return None
     rows = vectors.real.T[np.argsort(values.real, kind="stable")]
-    zero = Fraction(0)
     basis: list[list[int]] = []
     eigenvalues: set[Fraction] = set()
     for row in rows:
         k = int(np.argmax(np.abs(row)))
         guess = [
-            Fraction(x).limit_denominator(EIGENBASIS_MAX_DENOMINATOR) if x else zero
-            for x in row / row[k]
+            limit_denominator(x, EIGENBASIS_MAX_DENOMINATOR)
+            for x in (row / row[k]).tolist()
         ]
-        v = primitive_vector(scale_to_integers(guess)[0])
+        scale = math.lcm(*(q for _, q in guess))
+        v = primitive_vector([p * (scale // q) for p, q in guess])
         w = integer_product([v], A_int)[0]
         if any(v[k] * w_c != w[k] * v_c for v_c, w_c in zip(v, w)):
             return None

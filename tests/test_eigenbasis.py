@@ -12,6 +12,7 @@ regenerate them only for a deliberate behaviour change, with
 """
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -22,7 +23,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minctrl.greedy
-from helpers import golden_instance, random_instance
+import minctrl.linalg
+from helpers import golden_A, golden_instance, random_instance
 from minctrl.cli import main
 from minctrl.greedy import (
     _EigenbasisOracle,
@@ -37,6 +39,7 @@ from minctrl.linalg import (
     EIGENBASIS_MAX_DENOMINATOR,
     certified_left_eigenbasis,
     controllability_matrix,
+    limit_denominator,
     rank_exact,
 )
 from minctrl.matrices import RationalMatrix, save_matrix
@@ -160,6 +163,74 @@ def test_certificate_recovers_reduction_eigenvectors():
         V = eigenvector_matrix(inst)
         assert basis is not None and len(basis) == V.rows
         assert all(_proportional(row, V.row(i)) for i, row in enumerate(basis))
+
+
+# ---------------------------------------------------------------------------
+# the guess's rationalisation: integer pairs, as Fraction.limit_denominator
+
+
+def _fraction_limit(x: float, bound: int) -> tuple[int, int]:
+    f = Fraction(x).limit_denominator(bound)
+    return f.numerator, f.denominator
+
+
+_signed_floats = st.builds(
+    lambda x, negative: -x if negative else x,
+    st.floats(min_value=1e-12, max_value=1e6),
+    st.booleans(),
+)
+
+
+@st.composite
+def _next_to_ratio(draw):
+    """A float one ulp from ``p/q``, with ``q`` at most 1,000 below the bound."""
+    q = draw(st.integers(EIGENBASIS_MAX_DENOMINATOR - 1000, EIGENBASIS_MAX_DENOMINATOR))
+    p = draw(st.integers(-q, q))
+    return math.nextafter(p / q, draw(st.sampled_from([-math.inf, math.inf])))
+
+
+# small dyadic values under small bounds: many lie halfway between the two
+# closest fractions, so the tie rule decides
+_dyadic_cases = st.tuples(
+    st.builds(lambda k, e: k / 2**e, st.integers(-64, 64), st.integers(1, 4)),
+    st.integers(1, 8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.one_of(_signed_floats, _next_to_ratio(), st.sampled_from([0.0, -0.0])),
+            st.just(EIGENBASIS_MAX_DENOMINATOR),
+        ),
+        _dyadic_cases,
+    )
+)
+def test_limit_denominator_matches_fraction(case):
+    x, bound = case
+    assert limit_denominator(x, bound) == _fraction_limit(x, bound)
+
+
+@pytest.mark.parametrize(
+    "x, bound",
+    [(0.5, 1), (-0.5, 1), (-3.5, 1), (0.75, 2), (0.25, 2), (-1.25, 2), (-0.125, 4), (0.875, 4)],
+)
+def test_limit_denominator_breaks_ties_as_fraction_does(x, bound):
+    exact = Fraction(x)
+    nearby = {Fraction(math.floor(x * q) + d, q) for q in range(1, bound + 1) for d in (0, 1)}
+    distance = min(abs(c - exact) for c in nearby)
+    assert len([c for c in nearby if abs(c - exact) == distance]) == 2  # a tie
+    assert limit_denominator(x, bound) == _fraction_limit(x, bound)
+
+
+def test_certificates_identical_with_fraction_rationalisation(monkeypatch):
+    golden = [golden_A(), *(build_reduction(i).system_matrix for i in _benchmark_instances())]
+    matrices = golden + [make() for make in MATRICES.values()]
+    bases = [certified_left_eigenbasis(A) for A in matrices]
+    assert all(basis is not None for basis in bases[: len(golden)])
+    monkeypatch.setattr(minctrl.linalg, "limit_denominator", _fraction_limit)
+    assert [certified_left_eigenbasis(A) for A in matrices] == bases
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import minctrl.greedy
 from helpers import random_unimodular
 from minctrl.errors import BackendPreconditionError, InvalidInputError
+from minctrl.experiments import sample_er_digraph
 from minctrl.greedy import (
     deterministic_greedy_vector,
     greedy_diagonal,
@@ -303,6 +304,25 @@ def test_cluster_gap_is_the_pbh_threshold(pbh_entry):
     with pytest.raises(BackendPreconditionError, match="threshold 1.000e-01"):
         pbh_entry(left_eigensystem(A, cluster_gap=0.1))
     pbh_entry(left_eigensystem(A, cluster_gap=0.01))
+
+
+@pytest.mark.parametrize("system", ["golden", "er40"])
+def test_pbh_input_rank_of_one_entry_columns_is_the_dense_count(paper_A, system):
+    # a one-entry column's products are exactly the dense product's entries,
+    # and each column's tolerance is its own: the counts agree on every
+    # support, whichever columns the oracle has seen before
+    A = paper_A.to_dense() if system == "golden" else sample_er_digraph(40, 0.09, 3)
+    eig = left_eigensystem(A)
+    n = eig.n
+    oracle = rank_oracle(eig, "pbh")
+    rng = random.Random(5)
+    for _ in range(60):
+        support = rng.sample(range(n), rng.randint(1, 4))
+        values = [rng.choice([1.0, -2.5, 1e-3, 7.0]) for _ in support]
+        B = np.zeros((n, len(support)))
+        B[support, range(len(support))] = values
+        columns = [((j, v),) for j, v in zip(support, values)]
+        assert oracle.input_rank(columns) == pbh_controllability_rank(eig, B)
 
 
 # The exact oracle against the exact rank of the controllability matrix it

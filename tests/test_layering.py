@@ -14,6 +14,11 @@ that does it.
 No module but ``linalg`` uses ``rank_exact``: exact ranks go through the
 rank oracles, and ``rank_exact(controllability_matrix(A, B))`` stays an
 independent reference for the tests.
+
+No module imports numpy when it is imported itself: ``matrices.np`` is the
+one binding of numpy, which runs numpy on its first attribute use, so
+``reduce`` and ``oracle`` never execute it. An import inside a function body
+runs only when the function does, and is allowed.
 """
 
 import ast
@@ -154,3 +159,66 @@ def test_guard_flags_rank_exact_uses(tmp_path):
         '__all__ = ["rank_exact"]\n'
     )
     assert _rank_exact_uses(bad) == ["line 2", "line 3", "line 4"]
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _module_level_numpy_imports(path: Path) -> list[str]:
+    """Imports of numpy that run when the module itself is imported."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, _FUNCTIONS):
+            return
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] if node.level == 0 else []
+        elif isinstance(node, ast.Call) and _is_import_call(node.func) and node.args:
+            modules = [getattr(node.args[0], "value", None)]
+        else:
+            modules = []
+        if any(isinstance(m, str) and m.split(".")[0] == "numpy" for m in modules):
+            found.append(f"line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+def _is_import_call(func) -> bool:
+    """``__import__(...)`` or ``<x>.import_module(...)``."""
+    return (isinstance(func, ast.Name) and func.id in ("__import__", "import_module")) or (
+        isinstance(func, ast.Attribute) and func.attr == "import_module"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_numpy_not_imported_at_module_level(path):
+    assert _module_level_numpy_imports(path) == []
+
+
+def test_guard_flags_module_level_numpy_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "import os, numpy.random\n"
+        "np = importlib.import_module('numpy')\n"
+        "if True:\n"
+        "    import numpy\n"
+        "class C:\n"
+        "    from numpy import ndarray\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    return importlib.import_module('numpy')\n"
+        "g = lambda: __import__('numpy')\n"
+        "import numpyish\n"
+        "from minctrl.matrices import np\n"
+        "spec = importlib.util.find_spec('numpy')\n"
+    )
+    assert _module_level_numpy_imports(bad) == [
+        "line 1", "line 2", "line 3", "line 4", "line 6", "line 8",
+    ]
