@@ -19,16 +19,20 @@ basis; conjugating a diagonal from an orthogonal-row matrix is symmetric.
 
 All arithmetic is exact; every construction re-verifies its own defining
 identities before returning. The work runs on integers, with no
-``RationalMatrix`` product. Both builds make one integer conjugation over a
-common denominator: integer left-eigenvector rows ``W`` and an integer ``U``
-with ``W U = L I`` give ``A = U diag(1..n) W / L``, certified by ``W (L A)
-== L diag(1..n) W``, and each entry of ``A`` becomes one ``Fraction``. The
-plain build takes ``U / L`` from the closed-form inverse of the eigenvector
-matrix (certified as a right inverse in integers, no elimination). The
-symmetric build takes ``W`` as the primitive rows of its orthogonal
-eigenvector matrix, checks ``W W^T`` diagonal, and uses ``U = W^T diag(L /
-|w_k|^2)`` with ``L`` the lcm of the squared norms. The orthogonal
-completion carries each vector as an integer numerator over one
+``RationalMatrix`` product. Both builds write ``A`` as an integer matrix
+``M`` over one common denominator ``L`` and certify it with one shared
+integer product, ``W M == L diag(1..n) W`` for integer left-eigenvector rows
+``W``. The plain build conjugates: an integer ``U`` with ``W U = L I``,
+taken from the closed-form inverse of the eigenvector matrix (certified as
+a right inverse in integers, no elimination), gives ``M = U diag(1..n) W``,
+and each entry of ``A`` becomes one ``Fraction``. The symmetric build takes
+``W`` as the primitive rows of its orthogonal eigenvector matrix, checks
+``W W^T`` diagonal, and with ``L`` the lcm of the squared norms sums the
+symmetric ``M = sum_k k (L / |w_k|^2) w_k^T w_k`` (``k = 1..r``) as
+rank-one updates over its upper triangle only. The lower triangle is
+mirrored before the certificate, which checks the whole of ``M``, and each
+nonzero upper entry becomes one ``Fraction`` that its mirror shares. The
+orthogonal completion carries each vector as an integer numerator over one
 denominator, through fraction-free Gram-Schmidt and the repair step, and
 builds its ``Fraction`` output once.
 
@@ -42,6 +46,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -251,14 +256,23 @@ def _conjugated_diagonal(W: list[list[int]], U: list[list[int]], L: int) -> Rati
     """``A = U diag(1..n) W / L`` for integer ``W``, ``U`` and ``L > 0`` with ``W U = L I``.
 
     ``W`` holds the left eigenvectors, any positive row scaling of ``V``.
-    ``A`` is certified in integers by ``W M == L diag(1..n) W`` for
-    ``M = L A``, which is ``V A == diag(1..n) V`` and holds only if
+    ``A`` is certified by ``_certify_left_eigenvectors``, which holds only if
     ``W U == L I``.
     """
     M = integer_product([[x * (k + 1) for k, x in enumerate(row)] for row in U], W)
+    _certify_left_eigenvectors(W, M, L)
+    return RationalMatrix.from_integers(M, L)
+
+
+def _certify_left_eigenvectors(W: list[list[int]], M: list[list[int]], L: int) -> None:
+    """Check ``W M == L diag(1..n) W`` in integers, over the whole of ``M``.
+
+    For ``M = L A`` this is ``V A == diag(1..n) V``: the rows of ``W``, any
+    positive row scaling of ``V``, are left eigenvectors of ``A`` with
+    eigenvalues ``1..n``.
+    """
     if integer_product(W, M) != [[L * (i + 1) * x for x in row] for i, row in enumerate(W)]:
         raise InternalVerificationError("left-eigenvector identity failed")
-    return RationalMatrix.from_integers(M, L)
 
 
 def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
@@ -391,7 +405,7 @@ def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
 
 def _dot(a, b):
     """Inner product of two integer vectors."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOutput:
@@ -404,6 +418,12 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     system matrix is exactly symmetric with eigenvalues ``1..r``, and its
     minimum actuator count stays within a factor [1/3, 2] of the base
     instance's.
+
+    The system matrix is ``M / L`` for the integer rows ``w_k`` of the
+    eigenvector matrix, ``L`` the lcm of their squared norms and ``M = sum_k
+    k (L / |w_k|^2) w_k^T w_k``. ``M`` is built over ``i <= j`` from each
+    row's nonzeros and mirrored; the left-eigenvector certificate multiplies
+    the full ``M``, and mirrored entries share one ``Fraction``.
     """
     V = eigenvector_matrix(inst)
     base = inst.state_dim
@@ -434,8 +454,7 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     V_hat = RationalMatrix.from_rows(padded + extension)
 
     # Primitive integer rows W of V_hat (the row scales cancel in A_hat).
-    # Once W W^T is checked diagonal, U = W^T diag(L / |w_k|^2) with L the
-    # lcm of the squared norms satisfies W U == L I.
+    # The rank-one sum for M below is L A_hat only once W W^T is diagonal.
     W = [primitive_vector(w) for w in integer_rows(V_hat)[0]]
     nonzeros = [[(t, x) for t, x in enumerate(w) if x] for w in W]
     for a in range(r):
@@ -445,8 +464,25 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
                 raise InternalVerificationError("extended rows are not orthogonal")
     norms = [_dot(w, w) for w in W]
     L = lcm(*norms)
-    U = [[W[k][i] * (L // norms[k]) for k in range(r)] for i in range(r)]
-    A_hat = _conjugated_diagonal(W, U, L)
+    M = [[0] * r for _ in range(r)]
+    for k, nz in enumerate(nonzeros):
+        c = (k + 1) * (L // norms[k])
+        for a, (i, x) in enumerate(nz):
+            row, cx = M[i], c * x
+            for j, y in nz[a:]:
+                row[j] += cx * y
+    for i in range(r):
+        for j in range(i + 1, r):
+            M[j][i] = M[i][j]
+    _certify_left_eigenvectors(W, M, L)
+    # One Fraction per nonzero upper entry, shared with its mirror.
+    zero = Fraction(0)
+    entries = [[zero] * r for _ in range(r)]
+    for i, row in enumerate(M):
+        for j in range(i, r):
+            if row[j]:
+                entries[i][j] = entries[j][i] = Fraction(row[j], L)
+    A_hat = RationalMatrix(tuple(map(tuple, entries)))
     if not A_hat.is_symmetric():
         raise InternalVerificationError("extended system matrix is not symmetric")
 

@@ -15,7 +15,13 @@ import minctrl.reductions
 from helpers import random_instance
 from minctrl.errors import InternalVerificationError, InvalidInputError
 from minctrl.linalg import rank_exact
-from minctrl.matrices import RationalMatrix, matrix_to_json_dict
+from minctrl.matrices import (
+    RationalMatrix,
+    integer_form,
+    integer_rows,
+    matrix_to_json_dict,
+    primitive_vector,
+)
 from minctrl.reductions import (
     HittingSetInstance,
     build_reduction,
@@ -562,3 +568,43 @@ def test_changed_common_denominator_inverse_fails_left_eigenvector_identity(pape
     U[i][j] += 1
     with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
         minctrl.reductions._conjugated_diagonal(W, U, L)
+
+
+def _symmetric_certificate_inputs():
+    """Primitive rows ``W`` of ``V_hat`` and ``M = L A_hat`` for an r = 11 extension."""
+    sym = build_symmetric_extension(HittingSetInstance.from_sets(2, [[1, 2]]))
+    W = [primitive_vector(w) for w in integer_rows(sym.left_eigenvectors)[0]]
+    M, L = integer_form(sym.system_matrix)
+    return W, M, L
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[], [(0, 0)], [(6, 6)], [(1, 3), (3, 1)], [(0, 10), (10, 0)], [(2, 5)], [(9, 4)]],
+)
+def test_certificate_sees_mirrored_half_of_symmetric_extension(entries):
+    W, M, L = _symmetric_certificate_inputs()
+    certify = minctrl.reductions._certify_left_eigenvectors
+    for i, j in entries:
+        M[i][j] += 1
+    if not entries:
+        certify(W, M, L)
+        return
+    with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
+        certify(W, M, L)
+
+
+@pytest.mark.parametrize("sets", [(2, [[1, 2]]), (3, [[1, 2], [2, 3]]), (3, [[1, 2], [2, 3], [1, 3]])])
+def test_symmetric_build_makes_one_integer_product(monkeypatch, sets):
+    calls = []
+    real = minctrl.reductions.integer_product
+
+    def spy(X, Y):
+        calls.append((len(X), len(Y)))
+        return real(X, Y)
+
+    monkeypatch.setattr(minctrl.reductions, "integer_product", spy)
+    sym = build_symmetric_extension(HittingSetInstance.from_sets(*sets))
+    r = sym.system_matrix.rows
+    # The one product is the certificate over the full r x r matrix L A_hat.
+    assert calls == [(r, r)]
