@@ -124,19 +124,15 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.kind == "hitting-set":
-        inst = load_instance(args.target)
-        result = brute_force_hitting_set(inst, allow_large=args.allow_large)
-    else:
-        matrix = as_rational(load_matrix(args.target))
-        if args.kind == "min-vector":
-            result = brute_force_min_vector_support(
-                matrix, allow_large=args.allow_large
-            )
-        else:
-            result = brute_force_min_diagonal_support(
-                matrix, allow_large=args.allow_large
-            )
+    def eigenvectors(path):
+        return as_rational(load_matrix(path))
+
+    load, search = {
+        "hitting-set": (load_instance, brute_force_hitting_set),
+        "min-vector": (eigenvectors, brute_force_min_vector_support),
+        "min-diagonal": (eigenvectors, brute_force_min_diagonal_support),
+    }[args.kind]
+    result = search(load(args.target), allow_large=args.allow_large)
     payload = result.to_json_dict()
     payload["kind"] = args.kind
     _emit(payload, args.out)

@@ -234,7 +234,7 @@ def eigen_gap_filter(A: DenseMatrix | EigenSystem, threshold: float) -> bool:
     iff ``_accepted_eigensystem`` accepts it, the harness's own test: a
     repeated isolated eigenvalue or a failed residual check rejects it.
     """
-    if threshold <= 0:
+    if not (is_real(threshold) and threshold > 0):
         raise InvalidInputError("threshold must be positive")
     if isinstance(A, DenseMatrix):
         if A.rows != A.cols:

@@ -46,12 +46,11 @@ from typing import Callable, Iterable, Sequence
 from minctrl._kernels import integer_rank
 from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
 from minctrl.linalg import (
-    DEFAULT_ORTH_TOL_SCALE,
     EigenSystem,
     certified_left_eigenbasis,
     controllability_matrix,
     left_eigensystem,
-    pbh_count,
+    pbh_reached,
     rank_numeric,
     require_distinct_spectrum,
 )
@@ -303,7 +302,8 @@ class _PbhOracle:
     decomposition's ``cluster_gap`` is the distinctness threshold.
     ``input_rank`` reads each column's nonzeros off the eigenvector columns
     they select, as ``pbh_controllability_rank`` counts a dense input; for a
-    one-entry column the product is exactly the dense one.
+    one-entry column the product is exactly the dense one. Every count is of
+    a row mask from ``pbh_reached``, the one PBH threshold.
     """
 
     zero = 0.0
@@ -326,13 +326,12 @@ class _PbhOracle:
     def rank_with_vector(self, j: int, value: float) -> int:
         products = self._products + value * self._eig.left_eigenvectors[:, j]
         norm_sq = self._norm_sq + value * value
-        return pbh_count(products, DEFAULT_ORTH_TOL_SCALE * float(np.sqrt(norm_sq)))
+        return int(np.count_nonzero(pbh_reached(products, float(np.sqrt(norm_sq)))))
 
     def _reached_rows(self, column: tuple) -> np.ndarray:
-        """The rows ``i`` with ``|v_i c| > 1e-8 * ||c||``, as a mask."""
         values = np.array([x for _, x in column], dtype=np.float64)
         products = self._eig.left_eigenvectors[:, [i for i, _ in column]] @ values
-        return np.abs(products) > DEFAULT_ORTH_TOL_SCALE * np.linalg.norm(values)
+        return pbh_reached(products, np.linalg.norm(values))
 
     def input_rank(self, B: Sequence[tuple]) -> int:
         reached = np.zeros(self.n, dtype=bool)

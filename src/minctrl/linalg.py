@@ -12,11 +12,11 @@ and a numeric backend (SVD thresholding, eigenvector counting) are provided;
 the numeric path exists because the raw controllability-matrix rank is badly
 conditioned for floats, while counting eigenvector orthogonality is not.
 
-The eigenvector count is one function, ``pbh_controllability_rank``, for a
-vector or a multi-column input. Its one setting is the distinctness
-threshold: the ``cluster_gap`` of the ``EigenSystem`` it is given, so a
-decomposition and every PBH count made from it agree on which eigenvalues
-count as repeated.
+The eigenvector count is ``pbh_controllability_rank``, for a vector or a
+multi-column input; its cutoff, like the greedy PBH oracle's, is
+``pbh_reached``. Its one setting is the distinctness threshold: the
+``cluster_gap`` of the ``EigenSystem`` it is given, so a decomposition and
+every PBH count made from it agree on which eigenvalues count as repeated.
 """
 
 from __future__ import annotations
@@ -232,17 +232,16 @@ def require_distinct_spectrum(eig: EigenSystem) -> None:
         )
 
 
-def pbh_count(products: np.ndarray, tol) -> int:
-    """Number of left eigenvectors not orthogonal to the input.
+def pbh_reached(products: np.ndarray, norms) -> np.ndarray:
+    """The PBH threshold: the left eigenvectors an input reaches, as a row mask.
 
     ``products[i]`` holds ``v_i^T b``, or the row ``v_i^T B`` for a
-    multi-column input; row ``i`` counts when ``|v_i^T b_c| > tol_c`` for
-    some column ``c`` (``tol`` is a scalar or one tolerance per column).
+    multi-column input, and ``norms`` holds ``||b||`` (a scalar, or one norm
+    per column). Row ``i`` is reached when ``|v_i^T b_c| > 1e-8 * ||b_c||``
+    for some column ``c``.
     """
-    above = np.abs(products) > tol
-    if above.ndim == 2:
-        above = above.any(axis=1)
-    return int(np.count_nonzero(above))
+    above = np.abs(products) > DEFAULT_ORTH_TOL_SCALE * norms
+    return above.any(axis=1) if above.ndim == 2 else above
 
 
 def pbh_controllability_rank(eig: EigenSystem, B: VectorLike) -> int:
@@ -257,8 +256,8 @@ def pbh_controllability_rank(eig: EigenSystem, B: VectorLike) -> int:
     """
     require_distinct_spectrum(eig)
     cols = _as_input_columns(B, eig.n)
-    tol = DEFAULT_ORTH_TOL_SCALE * np.linalg.norm(cols, axis=0)
-    return pbh_count(eig.left_eigenvectors @ cols, tol)
+    reached = pbh_reached(eig.left_eigenvectors @ cols, np.linalg.norm(cols, axis=0))
+    return int(np.count_nonzero(reached))
 
 
 def limit_denominator(x: float, max_denominator: int) -> tuple[int, int]:

@@ -1,17 +1,19 @@
 """Exact brute-force ground truth for small instances.
 
-Every optimum is found by enumerating candidate supports in increasing
-cardinality and lexicographic order within a cardinality, so witnesses are
-deterministic: the first feasible candidate wins. Size guards keep the worst
-case around 10^7 feasibility checks; pass ``allow_large=True`` to go past
-them deliberately.
+Every oracle gives its own feasibility predicate to one search, which
+enumerates candidate supports in increasing cardinality and lexicographic
+order within a cardinality, so witnesses are deterministic: the first
+feasible candidate wins. Inputs are checked first, so the full set is
+feasible. Size guards keep the worst case around 10^7 feasibility checks;
+pass ``allow_large=True`` to go past them deliberately.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from typing import Callable
 
 from minctrl.errors import (
     EnumerationGuardError,
@@ -55,20 +57,11 @@ def brute_force_hitting_set(
     inst: HittingSetInstance, *, allow_large: bool = False
 ) -> OracleResult:
     """Smallest subset of the ground set meeting every set (1-based elements)."""
-    if inst.ground_size > MAX_GROUND_SIZE and not allow_large:
-        raise EnumerationGuardError(
-            f"ground size {inst.ground_size} exceeds the enumeration guard "
-            f"{MAX_GROUND_SIZE}; pass allow_large to override"
-        )
-    universe = range(1, inst.ground_size + 1)
-    examined = 0
-    for size in range(0, inst.ground_size + 1):
-        for candidate in combinations(universe, size):
-            examined += 1
-            chosen = set(candidate)
-            if all(chosen & s for s in inst.sets):
-                return OracleResult(size, candidate, examined)
-    raise InternalVerificationError("full ground set failed to hit every set")
+    _check_guard("ground size", inst.ground_size, MAX_GROUND_SIZE, allow_large)
+    return _first_feasible(
+        range(1, inst.ground_size + 1),
+        lambda candidate: all(s.intersection(candidate) for s in inst.sets),
+    )
 
 
 def brute_force_min_vector_support(
@@ -80,15 +73,10 @@ def brute_force_min_vector_support(
     distinct); a support works iff it meets the support of every row, tested
     with the shared PBH support predicate. Witness indices are 0-based.
     """
-    _check_state_guard(V_rows, allow_large)
-    n = V_rows.cols
-    examined = 0
-    for size in range(0, n + 1):
-        for candidate in combinations(range(n), size):
-            examined += 1
-            if pbh_support_test(V_rows, candidate):
-                return OracleResult(size, candidate, examined)
-    raise InternalVerificationError("a zero eigenvector row makes every support fail")
+    _check_eigenvectors(V_rows, allow_large)
+    return _first_feasible(
+        range(V_rows.cols), lambda candidate: pbh_support_test(V_rows, candidate)
+    )
 
 
 def brute_force_min_diagonal_support(
@@ -101,35 +89,48 @@ def brute_force_min_diagonal_support(
     entry, rather than by the shared support predicate, so the two oracles
     cross-check each other.
     """
-    _check_state_guard(V_rows, allow_large)
+    _check_eigenvectors(V_rows, allow_large)
     n = V_rows.cols
-    examined = 0
-    for size in range(0, n + 1):
-        for candidate in combinations(range(n), size):
-            examined += 1
-            chosen = set(candidate)
-            feasible = True
-            for row in V_rows.data:
-                # row times diag(candidate indicator): keep chosen coordinates
-                product = [row[j] if j in chosen else 0 for j in range(n)]
-                if not any(product):
-                    feasible = False
-                    break
-            if feasible:
-                return OracleResult(size, candidate, examined)
-    raise InternalVerificationError("a zero eigenvector row makes every support fail")
+
+    def reaches_every_row(candidate):
+        chosen = set(candidate)
+        # row times diag(candidate indicator): keep chosen coordinates
+        return all(
+            any([row[j] if j in chosen else 0 for j in range(n)]) for row in V_rows.data
+        )
+
+    return _first_feasible(range(n), reaches_every_row)
 
 
-def _check_state_guard(V_rows: RationalMatrix, allow_large: bool) -> None:
+def _first_feasible(universe: range, feasible: Callable) -> OracleResult:
+    """The first feasible subset of ``universe``; ``enumerated`` counts the
+    candidates examined, the witness included."""
+    candidates = chain.from_iterable(
+        combinations(universe, size) for size in range(len(universe) + 1)
+    )
+    for examined, candidate in enumerate(candidates, 1):
+        if feasible(candidate):
+            return OracleResult(len(candidate), candidate, examined)
+    raise InternalVerificationError("no candidate support is feasible")
+
+
+def _check_guard(what: str, size: int, limit: int, allow_large: bool) -> None:
+    if size > limit and not allow_large:
+        raise EnumerationGuardError(
+            f"{what} {size} exceeds the enumeration guard {limit}; "
+            "pass allow_large to override"
+        )
+
+
+def _check_eigenvectors(V_rows: RationalMatrix, allow_large: bool) -> None:
+    """Reject what no support could serve before the search starts."""
     if V_rows.rows != V_rows.cols:
         raise InvalidInputError(
             f"eigenvector matrix must be square, got {V_rows.rows}x{V_rows.cols}"
         )
-    if V_rows.rows > MAX_STATE_DIM and not allow_large:
-        raise EnumerationGuardError(
-            f"state dimension {V_rows.rows} exceeds the enumeration guard "
-            f"{MAX_STATE_DIM}; pass allow_large to override"
-        )
+    _check_guard("state dimension", V_rows.rows, MAX_STATE_DIM, allow_large)
+    if not all(any(row) for row in V_rows.data):
+        raise InvalidInputError("a zero eigenvector row makes every support fail")
 
 
 def controllability_rank(A: Matrix, B: Matrix, rank_backend: str = "exact") -> int:

@@ -127,17 +127,56 @@ def test_reduce_single_set_instance(workdir, capsys):
     assert (A.rows, A.cols) == (3, 3)
 
 
+ORACLE_STDOUT = {
+    "hitting-set": """{
+  "enumerated": 5,
+  "kind": "hitting-set",
+  "optimum": 2,
+  "schema_version": 1,
+  "witness": [
+    1,
+    2
+  ]
+}
+""",
+    "min-vector": """{
+  "enumerated": 43,
+  "kind": "min-vector",
+  "optimum": 3,
+  "schema_version": 1,
+  "witness": [
+    0,
+    1,
+    7
+  ]
+}
+""",
+}
+ORACLE_STDOUT["min-diagonal"] = ORACLE_STDOUT["min-vector"].replace(
+    "min-vector", "min-diagonal"
+)
+
+
 def test_oracle_commands(workdir, capsys):
     assert run("oracle", workdir / "inst.json", "--kind", "hitting-set") == 0
-    assert json.loads(capsys.readouterr().out)["optimum"] == 2
+    assert capsys.readouterr().out == ORACLE_STDOUT["hitting-set"]
 
     out_dir = workdir / "red2"
     run("reduce", workdir / "inst.json", "--out-dir", out_dir)
     capsys.readouterr()
-    assert run("oracle", out_dir / "V.json", "--kind", "min-vector") == 0
-    assert json.loads(capsys.readouterr().out)["optimum"] == 3
-    assert run("oracle", out_dir / "V.json", "--kind", "min-diagonal") == 0
-    assert json.loads(capsys.readouterr().out)["optimum"] == 3
+    for kind in ("min-vector", "min-diagonal"):
+        assert run("oracle", out_dir / "V.json", "--kind", kind) == 0
+        assert capsys.readouterr().out == ORACLE_STDOUT[kind]
+
+
+@pytest.mark.parametrize("kind", ["min-vector", "min-diagonal"])
+def test_oracle_zero_eigenvector_row_is_invalid_input(workdir, capsys, kind):
+    V = workdir / "zero_row.json"
+    V.write_text(json.dumps({"rows": 3, "cols": 3, "data": [1, 2, 0, 0, 0, 0, 1, 1, 1]}))
+    assert run("oracle", V, "--kind", kind) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a zero eigenvector row makes every support fail\n"
 
 
 def test_oracle_guard_exit_code(workdir, capsys):

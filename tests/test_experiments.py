@@ -72,6 +72,14 @@ def test_eigen_gap_filter():
         eigen_gap_filter(DenseMatrix.diagonal([1, 2]), 0.0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, True, 0, -1], ids=repr)
+@pytest.mark.parametrize("decomposed", [False, True], ids=["matrix", "eigensystem"])
+def test_eigen_gap_filter_rejects_bad_threshold_on_both_branches(threshold, decomposed):
+    A = DenseMatrix.diagonal([1, 2, 3])
+    with pytest.raises(InvalidInputError, match="threshold must be positive"):
+        eigen_gap_filter(left_eigensystem(A) if decomposed else A, threshold)
+
+
 @pytest.mark.parametrize(
     "rows, repeated",
     [

@@ -15,6 +15,9 @@ No module but ``linalg`` uses ``rank_exact``: exact ranks go through the
 rank oracles, and ``rank_exact(controllability_matrix(A, B))`` stays an
 independent reference for the tests.
 
+No module but ``linalg`` reads ``DEFAULT_ORTH_TOL_SCALE``: the PBH
+threshold is ``linalg.pbh_reached``, and every PBH count counts its mask.
+
 No module imports numpy when it is imported itself: ``matrices.np`` is the
 one binding of numpy, which runs numpy on its first attribute use, so
 ``reduce`` and ``oracle`` never execute it. An import inside a function body
@@ -128,24 +131,32 @@ def test_guard_flags_row_flattening(tmp_path):
     assert _row_flattening(bad) == ["line 1", "line 2"]
 
 
-def _rank_exact_uses(path: Path) -> list[str]:
-    """Reads of the name ``rank_exact``, bare or as an attribute."""
+def _name_uses(path: Path, name: str) -> list[str]:
+    """Reads of ``name``, bare or as an attribute."""
     lines = sorted(
         node.lineno
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Name) and node.id == "rank_exact")
-        or (isinstance(node, ast.Attribute) and node.attr == "rank_exact")
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
     )
     return [f"line {line}" for line in lines]
 
 
-@pytest.mark.parametrize(
+_OUTSIDE_LINALG = pytest.mark.parametrize(
     "path",
     [p for p in MODULES if p.name != "linalg.py"],
     ids=lambda p: str(p.relative_to(SRC)),
 )
+
+
+@_OUTSIDE_LINALG
 def test_rank_exact_used_only_in_linalg(path):
-    assert _rank_exact_uses(path) == []
+    assert _name_uses(path, "rank_exact") == []
+
+
+@_OUTSIDE_LINALG
+def test_orth_tol_scale_read_only_in_linalg(path):
+    assert _name_uses(path, "DEFAULT_ORTH_TOL_SCALE") == []
 
 
 def test_guard_flags_rank_exact_uses(tmp_path):
@@ -158,7 +169,18 @@ def test_guard_flags_rank_exact_uses(tmp_path):
         "r = rank_exact_like(C)\n"
         '__all__ = ["rank_exact"]\n'
     )
-    assert _rank_exact_uses(bad) == ["line 2", "line 3", "line 4"]
+    assert _name_uses(bad, "rank_exact") == ["line 2", "line 3", "line 4"]
+
+
+def test_guard_flags_orth_tol_scale_reads(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from minctrl.linalg import DEFAULT_ORTH_TOL_SCALE\n"
+        "tol = DEFAULT_ORTH_TOL_SCALE * norm\n"
+        "tol = linalg.DEFAULT_ORTH_TOL_SCALE * norm\n"
+        "mask = pbh_reached(products, norm)\n"
+    )
+    assert _name_uses(bad, "DEFAULT_ORTH_TOL_SCALE") == ["line 2", "line 3"]
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)

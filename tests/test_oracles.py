@@ -1,12 +1,15 @@
 """Brute-force oracle correctness and the cross-checks between them."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minctrl.oracles
 from helpers import random_instance, random_invertible_rational
 from minctrl.errors import EnumerationGuardError, InvalidInputError, MinctrlError
 from minctrl.greedy import RANK_BACKENDS
@@ -117,6 +120,88 @@ def test_guards():
 def test_non_square_rejected():
     with pytest.raises(InvalidInputError):
         brute_force_min_vector_support(RationalMatrix.from_rows([[1, 0]]))
+
+
+ZERO_MIDDLE_ROW = [[1, 2, 0], [0, 0, 0], [1, 1, 1]]
+
+
+@pytest.mark.parametrize(
+    "oracle", [brute_force_min_vector_support, brute_force_min_diagonal_support]
+)
+def test_zero_eigenvector_row_rejected_before_any_candidate(oracle, monkeypatch):
+    examined = []
+    search = minctrl.oracles._first_feasible
+
+    def spying_search(universe, feasible):
+        return search(universe, lambda c: examined.append(c) or feasible(c))
+
+    monkeypatch.setattr(minctrl.oracles, "_first_feasible", spying_search)
+    # past the guard: a search would examine all 2^22 supports before failing
+    wide = [[int(i == j and i != 11) for j in range(22)] for i in range(22)]
+    for rows, allow_large in ((ZERO_MIDDLE_ROW, False), (wide, True)):
+        with pytest.raises(
+            InvalidInputError, match="^a zero eigenvector row makes every support fail$"
+        ):
+            oracle(RationalMatrix.from_rows(rows), allow_large=allow_large)
+    assert examined == []
+    # the spy sees every candidate of an ordinary search
+    assert oracle(RationalMatrix.identity(2)).enumerated == len(examined) == 4
+
+
+def _lexrank(positions: tuple[int, ...], n: int) -> int:
+    """Rank of a sorted k-subset of ``range(n)`` among all k-subsets, lexicographically."""
+    rank, previous, k = 0, -1, len(positions)
+    for i, position in enumerate(positions):
+        rank += sum(comb(n - 1 - j, k - 1 - i) for j in range(previous + 1, position))
+        previous = position
+    return rank
+
+
+def _assert_first_feasible(result, universe, feasible):
+    """The witness is the first feasible candidate of a plain reference loop,
+    and ``enumerated`` has its closed form."""
+    universe = list(universe)
+    first = next(
+        candidate
+        for size in range(len(universe) + 1)
+        for candidate in combinations(universe, size)
+        if feasible(candidate)
+    )
+    n, k = len(universe), len(first)
+    assert (result.optimum, result.witness) == (k, first)
+    positions = tuple(universe.index(x) for x in first)
+    assert result.enumerated == sum(comb(n, s) for s in range(k)) + _lexrank(positions, n) + 1
+
+
+@st.composite
+def _hitting_set_instances(draw):
+    m = draw(st.integers(1, 7))
+    sets = draw(
+        st.lists(st.sets(st.integers(1, m), min_size=1), min_size=1, max_size=8)
+    )
+    for element in range(1, m + 1):
+        if not any(element in s for s in sets):
+            sets[draw(st.integers(0, len(sets) - 1))].add(element)
+    return HittingSetInstance.from_sets(m, [sorted(s) for s in sets])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hitting_set_instances())
+def test_oracles_return_first_feasible_candidate(inst):
+    _assert_first_feasible(
+        brute_force_hitting_set(inst),
+        range(1, inst.ground_size + 1),
+        lambda c: all(set(c) & s for s in inst.sets),
+    )
+    V = build_reduction(inst).left_eigenvectors
+    if V.cols > 12:
+        return
+
+    def meets_every_row(candidate):
+        return all(any(row[j] != 0 for j in candidate) for row in V.data)
+
+    for oracle in (brute_force_min_vector_support, brute_force_min_diagonal_support):
+        _assert_first_feasible(oracle(V), range(V.cols), meets_every_row)
 
 
 def test_witness_certified():
