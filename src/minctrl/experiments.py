@@ -158,26 +158,34 @@ class TrialRecord:
     def to_json_dict(self) -> dict:
         # wall_time stays in memory only: serialized reports must be
         # byte-identical across reruns of the same (config, seed).
-        return {
-            "n": self.n,
-            "trial_index": self.trial_index,
-            "graph_seed": self.graph_seed,
-            "regenerations_used": self.regenerations_used,
-            "accepted": self.accepted,
-            "sparsity_found": self.sparsity_found,
-            "controllable": self.controllable,
-        }
+        record = dict(vars(self))
+        del record["wall_time"]
+        return record
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
     records: tuple[TrialRecord, ...]
-    histogram: dict[int, dict[int, int]]
-    rejected_graph_count: int
 
     def accepted_records(self) -> tuple[TrialRecord, ...]:
         return tuple(r for r in self.records if r.accepted)
+
+    @property
+    def histogram(self) -> dict[int, dict[int, int]]:
+        """Accepted trials counted by ``n``, then by sparsity."""
+        histogram: dict[int, dict[int, int]] = {}
+        for r in self.accepted_records():
+            by_sparsity = histogram.setdefault(r.n, {})
+            by_sparsity[r.sparsity_found] = by_sparsity.get(r.sparsity_found, 0) + 1
+        return histogram
+
+    @property
+    def rejected_graph_count(self) -> int:
+        """Graphs the gap filter rejected: an accepted trial's attempt index
+        counts those sampled before it, an unaccepted trial's ``max + 1``
+        all of its graphs."""
+        return sum(r.regenerations_used for r in self.records)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,16 +203,11 @@ class ExperimentReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def records_to_csv(self) -> str:
-        header = (
-            "n,trial_index,graph_seed,regenerations_used,accepted,"
-            "sparsity_found,controllable"
-        )
-        lines = [header]
+        header = [f.name for f in fields(TrialRecord) if f.name != "wall_time"]
+        lines = [",".join(header)]
         for r in self.records:
-            lines.append(
-                f"{r.n},{r.trial_index},{r.graph_seed},{r.regenerations_used},"
-                f"{int(r.accepted)},{r.sparsity_found},{int(r.controllable)}"
-            )
+            values = r.to_json_dict().values()
+            lines.append(",".join(str(int(v) if isinstance(v, bool) else v) for v in values))
         return "\n".join(lines) + "\n"
 
 
@@ -284,69 +287,45 @@ def _derived_seed(*entropy: int) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the full trial grid and aggregate a sparsity histogram.
+    """Run the full trial grid, one record per trial.
 
     A trial regenerates its graph up to the configured limit while the gap
     filter rejects it; a trial that exhausts its regenerations is recorded
-    as not accepted rather than failing the run.
+    as not accepted rather than failing the run. The report reads its
+    sparsity histogram and rejected-graph count off the records.
     """
     records: list[TrialRecord] = []
-    rejected = 0
-    histogram: dict[int, dict[int, int]] = {}
     for n in cfg.n_values:
         p = cfg.probability_for(n)
         for trial in range(cfg.trials_per_n):
             start = time.perf_counter()
-            eig = None
-            graph_seed = -1
-            regens = 0
-            for attempt in range(cfg.max_regenerations_per_trial + 1):
-                graph_seed = _derived_seed(cfg.seed, n, trial, _GRAPH_STREAM, attempt)
+            for regenerations in range(cfg.max_regenerations_per_trial + 1):
+                graph_seed = _derived_seed(cfg.seed, n, trial, _GRAPH_STREAM, regenerations)
                 candidate = sample_er_digraph(
                     n, p, graph_seed, include_self_loops=cfg.include_self_loops
                 )
                 eig = _accepted_eigensystem(candidate, cfg.eigen_gap_threshold)
                 if eig is not None:
-                    regens = attempt
                     break
-                rejected += 1
-            if eig is None:
-                records.append(
-                    TrialRecord(
-                        n=n,
-                        trial_index=trial,
-                        graph_seed=graph_seed,
-                        regenerations_used=cfg.max_regenerations_per_trial + 1,
-                        accepted=False,
-                        sparsity_found=0,
-                        controllable=False,
-                        wall_time=time.perf_counter() - start,
-                    )
-                )
-                continue
-            result = _solve_trial(cfg, eig, n, trial)
-            verified_rank = _verify_support(eig, result)
-            sparsity = len(result.support)
+            else:
+                regenerations += 1
+            sparsity = verified_rank = 0
+            if eig is not None:
+                result = _solve_trial(cfg, eig, n, trial)
+                sparsity, verified_rank = result.sparsity, _verify_support(eig, result)
             records.append(
                 TrialRecord(
                     n=n,
                     trial_index=trial,
                     graph_seed=graph_seed,
-                    regenerations_used=regens,
-                    accepted=True,
+                    regenerations_used=regenerations,
+                    accepted=eig is not None,
                     sparsity_found=sparsity,
                     controllable=verified_rank == n,
                     wall_time=time.perf_counter() - start,
                 )
             )
-            by_sparsity = histogram.setdefault(n, {})
-            by_sparsity[sparsity] = by_sparsity.get(sparsity, 0) + 1
-    return ExperimentReport(
-        config=cfg,
-        records=tuple(records),
-        histogram=histogram,
-        rejected_graph_count=rejected,
-    )
+    return ExperimentReport(cfg, tuple(records))
 
 
 def _solve_trial(

@@ -81,32 +81,47 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one greedy solve, with the full per-step trace."""
+    """Outcome of one greedy solve: its per-step trace, which gives the
+    support, the values and the ranks."""
 
     n: int
-    support: tuple[int, ...]
-    values: tuple[float, ...]
-    final_rank: int
-    controllable: bool
     backend: str
     trace: tuple[TraceStep, ...]
 
     def __post_init__(self):
-        if len(set(self.support)) != len(self.support):
+        rank = 0
+        for number, t in enumerate(self.trace):
+            if (t.step, t.rank_before) != (number, rank):
+                raise InternalVerificationError(
+                    "trace steps must count from 0, each from the previous rank"
+                )
+            if t.rank_after <= rank:
+                raise InternalVerificationError("trace ranks must strictly increase")
+            rank = t.rank_after
+        if rank > self.n:
+            raise InternalVerificationError(f"trace rank {rank} exceeds n = {self.n}")
+        if len(set(self.support)) != len(self.trace):
             raise InternalVerificationError("duplicate support index")
-        if len(self.values) != len(self.support):
-            raise InternalVerificationError("values/support length mismatch")
-        ranks = [t.rank_before for t in self.trace] + (
-            [self.trace[-1].rank_after] if self.trace else []
-        )
-        if any(b >= a for b, a in zip(ranks, ranks[1:])):
-            raise InternalVerificationError("trace ranks must strictly increase")
-        if self.controllable and self.final_rank != self.n:
-            raise InternalVerificationError("controllable requires full rank")
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(t.chosen_index for t in self.trace)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(t.chosen_value for t in self.trace)
+
+    @property
+    def final_rank(self) -> int:
+        return self.trace[-1].rank_after if self.trace else 0
+
+    @property
+    def controllable(self) -> bool:
+        return self.final_rank == self.n
 
     @property
     def sparsity(self) -> int:
-        return len(self.support)
+        return len(self.trace)
 
     def to_json_dict(self) -> dict:
         return {
@@ -117,16 +132,7 @@ class SolveResult:
             "final_rank": self.final_rank,
             "controllable": self.controllable,
             "backend": self.backend,
-            "trace": [
-                {
-                    "step": t.step,
-                    "chosen_index": t.chosen_index,
-                    "chosen_value": t.chosen_value,
-                    "rank_before": t.rank_before,
-                    "rank_after": t.rank_after,
-                }
-                for t in self.trace
-            ],
+            "trace": [dict(vars(t)) for t in self.trace],
         }
 
     def to_json(self) -> str:
@@ -430,15 +436,7 @@ def _greedy(
         support.append(best_j)
         trace.append(TraceStep(len(trace), best_j, float(best_v), rank, rank + best_c))
         rank += best_c
-    return SolveResult(
-        n=n,
-        support=tuple(support),
-        values=tuple(t.chosen_value for t in trace),
-        final_rank=rank,
-        controllable=rank == n,
-        backend=backend,
-        trace=tuple(trace),
-    )
+    return SolveResult(n, backend, tuple(trace))
 
 
 def randomized_greedy_vector(

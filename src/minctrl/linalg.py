@@ -37,6 +37,7 @@ from minctrl.matrices import (
     DenseMatrix,
     Matrix,
     RationalMatrix,
+    as_dense,
     integer_form,
     integer_product,
     integer_rows,
@@ -57,12 +58,17 @@ DEFAULT_ORTH_TOL_SCALE = 1e-8
 EIGENBASIS_MAX_DENOMINATOR = 10**6
 
 # a string, so that defining the alias does not execute numpy
-VectorLike = Union[DenseMatrix, Sequence[float], "np.ndarray"]
+VectorLike = Union[DenseMatrix, RationalMatrix, Sequence[float], "np.ndarray"]
 
 
 def _as_input_columns(B: VectorLike, n: int) -> np.ndarray:
     """``B`` as an ``n x m`` float array; a vector is the one-column case."""
-    arr = np.asarray(B.array if isinstance(B, DenseMatrix) else B, dtype=np.float64)
+    if isinstance(B, (DenseMatrix, RationalMatrix)):
+        B = as_dense(B).array
+    try:
+        arr = np.asarray(B, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"input entries must be real numbers: {exc}") from exc
     if arr.ndim == 1:
         arr = arr[:, None]
     elif arr.ndim == 2 and arr.shape == (1, n):

@@ -10,6 +10,8 @@ behaviour change, with
 """
 
 import json
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -49,8 +51,33 @@ CONFIGS = {
 }
 
 
+# records_to_csv() of two configs with accepted and unaccepted trials
+GOLDEN_CSV = {
+    "rejection-regime": (
+        "n,trial_index,graph_seed,regenerations_used,accepted,sparsity_found,controllable\n"
+        "30,0,2428266877304766497,51,0,0,0\n"
+        "30,1,15906986477854742001,51,0,0,0\n"
+        "30,2,12197826161430346247,5,1,1,1\n"
+    ),
+    "log-ten": (
+        "n,trial_index,graph_seed,regenerations_used,accepted,sparsity_found,controllable\n"
+        "10,0,7957655978368519403,6,1,1,1\n"
+        "10,1,16102390850017748419,4,1,1,1\n"
+        "10,2,8286635206225130769,1,1,1,1\n"
+        "25,0,12863018436924890604,12,1,1,1\n"
+        "25,1,7622107122556726242,2,1,1,1\n"
+        "25,2,2837566594828912762,51,0,0,0\n"
+    ),
+}
+
+
+@cache
+def _run(name: str):
+    return run_experiment(CONFIGS[name])
+
+
 def _report(name: str) -> dict:
-    return json.loads(run_experiment(CONFIGS[name]).to_json())
+    return json.loads(_run(name).to_json())
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +88,24 @@ def golden():
 @pytest.mark.parametrize("name", CONFIGS)
 def test_experiment_matches_golden_report(name, golden):
     assert _report(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", GOLDEN_CSV)
+def test_records_csv_matches_golden(name):
+    assert _run(name).records_to_csv() == GOLDEN_CSV[name]
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_report_counts_are_read_off_the_records(name, golden):
+    report = _run(name)
+    assert report.rejected_graph_count == sum(r.regenerations_used for r in report.records)
+    # and equals the count recorded in the golden report
+    assert report.rejected_graph_count == golden[name]["rejected_graph_count"]
+    accepted = [r for r in report.records if r.accepted]
+    assert report.histogram == {
+        n: dict(Counter(r.sparsity_found for r in accepted if r.n == n))
+        for n in {r.n for r in accepted}
+    }
 
 
 if __name__ == "__main__":

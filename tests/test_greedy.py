@@ -12,9 +12,15 @@ from hypothesis import strategies as st
 
 import minctrl.greedy
 from helpers import random_unimodular
-from minctrl.errors import BackendPreconditionError, InvalidInputError
+from minctrl.errors import (
+    BackendPreconditionError,
+    InternalVerificationError,
+    InvalidInputError,
+)
 from minctrl.experiments import sample_er_digraph
 from minctrl.greedy import (
+    SolveResult,
+    TraceStep,
     deterministic_greedy_vector,
     greedy_diagonal,
     randomized_greedy_vector,
@@ -238,6 +244,31 @@ def test_solve_result_json_round_trip():
     assert len(obj["trace"]) == 2
     assert obj["trace"][0]["rank_after"] == 1
 
+
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        # (step, chosen_index, chosen_value, rank_before, rank_after)
+        ([(0, 2, 1.0, 0, 1), (1, 2, 1.0, 1, 2)], "duplicate support index"),
+        ([(1, 0, 1.0, 0, 1)], "count from 0"),
+        ([(0, 0, 1.0, 0, 1), (1, 1, 1.0, 0, 2)], "previous rank"),
+        ([(0, 0, 1.0, 0, 1), (1, 1, 1.0, 1, 1)], "strictly increase"),
+        ([(0, 0, 1.0, 0, 2), (1, 1, 1.0, 2, 4)], "exceeds n"),
+    ],
+    ids=["repeated-index", "step-number", "rank-gap", "no-rank-gain", "above-n"],
+)
+def test_solve_result_rejects_inconsistent_trace(trace, message):
+    with pytest.raises(InternalVerificationError, match=message):
+        SolveResult(3, "exact", tuple(TraceStep(*t) for t in trace))
+
+
+def test_solve_result_reads_everything_off_its_trace():
+    empty = SolveResult(3, "exact", ())
+    assert empty.final_rank == 0 and empty.support == () and empty.values == ()
+    assert empty.controllable is False and empty.sparsity == 0
+    solved = SolveResult(3, "pbh", (TraceStep(0, 2, 0.5, 0, 2), TraceStep(1, 0, 1.0, 2, 3)))
+    assert (solved.support, solved.values) == ((2, 0), (0.5, 1.0))
+    assert solved.final_rank == 3 and solved.controllable and solved.sparsity == 2
 
 @pytest.mark.parametrize(
     "call",

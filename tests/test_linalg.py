@@ -22,6 +22,7 @@ from minctrl.linalg import (
     require_distinct_spectrum,
 )
 from minctrl.matrices import DenseMatrix, RationalMatrix
+from minctrl.oracles import controllability_rank
 from minctrl.reductions import build_reduction
 
 
@@ -216,6 +217,27 @@ def test_pbh_rank_rejects_non_finite_vector(bad):
     with pytest.raises(InvalidInputError):
         pbh_controllability_rank(eig, np.array([[bad], [0.0], [0.0]]))
 
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        RationalMatrix.from_rows([[Fraction(1, 3)], [0], [2]]),
+        RationalMatrix.from_rows([[Fraction(1, 3), 0], [0, 0], [0, Fraction(-5, 7)]]),
+        ["a", "b", "c"],
+        [None, None, None],
+        [[1], [2, 3], [4]],
+    ],
+    ids=["rational-column", "rational-matrix", "strings", "nones", "ragged"],
+)
+def test_pbh_rank_takes_rational_input_and_rejects_non_numbers(B):
+    A = DenseMatrix.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+    eig = left_eigensystem(A)
+    if isinstance(B, RationalMatrix):
+        assert pbh_controllability_rank(eig, B) == controllability_rank(A, B, "pbh")
+    else:
+        with pytest.raises(InvalidInputError):
+            pbh_controllability_rank(eig, B)
 
 def test_pbh_support_test_basics(paper_V):
     eye = RationalMatrix.identity(3)
