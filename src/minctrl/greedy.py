@@ -141,10 +141,11 @@ class SolveResult:
 
 # ---------------------------------------------------------------------------
 # rank oracles: ``input_rank(B)`` is the rank of ``C(A, B)`` for the
-# ``sparse_columns`` of ``B``; ``rank_with_vector(j, value)`` is that of
-# ``C(A, b + value * e_j)`` for the ``b`` last passed to ``begin_sweep``;
-# ``best_probe(j, values)`` is the highest of those ranks over ``values`` and
-# the first value, in probe order, that reaches it.
+# ``sparse_columns`` of ``B``; ``best_probe(j, values)`` is the highest rank
+# of ``C(A, b + value * e_j)`` over ``values``, for the ``b`` last passed to
+# ``begin_sweep``, and the first value, in probe order, that reaches it.
+# The oracles whose ``best_probe`` is ``_probe_each`` rank one value at a
+# time with ``rank_with_vector(j, value)``.
 
 
 def sparse_columns(B: Matrix, value: Callable = Fraction) -> list[tuple]:
@@ -232,9 +233,6 @@ class _EigenbasisOracle:
             ((full - roots.get((v.numerator, v.denominator), 0), v) for v in values),
             full,
         )
-
-    def rank_with_vector(self, j: int, value: Fraction) -> int:
-        return self.best_probe(j, (value,))[0]
 
     def input_rank(self, B: Sequence[tuple]) -> int:
         rows: set[int] = set()

@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
@@ -88,11 +89,10 @@ class HittingSetInstance:
                     f"set #{idx + 1} contains out-of-range element {bad[0]}"
                 )
             covered |= s
-        missing = set(range(1, self.ground_size + 1)) - covered
-        if missing:
-            raise InvalidInputError(
-                f"element {min(missing)} appears in no set"
-            )
+        # covered lies in 1..m: short iff an element is missing, found in O(|covered|)
+        if len(covered) < self.ground_size:
+            missing = next(e for e in count(1) if e not in covered)
+            raise InvalidInputError(f"element {missing} appears in no set")
 
     @property
     def num_sets(self) -> int:

@@ -1,12 +1,13 @@
-"""The exact oracle's certified-eigenbasis path against the Bareiss path.
+"""The certified eigenbasis behind the exact oracle's eigenbasis path.
 
 ``certified_left_eigenbasis`` proves exact integer left eigenvectors for n
 distinct eigenvalues; the exact oracle then counts ``v_i b != 0`` instead of
-eliminating the controllability matrix. These tests check the certificate,
-that its counts equal the exact ranks they replace, that solves are
-byte-identical with the certificate on and off, and that inputs without a
-certificate take the Bareiss path and keep its results. The expected solves
-in ``golden_fallback.json`` were recorded before the eigenbasis path existed;
+eliminating the controllability matrix. These tests check the certificate
+and its rationalisation, that inputs without a certificate take the Bareiss
+path and keep its results, and that certified solves never eliminate. The
+differential net in ``test_exact_paths.py`` checks the counts against exact
+ranks, and solves on both paths against each other. The expected solves in
+``golden_fallback.json`` were recorded before the eigenbasis path existed;
 regenerate them only for a deliberate behaviour change, with
 ``PYTHONPATH=src:tests python tests/test_eigenbasis.py > tests/golden_fallback.json``.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minctrl.greedy
@@ -28,34 +29,24 @@ from helpers import golden_A, golden_instance, random_instance
 from minctrl.cli import main
 from minctrl.greedy import (
     _EigenbasisOracle,
-    _KrylovOracle,
     deterministic_greedy_vector,
     greedy_diagonal,
-    randomized_greedy_vector,
     rank_oracle,
-    sparse_columns,
 )
 from minctrl.linalg import (
     EIGENBASIS_MAX_DENOMINATOR,
     certified_left_eigenbasis,
-    controllability_matrix,
     limit_denominator,
-    rank_exact,
 )
 from minctrl.matrices import RationalMatrix, save_matrix
 from minctrl.oracles import controllability_rank, kalman_test
 from minctrl.reductions import HittingSetInstance, build_reduction, eigenvector_matrix
+from systems import SOLVERS, conjugate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import GREEDY_SIZES, planted_instance  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_fallback.json"
-
-
-def _conjugate(P_rows, diagonal) -> RationalMatrix:
-    """``P^{-1} diag P``: the rows of ``P`` are its left eigenvectors."""
-    P = RationalMatrix.from_rows(P_rows)
-    return P.inverse() @ RationalMatrix.diagonal(diagonal) @ P
 
 
 # Inputs with no certificate: each must take the Bareiss path.
@@ -67,13 +58,13 @@ FALLBACK = {
     "sqrt2": lambda: RationalMatrix.from_rows([[0, 2], [1, 0]]),
     # eigenvalues 1 and 1 + 2^-60 in a non-diagonal basis: float guesses of
     # the two eigenvectors coincide
-    "near_double": lambda: _conjugate(
+    "near_double": lambda: conjugate(
         [[1, -1], [-1, 2]], [1, 1 + Fraction(1, 2**60)]
     ),
     # no float holds 10^400
     "huge": lambda: RationalMatrix.diagonal([10**400, 1]),
     # left eigenvector (1, 1/(bound+1)) after normalisation
-    "big_denominator": lambda: _conjugate(
+    "big_denominator": lambda: conjugate(
         [[EIGENBASIS_MAX_DENOMINATOR + 1, 1], [0, 1]], [1, 2]
     ),
 }
@@ -87,12 +78,6 @@ CERTIFIED = {
     ),
 }
 MATRICES = {**FALLBACK, **CERTIFIED}
-
-SOLVERS = {
-    "det": lambda A: deterministic_greedy_vector(A, "exact"),
-    "rand0": lambda A: randomized_greedy_vector(A, 0, "exact"),
-    "diag": lambda A: greedy_diagonal(A, "exact"),
-}
 
 CASES = [f"{name}-{solver}" for name in MATRICES for solver in SOLVERS]
 
@@ -234,152 +219,7 @@ def test_certificates_identical_with_fraction_rationalisation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# differential tests: eigenbasis counts against exact ranks
-
-_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-
-
-@st.composite
-def _conjugated_system(draw):
-    """``P^{-1} D P`` with small rational P and distinct rational D."""
-    n = draw(st.integers(1, 4))
-    P = RationalMatrix.from_rows(
-        draw(
-            st.lists(
-                st.lists(_fractions, min_size=n, max_size=n), min_size=n, max_size=n
-            )
-        )
-    )
-    assume(rank_exact(P) == n)
-    D = draw(st.lists(_fractions, min_size=n, max_size=n, unique=True))
-    return P.inverse() @ RationalMatrix.diagonal(D) @ P
-
-
-@st.composite
-def _reduction_system(draw):
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    if draw(st.booleans(), label="planted"):
-        k = rng.randint(1, 2)
-        m = rng.randint(2 * k, 5)
-        inst = planted_instance(rng, m, rng.randint(m, 7), k)
-        inst = HittingSetInstance.from_json_dict(inst)
-    else:
-        inst = random_instance(rng)
-    return build_reduction(inst).system_matrix
-
-
-_systems = st.one_of(_conjugated_system(), _reduction_system())
-
-
-@settings(max_examples=80, deadline=None)
-@given(_systems, st.data())
-def test_eigenbasis_vector_rank_matches_controllability_rank(A, data):
-    n = A.rows
-    b = data.draw(st.lists(_fractions, min_size=n, max_size=n))
-    j = data.draw(st.integers(0, n - 1))
-    dyadic = data.draw(st.booleans(), label="dyadic probe")
-    if dyadic:
-        fractional = st.floats(-3, 3, allow_nan=False).filter(lambda f: f % 1)
-        value = Fraction(data.draw(fractional))
-    else:
-        value = Fraction(data.draw(st.integers(1, 2 * n + 1)))
-    landing = data.draw(st.integers(-1, n - 1), label="unit index, -1 for zero")
-    if data.draw(st.booleans(), label="probe lands on a zero or unit vector"):
-        # a wrongly scaled probe misses the eigenvectors orthogonal to it
-        b = [Fraction(int(i == landing)) - (value if i == j else 0) for i in range(n)]
-    assume(any(b) or not dyadic)
-    oracle = rank_oracle(A, "exact")
-    assert oracle.path == "eigenbasis"
-    oracle.begin_sweep(b)
-    probed = [[x + (value if i == j else 0)] for i, x in enumerate(b)]
-    expected = rank_exact(controllability_matrix(A, RationalMatrix.from_rows(probed)))
-    assert oracle.rank_with_vector(j, value) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(_systems, st.data())
-def test_eigenbasis_block_rank_matches_controllability_rank(A, data):
-    n = A.rows
-    support = data.draw(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
-    )
-    units = RationalMatrix.from_rows(
-        [[int(i == s) for s in support] for i in range(n)]
-    )
-    oracle = rank_oracle(A, "exact")
-    assert oracle.path == "eigenbasis"
-    assert oracle.input_rank(sparse_columns(units)) == rank_exact(
-        controllability_matrix(A, units)
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(_systems)
-def test_solves_identical_with_certificate_off(A):
-    on = {name: solve(A).to_json() for name, solve in SOLVERS.items()}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minctrl.greedy, "certified_left_eigenbasis", lambda _A: None)
-        assert rank_oracle(A, "exact").path == "bareiss"
-        off = {name: solve(A).to_json() for name, solve in SOLVERS.items()}
-    assert on == off
-
-
-# ---------------------------------------------------------------------------
-# best_probe: one call per coordinate, the first argmax of the probe ranks
-
-
-@st.composite
-def _jordan_system(draw):
-    """Inputs without an eigenbasis: a Jordan block, or ``J_2(1) + J_2(2)``."""
-    if draw(st.booleans(), label="J_2(1) + J_2(2)"):
-        return RationalMatrix.from_rows(
-            [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]
-        )
-    n = draw(st.integers(2, 4))
-    eigenvalue = draw(_fractions)
-    return RationalMatrix.from_rows(
-        [[eigenvalue if i == k else int(k == i + 1) for k in range(n)] for i in range(n)]
-    )
-
-
-def _without_certificate(A) -> _KrylovOracle:
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minctrl.greedy, "certified_left_eigenbasis", lambda _A: None)
-        return rank_oracle(A, "exact")
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(_systems, _jordan_system()), st.data())
-def test_best_probe_is_first_argmax_of_vector_ranks(A, data):
-    n = A.rows
-    entries = st.one_of(st.just(Fraction(0)), _fractions)
-    b = data.draw(st.lists(entries, min_size=n, max_size=n))
-    j = data.draw(st.integers(0, n - 1))
-    # each row's own root -(v_i b) / v_ij zeroes that row's product
-    basis = certified_left_eigenbasis(A) or []
-    roots = [
-        -sum(v * x for v, x in zip(row, b)) / row[j] for row in basis if row[j]
-    ]
-    probes = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-    if roots:
-        # only roots: every probe loses a row, so ranks tie below the top
-        only_roots = data.draw(st.booleans(), label="roots only")
-        probes = st.sampled_from(roots) if only_roots else st.one_of(
-            probes, st.sampled_from(roots)
-        )
-    drawn = data.draw(st.lists(probes, min_size=1, max_size=6))
-    # repeats, in probe order
-    values = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=3))
-    oracle = rank_oracle(A, "exact")
-    bareiss = _without_certificate(A)
-    for o in (oracle, bareiss):
-        o.begin_sweep(b)
-    ranks = [oracle.rank_with_vector(j, v) for v in values]
-    assert ranks == [bareiss.rank_with_vector(j, v) for v in values]
-    best = max(ranks)
-    expected = (best, values[ranks.index(best)])
-    assert oracle.best_probe(j, values) == expected
-    assert bareiss.best_probe(j, values) == expected
+# certified solves and checks never eliminate
 
 
 def test_certified_det_solve_scores_each_coordinate_once(monkeypatch):
@@ -390,14 +230,10 @@ def test_certified_det_solve_scores_each_coordinate_once(monkeypatch):
         calls["best_probe"] += 1
         return original(self, j, values)
 
-    def per_value(self, j, value):
-        raise AssertionError("rank_with_vector called per probe value")
-
     def forbidden(rows):
         raise AssertionError("integer_rank called on a certified input")
 
     monkeypatch.setattr(_EigenbasisOracle, "best_probe", counting)
-    monkeypatch.setattr(_EigenbasisOracle, "rank_with_vector", per_value)
     monkeypatch.setattr(minctrl.greedy, "integer_rank", forbidden)
     A = build_reduction(_benchmark_instances()[0]).system_matrix
     assert A.rows == 17
@@ -405,30 +241,6 @@ def test_certified_det_solve_scores_each_coordinate_once(monkeypatch):
     assert result.controllable
     # at most one call per unused coordinate per sweep
     assert 0 < calls["best_probe"] <= len(result.trace) * A.rows
-
-
-# ---------------------------------------------------------------------------
-# controllability_rank(A, B, "exact") against the exact rank of C(A, B)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(_systems, _jordan_system()), st.data())
-def test_exact_controllability_rank_matches_rank_exact(A, data):
-    n = A.rows
-    entries = st.one_of(st.just(Fraction(0)), _fractions)
-    columns = data.draw(
-        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3)
-    )
-    if data.draw(st.booleans(), label="a one-entry column"):
-        single = [Fraction(0)] * n
-        single[data.draw(st.integers(0, n - 1))] = data.draw(_fractions.filter(bool))
-        columns.append(single)
-    if data.draw(st.booleans(), label="a zero column"):
-        columns.insert(data.draw(st.integers(0, len(columns))), [Fraction(0)] * n)
-    B = RationalMatrix.from_rows([list(row) for row in zip(*columns)])
-    path = "eigenbasis" if certified_left_eigenbasis(A) else "bareiss"
-    assert rank_oracle(A, "exact").path == path
-    assert controllability_rank(A, B, "exact") == rank_exact(controllability_matrix(A, B))
 
 
 def test_exact_verify_on_certified_reduction_never_eliminates(monkeypatch, tmp_path, capsys):

@@ -3,12 +3,9 @@
 import json
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 import minctrl.greedy
 from helpers import random_unimodular
@@ -25,14 +22,8 @@ from minctrl.greedy import (
     greedy_diagonal,
     randomized_greedy_vector,
     rank_oracle,
-    sparse_columns,
 )
-from minctrl.linalg import (
-    controllability_matrix,
-    left_eigensystem,
-    pbh_controllability_rank,
-    rank_exact,
-)
+from minctrl.linalg import left_eigensystem, pbh_controllability_rank
 from minctrl.matrices import DenseMatrix, RationalMatrix
 from minctrl.oracles import brute_force_min_vector_support
 from minctrl.reductions import build_reduction
@@ -354,59 +345,3 @@ def test_pbh_input_rank_of_one_entry_columns_is_the_dense_count(paper_A, system)
         B[support, range(len(support))] = values
         columns = [((j, v),) for j, v in zip(support, values)]
         assert oracle.input_rank(columns) == pbh_controllability_rank(eig, B)
-
-
-# The exact oracle against the exact rank of the controllability matrix it
-# stands for, on rational matrices with non-integer entries and on sparse
-# ones, whose zeros the integer products skip.
-
-_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-
-
-@st.composite
-def _rational_system(draw):
-    sparse = draw(st.booleans(), label="sparse")
-    n = draw(st.integers(1, 6 if sparse else 4))
-    # one_of picks among its branches about evenly: most sparse entries are zero
-    entry = st.one_of(*[st.just(Fraction(0))] * 3, _fractions) if sparse else _fractions
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    assume(sparse or any(x.denominator > 1 for row in rows for x in row))
-    return RationalMatrix.from_rows(rows)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_rational_system(), st.data())
-def test_exact_oracle_vector_rank_matches_controllability_rank(A, data):
-    n = A.rows
-    b = data.draw(st.lists(_fractions, min_size=n, max_size=n))
-    j = data.draw(st.integers(0, n - 1))
-    dyadic = data.draw(st.booleans(), label="dyadic probe")
-    if dyadic:
-        fractional = st.floats(-3, 3, allow_nan=False).filter(lambda f: f % 1)
-        value = Fraction(data.draw(fractional))
-    else:
-        value = Fraction(data.draw(st.integers(1, 2 * n + 1)))
-    landing = data.draw(st.integers(-1, n - 1), label="unit index, -1 for zero")
-    if data.draw(st.booleans(), label="probe lands on a zero or unit vector"):
-        # a wrongly scaled probe misses the low rank of b + value e_j
-        b = [Fraction(int(i == landing)) - (value if i == j else 0) for i in range(n)]
-    assume(any(b) or not dyadic)
-    oracle = rank_oracle(A, "exact")
-    oracle.begin_sweep(b)
-    probed = [[x + (value if i == j else 0)] for i, x in enumerate(b)]
-    expected = rank_exact(controllability_matrix(A, RationalMatrix.from_rows(probed)))
-    assert oracle.rank_with_vector(j, value) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(_rational_system(), st.data())
-def test_exact_oracle_block_rank_matches_controllability_rank(A, data):
-    n = A.rows
-    support = data.draw(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
-    )
-    units = RationalMatrix.from_rows(
-        [[int(i == s) for s in support] for i in range(n)]
-    )
-    expected = rank_exact(controllability_matrix(A, units))
-    assert rank_oracle(A, "exact").input_rank(sparse_columns(units)) == expected

@@ -28,6 +28,7 @@ from minctrl.oracles import (
     kalman_test,
 )
 from minctrl.reductions import HittingSetInstance, build_reduction
+from systems import instances
 
 
 def test_hitting_set_paper(paper_instance):
@@ -173,20 +174,8 @@ def _assert_first_feasible(result, universe, feasible):
     assert result.enumerated == sum(comb(n, s) for s in range(k)) + _lexrank(positions, n) + 1
 
 
-@st.composite
-def _hitting_set_instances(draw):
-    m = draw(st.integers(1, 7))
-    sets = draw(
-        st.lists(st.sets(st.integers(1, m), min_size=1), min_size=1, max_size=8)
-    )
-    for element in range(1, m + 1):
-        if not any(element in s for s in sets):
-            sets[draw(st.integers(0, len(sets) - 1))].add(element)
-    return HittingSetInstance.from_sets(m, [sorted(s) for s in sets])
-
-
 @settings(max_examples=60, deadline=None)
-@given(_hitting_set_instances())
+@given(instances())
 def test_oracles_return_first_feasible_candidate(inst):
     _assert_first_feasible(
         brute_force_hitting_set(inst),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +47,16 @@ def test_instance_rejects_empty_set():
 def test_instance_rejects_uncovered_element():
     with pytest.raises(InvalidInputError, match="element 3"):
         HittingSetInstance.from_sets(3, [[1, 2]])
+
+
+def test_instance_rejects_uncovered_element_without_building_the_ground_set():
+    tracemalloc.start()  # a 30-byte file may name a ground set of millions
+    try:
+        with pytest.raises(InvalidInputError, match="element 2 appears in no set"):
+            HittingSetInstance.from_json_dict({"m": 2 * 10**6, "sets": [[1]]})
+        assert tracemalloc.get_traced_memory()[1] < 2**20  # peak bytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_instance_rejects_out_of_range():
