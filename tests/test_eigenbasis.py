@@ -4,9 +4,11 @@
 distinct eigenvalues; the exact oracle then counts ``v_i b != 0`` instead of
 eliminating the controllability matrix. These tests check the certificate
 and its rationalisation, that inputs without a certificate take the Bareiss
-path and keep its results, and that certified solves never eliminate. The
-differential net in ``test_exact_paths.py`` checks the counts against exact
-ranks, and solves on both paths against each other. The expected solves in
+path and keep its results, that ``rank_oracle(A, "exact")`` takes the
+eigenbasis path wherever a certificate exists, with the ranks of the Bareiss
+path, and that certified solves never eliminate. The differential net in
+``test_exact_paths.py`` checks each path's counts against exact ranks over
+more families, and solves on both paths against each other. The expected solves in
 ``golden_fallback.json`` were recorded before the eigenbasis path existed;
 regenerate them only for a deliberate behaviour change, with
 ``PYTHONPATH=src:tests python tests/test_eigenbasis.py > tests/golden_fallback.json``.
@@ -20,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minctrl.greedy
@@ -36,12 +38,23 @@ from minctrl.greedy import (
 from minctrl.linalg import (
     EIGENBASIS_MAX_DENOMINATOR,
     certified_left_eigenbasis,
+    controllability_matrix,
     limit_denominator,
+    rank_exact,
 )
 from minctrl.matrices import RationalMatrix, save_matrix
 from minctrl.oracles import controllability_rank, kalman_test
 from minctrl.reductions import HittingSetInstance, build_reduction, eigenvector_matrix
-from systems import SOLVERS, conjugate
+from systems import (
+    EXACT_PATHS,
+    FRACTIONS,
+    SOLVERS,
+    certified,
+    conjugate,
+    fractions,
+    instances,
+    jordan,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import GREEDY_SIZES, planted_instance  # noqa: E402
@@ -216,6 +229,92 @@ def test_certificates_identical_with_fraction_rationalisation(monkeypatch):
     assert all(basis is not None for basis in bases[: len(golden)])
     monkeypatch.setattr(minctrl.linalg, "limit_denominator", _fraction_limit)
     assert [certified_left_eigenbasis(A) for A in matrices] == bases
+
+
+# ---------------------------------------------------------------------------
+# rank_oracle(A, "exact") as the solvers get it: the eigenbasis path wherever
+# a certificate exists, with the ranks of the Bareiss path and of rank_exact
+
+_certified_systems = st.one_of(
+    certified().map(lambda system: system[0]),
+    instances(max_m=5, max_sets=7).map(lambda inst: build_reduction(inst).system_matrix),
+)
+_any_systems = st.one_of(_certified_systems, jordan().map(lambda system: system[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_certified_systems, st.data())
+def test_eigenbasis_vector_rank_matches_controllability_rank(A, data):
+    n = A.rows
+    b = data.draw(st.lists(FRACTIONS, min_size=n, max_size=n))
+    j = data.draw(st.integers(0, n - 1))
+    dyadic = data.draw(st.booleans(), label="dyadic probe")
+    if dyadic:
+        fractional = st.floats(-3, 3, allow_nan=False).filter(lambda f: f % 1)
+        value = Fraction(data.draw(fractional))
+    else:
+        value = Fraction(data.draw(st.integers(1, 2 * n + 1)))
+    landing = data.draw(st.integers(-1, n - 1), label="unit index, -1 for zero")
+    if data.draw(st.booleans(), label="probe lands on a zero or unit vector"):
+        # a wrongly scaled probe misses the eigenvectors orthogonal to it
+        b = [Fraction(int(i == landing)) - (value if i == j else 0) for i in range(n)]
+    assume(any(b) or not dyadic)
+    oracle = rank_oracle(A, "exact")
+    assert oracle.path == "eigenbasis"
+    oracle.begin_sweep(b)
+    probed = [[x + (value if i == j else 0)] for i, x in enumerate(b)]
+    expected = rank_exact(controllability_matrix(A, RationalMatrix.from_rows(probed)))
+    assert oracle.best_probe(j, (value,))[0] == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_any_systems, st.data())
+def test_best_probe_is_first_argmax_of_vector_ranks(A, data):
+    n = A.rows
+    entries = st.one_of(st.just(Fraction(0)), FRACTIONS)
+    b = data.draw(st.lists(entries, min_size=n, max_size=n))
+    j = data.draw(st.integers(0, n - 1))
+    # each row's own root -(v_i b) / v_ij zeroes that row's product
+    basis = certified_left_eigenbasis(A) or []
+    roots = [-sum(v * x for v, x in zip(row, b)) / row[j] for row in basis if row[j]]
+    probes = fractions(5, 4)
+    if roots:
+        # only roots: every probe loses a row, so ranks tie below the top
+        only_roots = data.draw(st.booleans(), label="roots only")
+        probes = st.sampled_from(roots) if only_roots else st.one_of(probes, st.sampled_from(roots))
+    drawn = data.draw(st.lists(probes, min_size=1, max_size=6))
+    # repeats, in probe order
+    values = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=3))
+    oracle = rank_oracle(A, "exact")
+    bareiss = EXACT_PATHS["bareiss"](A)
+    for o in (oracle, bareiss):
+        o.begin_sweep(b)
+    ranks = [oracle.best_probe(j, (v,))[0] for v in values]
+    assert ranks == [bareiss.rank_with_vector(j, v) for v in values]
+    best = max(ranks)
+    expected = (best, values[ranks.index(best)])
+    assert oracle.best_probe(j, values) == expected
+    assert bareiss.best_probe(j, values) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_any_systems, st.data())
+def test_exact_controllability_rank_matches_rank_exact(A, data):
+    n = A.rows
+    entries = st.one_of(st.just(Fraction(0)), FRACTIONS)
+    columns = data.draw(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3)
+    )
+    if data.draw(st.booleans(), label="a one-entry column"):
+        single = [Fraction(0)] * n
+        single[data.draw(st.integers(0, n - 1))] = data.draw(FRACTIONS.filter(bool))
+        columns.append(single)
+    if data.draw(st.booleans(), label="a zero column"):
+        columns.insert(data.draw(st.integers(0, len(columns))), [Fraction(0)] * n)
+    B = RationalMatrix.from_rows([list(row) for row in zip(*columns)])
+    path = "eigenbasis" if certified_left_eigenbasis(A) else "bareiss"
+    assert rank_oracle(A, "exact").path == path
+    assert controllability_rank(A, B, "exact") == rank_exact(controllability_matrix(A, B))
 
 
 # ---------------------------------------------------------------------------

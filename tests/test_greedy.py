@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minctrl.greedy
 from helpers import random_unimodular
@@ -22,11 +24,18 @@ from minctrl.greedy import (
     greedy_diagonal,
     randomized_greedy_vector,
     rank_oracle,
+    sparse_columns,
 )
-from minctrl.linalg import left_eigensystem, pbh_controllability_rank
+from minctrl.linalg import (
+    controllability_matrix,
+    left_eigensystem,
+    pbh_controllability_rank,
+    rank_exact,
+)
 from minctrl.matrices import DenseMatrix, RationalMatrix
 from minctrl.oracles import brute_force_min_vector_support
 from minctrl.reductions import build_reduction
+from systems import rationals
 
 BACKENDS = ("exact", "pbh", "svd")
 
@@ -345,3 +354,23 @@ def test_pbh_input_rank_of_one_entry_columns_is_the_dense_count(paper_A, system)
         B[support, range(len(support))] = values
         columns = [((j, v),) for j, v in zip(support, values)]
         assert oracle.input_rank(columns) == pbh_controllability_rank(eig, B)
+
+
+# The exact oracle the solvers get, against the exact rank of the
+# controllability matrix, on rational matrices with non-integer entries and
+# on sparse ones, whose zeros the integer products skip.
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals(), st.data())
+def test_exact_oracle_block_rank_matches_controllability_rank(system, data):
+    A, _ = system
+    n = A.rows
+    support = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    )
+    units = RationalMatrix.from_rows(
+        [[int(i == s) for s in support] for i in range(n)]
+    )
+    expected = rank_exact(controllability_matrix(A, units))
+    assert rank_oracle(A, "exact").input_rank(sparse_columns(units)) == expected
