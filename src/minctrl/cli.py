@@ -7,6 +7,10 @@ Output payloads are JSON with a ``schema_version`` field and go to --out
 when given, stdout otherwise. The default rank backend comes from
 ``MINCTRL_BACKEND`` (falling back to "exact"); seeds default to a fixed
 constant, never the clock.
+
+The command modules are bound as modules and called through when a command
+runs, so a process executes only the modules its command uses (see
+``minctrl.__init__``).
 """
 
 from __future__ import annotations
@@ -18,28 +22,16 @@ import os
 import sys
 from pathlib import Path
 
-from minctrl.errors import InvalidInputError, MinctrlError
-from minctrl.experiments import DEFAULT_SEED, ExperimentConfig, run_experiment
-from minctrl.greedy import (
+from minctrl import (
+    DEFAULT_SEED,
     RANK_BACKENDS,
-    deterministic_greedy_vector,
-    greedy_diagonal,
-    randomized_greedy_vector,
+    experiments,
+    greedy,
+    matrices,
+    oracles,
+    reductions,
 )
-from minctrl.matrices import (
-    DenseMatrix,
-    RationalMatrix,
-    as_rational,
-    load_matrix,
-    save_matrix,
-)
-from minctrl.oracles import (
-    brute_force_hitting_set,
-    brute_force_min_diagonal_support,
-    brute_force_min_vector_support,
-    controllability_rank,
-)
-from minctrl.reductions import build_reduction, build_symmetric_extension, load_instance
+from minctrl.errors import InvalidInputError, MinctrlError
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -72,14 +64,14 @@ def _check_output_paths(*paths: str | None) -> None:
 
 
 def _cmd_solve(args) -> int:
-    matrix = load_matrix(args.matrix)
+    matrix = matrices.load_matrix(args.matrix)
     backend = args.backend or _default_backend()
     if args.mode == "diagonal":
-        result = greedy_diagonal(matrix, backend)
+        result = greedy.greedy_diagonal(matrix, backend)
     elif args.algo == "rand":
-        result = randomized_greedy_vector(matrix, args.seed, backend)
+        result = greedy.randomized_greedy_vector(matrix, args.seed, backend)
     else:
-        result = deterministic_greedy_vector(matrix, backend)
+        result = greedy.deterministic_greedy_vector(matrix, backend)
     payload = result.to_json_dict()
     payload["mode"] = args.mode
     payload["algorithm"] = "diagonal" if args.mode == "diagonal" else args.algo
@@ -88,12 +80,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    inst = load_instance(args.instance)
+    inst = reductions.load_instance(args.instance)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    red = build_reduction(inst)
-    save_matrix(red.left_eigenvectors, out_dir / "V.json")
-    save_matrix(red.system_matrix, out_dir / "A.json")
+    red = reductions.build_reduction(inst)
+    matrices.save_matrix(red.left_eigenvectors, out_dir / "V.json")
+    matrices.save_matrix(red.system_matrix, out_dir / "A.json")
     index_map = {
         "schema_version": 1,
         "eigenvalues": list(red.eigenvalues),
@@ -101,9 +93,9 @@ def _cmd_reduce(args) -> int:
     }
     written = ["V.json", "A.json"]
     if args.symmetric:
-        sym = build_symmetric_extension(inst)
-        save_matrix(sym.left_eigenvectors, out_dir / "V_hat.json")
-        save_matrix(sym.system_matrix, out_dir / "A_hat.json")
+        sym = reductions.build_symmetric_extension(inst)
+        matrices.save_matrix(sym.left_eigenvectors, out_dir / "V_hat.json")
+        matrices.save_matrix(sym.system_matrix, out_dir / "A_hat.json")
         index_map["symmetric"] = {
             "eigenvalues": list(sym.eigenvalues),
             "pair_columns": [
@@ -125,12 +117,12 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_oracle(args) -> int:
     def eigenvectors(path):
-        return as_rational(load_matrix(path))
+        return matrices.as_rational(matrices.load_matrix(path))
 
     load, search = {
-        "hitting-set": (load_instance, brute_force_hitting_set),
-        "min-vector": (eigenvectors, brute_force_min_vector_support),
-        "min-diagonal": (eigenvectors, brute_force_min_diagonal_support),
+        "hitting-set": (reductions.load_instance, oracles.brute_force_hitting_set),
+        "min-vector": (eigenvectors, oracles.brute_force_min_vector_support),
+        "min-diagonal": (eigenvectors, oracles.brute_force_min_diagonal_support),
     }[args.kind]
     result = search(load(args.target), allow_large=args.allow_large)
     payload = result.to_json_dict()
@@ -164,8 +156,8 @@ def _cmd_experiment(args) -> int:
         raise InvalidInputError("n_values required (config file or --n-values)")
     if "trials_per_n" not in base:
         raise InvalidInputError("trials_per_n required (config file or --trials)")
-    cfg = ExperimentConfig.from_json_dict(base)
-    report = run_experiment(cfg)
+    cfg = experiments.ExperimentConfig.from_json_dict(base)
+    report = experiments.run_experiment(cfg)
     _emit(report.to_json_dict(), args.out)
     if args.csv:
         Path(args.csv).write_text(report.records_to_csv())
@@ -173,15 +165,19 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    matrix = load_matrix(args.matrix)
-    b = load_matrix(args.b)
+    matrix = matrices.load_matrix(args.matrix)
+    b = matrices.load_matrix(args.b)
     backend = args.backend or _default_backend()
     n = matrix.rows
     if sorted((b.rows, b.cols)) != sorted((n, 1)):
         raise InvalidInputError(f"b must be an {n}-vector, got {b.rows}x{b.cols}")
     if b.rows == 1 and n != 1:
-        b = b.transpose() if isinstance(b, RationalMatrix) else DenseMatrix(b.array.T)
-    rank = controllability_rank(matrix, b, backend)  # also rejects a non-square A
+        b = (
+            b.transpose()
+            if isinstance(b, matrices.RationalMatrix)
+            else matrices.DenseMatrix(b.array.T)
+        )
+    rank = oracles.controllability_rank(matrix, b, backend)  # also rejects a non-square A
     payload = {
         "schema_version": 1,
         "n": n,

@@ -42,6 +42,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 
+from minctrl import DEFAULT_SEED, np
 from minctrl.errors import InvalidInputError, NumericBackendError, is_integer, is_real
 from minctrl.greedy import (
     SolveResult,
@@ -54,9 +55,8 @@ from minctrl.linalg import (
     left_eigensystem,
     pbh_controllability_rank,
 )
-from minctrl.matrices import DenseMatrix, np
+from minctrl.matrices import DenseMatrix
 
-DEFAULT_SEED = 1729
 DEFAULT_MAX_REGENERATIONS = 50
 
 # SeedSequence tags for per-trial derived seeds
@@ -224,7 +224,11 @@ def sample_er_digraph(
     if n < 1:
         raise InvalidInputError("n must be positive")
     rng = np.random.default_rng(seed)
-    adjacency = (rng.random((n, n)) < p).astype(np.float64)
+    try:
+        draws = rng.random((n, n))
+    except (ValueError, MemoryError) as exc:  # numpy refuses the n x n allocation
+        raise InvalidInputError(f"n = {n} is too large for an n x n graph: {exc}") from exc
+    adjacency = (draws < p).astype(np.float64)
     if not include_self_loops:
         np.fill_diagonal(adjacency, 0.0)
     return DenseMatrix(adjacency)

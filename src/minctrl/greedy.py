@@ -43,6 +43,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
+from minctrl import RANK_BACKENDS, np
 from minctrl._kernels import integer_rank
 from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
 from minctrl.linalg import (
@@ -62,12 +63,9 @@ from minctrl.matrices import (
     as_rational,
     integer_form,
     integer_product,
-    np,
     primitive_vector,
     scale_to_integers,
 )
-
-RANK_BACKENDS = ("exact", "pbh", "svd")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from minctrl import np
 from minctrl._kernels import integer_rank
 from minctrl.errors import (
     BackendPreconditionError,
@@ -41,7 +42,6 @@ from minctrl.matrices import (
     integer_form,
     integer_product,
     integer_rows,
-    np,
     primitive_vector,
 )
 

@@ -29,47 +29,24 @@ File formats:
   are written and read in chunks of 4,000 digits.
 * Headerless CSV, one row per line, for dense real matrices.
 
-numpy runs on first use: ``np`` here is the package's one binding of it,
-bound lazily, and ``linalg``, ``greedy`` and ``experiments`` take it from
-here. A process that makes no numeric call, such as ``reduce`` or ``oracle``
-on exact inputs, never executes numpy.
+numpy runs on first use: ``np`` is the package's lazy binding of it (see
+``minctrl.__init__``), which this module, ``linalg``, ``greedy`` and
+``experiments`` take from the package. A process that makes no numeric call,
+such as ``reduce`` or ``oracle`` on exact inputs, never executes numpy.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import importlib.util
 import json
 import re
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
+from minctrl import np
 from minctrl.errors import InvalidInputError, is_integer, is_real
-
-
-def _lazy_module(name: str):
-    """The module ``name``, executed on its first attribute use.
-
-    After that use it is a plain module again, so later lookups cost
-    nothing extra. A module that is already loaded is returned as it is.
-    """
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        if spec is None:
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module
-
-
-np = _lazy_module("numpy")
 
 RationalLike = Union[int, str, Fraction]
 
@@ -132,6 +109,8 @@ class DenseMatrix:
         )
 
     def sha256(self) -> str:
+        import hashlib  # here, not at the top: only error reports digest a matrix
+
         h = hashlib.sha256()
         h.update(str(self.array.shape).encode())
         h.update(np.ascontiguousarray(self.array).tobytes())

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable
 
+# modules, not their functions: a hitting-set search executes neither
+from minctrl import greedy, linalg
 from minctrl.errors import (
     EnumerationGuardError,
     InternalVerificationError,
     InvalidInputError,
 )
-from minctrl.greedy import rank_oracle, sparse_columns
-from minctrl.linalg import pbh_support_test
 from minctrl.matrices import Matrix, RationalMatrix
 from minctrl.reductions import HittingSetInstance
 
@@ -74,7 +74,7 @@ def brute_force_min_vector_support(
     """
     _check_eigenvectors(V_rows, allow_large)
     return _first_feasible(
-        range(V_rows.cols), lambda candidate: pbh_support_test(V_rows, candidate)
+        range(V_rows.cols), lambda candidate: linalg.pbh_support_test(V_rows, candidate)
     )
 
 
@@ -142,8 +142,8 @@ def controllability_rank(A: Matrix, B: Matrix, rank_backend: str = "exact") -> i
     spectra only; see ``pbh_controllability_rank``). ``B`` needs one row per
     state for every backend: a ``1 x n`` ``B`` is rejected, not read as a column.
     """
-    oracle = rank_oracle(A, rank_backend)
-    columns = sparse_columns(B, oracle.value)
+    oracle = greedy.rank_oracle(A, rank_backend)
+    columns = greedy.sparse_columns(B, oracle.value)
     if B.rows != oracle.n:
         raise InvalidInputError(f"B has {B.rows} rows but A is {oracle.n}x{oracle.n}")
     return oracle.input_rank(columns)

@@ -268,14 +268,14 @@ def test_boolean_matrix_entries_are_invalid_input(workdir, capsys, command, matr
     "args, work",
     [
         (("reduce", "inst.json", "--out-dir", "a_file"), None),
-        (("solve", "diag123.json", "--out", "no/dir/x.json"), "load_matrix"),
+        (("solve", "diag123.json", "--out", "no/dir/x.json"), "minctrl.matrices.load_matrix"),
         (
             ("experiment", "--n-values", "5", "--trials", "1", "--csv", "no/dir/r.csv"),
-            "run_experiment",
+            "minctrl.experiments.run_experiment",
         ),
         (
             ("experiment", "--n-values", "5", "--trials", "1", "--out", "no/dir/r.json"),
-            "run_experiment",
+            "minctrl.experiments.run_experiment",
         ),
     ],
     ids=["reduce-out-dir", "solve-out", "experiment-csv", "experiment-out"],
@@ -289,7 +289,7 @@ def test_unusable_output_path_is_invalid_input(workdir, capsys, monkeypatch, arg
         def forbidden(*_args, **_kwargs):
             raise AssertionError(f"{work} called before the output path was checked")
 
-        monkeypatch.setattr(minctrl.cli, work, forbidden)
+        monkeypatch.setattr(work, forbidden)
     assert run(*args) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "internal" not in captured.err

@@ -37,6 +37,15 @@ def test_sample_rejects_bad_probability():
         sample_er_digraph(3, 1.5, 0)
 
 
+def test_impossible_graph_size_is_invalid_input(capsys):
+    # numpy refuses a 3e9 x 3e9 array before allocating any of it
+    with pytest.raises(InvalidInputError, match="n = 3000000000 is too large"):
+        sample_er_digraph(3_000_000_000, 0.5, 0)
+    assert cli_main(["experiment", "--n-values", "3000000000", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n = 3000000000 is too large") and "internal" not in err
+
+
 def test_sample_self_loop_flag():
     a = sample_er_digraph(5, 1.0, 3)
     assert np.all(np.diag(a.array) == 1)

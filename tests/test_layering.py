@@ -18,10 +18,11 @@ independent reference for the tests.
 No module but ``linalg`` reads ``DEFAULT_ORTH_TOL_SCALE``: the PBH
 threshold is ``linalg.pbh_reached``, and every PBH count counts its mask.
 
-No module imports numpy when it is imported itself: ``matrices.np`` is the
-one binding of numpy, which runs numpy on its first attribute use, so
-``reduce`` and ``oracle`` never execute it. An import inside a function body
-runs only when the function does, and is allowed.
+No module imports numpy when it is imported itself: ``minctrl.np``, made in
+the package's ``__init__`` by its one lazy loader, is the one binding of
+numpy, which runs numpy on its first attribute use, so ``reduce`` and
+``oracle`` never execute it. An import inside a function body runs only when
+the function does, and is allowed.
 """
 
 import ast
