@@ -116,15 +116,17 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    def eigenvectors(path):
-        return matrices.as_rational(matrices.load_matrix(path))
-
-    load, search = {
-        "hitting-set": (reductions.load_instance, oracles.brute_force_hitting_set),
-        "min-vector": (eigenvectors, oracles.brute_force_min_vector_support),
-        "min-diagonal": (eigenvectors, oracles.brute_force_min_diagonal_support),
-    }[args.kind]
-    result = search(load(args.target), allow_large=args.allow_large)
+    # only the hitting-set search reads an instance, and executes reductions
+    if args.kind == "hitting-set":
+        target = reductions.load_instance(args.target)
+        search = oracles.brute_force_hitting_set
+    else:
+        target = matrices.as_rational(matrices.load_matrix(args.target))
+        search = {
+            "min-vector": oracles.brute_force_min_vector_support,
+            "min-diagonal": oracles.brute_force_min_diagonal_support,
+        }[args.kind]
+    result = search(target, allow_large=args.allow_large)
     payload = result.to_json_dict()
     payload["kind"] = args.kind
     _emit(payload, args.out)

@@ -15,8 +15,9 @@ gcd of its entries, which keeps the integers the rank kernel sees small.
 ``integer_form`` writes a whole matrix as ``U / L`` over one common
 denominator, ``integer_product`` multiplies integer matrices summing only
 nonzero products, and ``RationalMatrix.from_integers`` turns ``U / L`` back
-into one ``Fraction`` per entry. A ``RationalMatrix`` product is these three
-steps: ``(X / a) @ (Y / b) == (X Y) / (a b)``.
+into one ``Fraction`` per distinct entry, shared by every position that holds
+it. A ``RationalMatrix`` product is these three steps:
+``(X / a) @ (Y / b) == (X Y) / (a b)``.
 
 File formats:
 
@@ -25,8 +26,9 @@ File formats:
   ``"2"``). Numeric entries (not ``true`` or ``false``) load as a
   ``DenseMatrix``; any string entry (``"num/den"``) switches the whole
   matrix to ``RationalMatrix``; each distinct string is parsed once per
-  load. Entries past Python's 4,300-digit ``int``/``str`` conversion limit
-  are written and read in chunks of 4,000 digits.
+  load, and each distinct entry object written once per save. Entries past
+  Python's 4,300-digit ``int``/``str`` conversion limit are written and read
+  in chunks of 4,000 digits.
 * Headerless CSV, one row per line, for dense real matrices.
 
 numpy runs on first use: ``np`` is the package's lazy binding of it (see
@@ -37,10 +39,10 @@ such as ``reduce`` or ``oracle`` on exact inputs, never executes numpy.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -222,9 +224,14 @@ class RationalMatrix:
 
     @classmethod
     def from_integers(cls, U: Sequence[Sequence[int]], L: int) -> "RationalMatrix":
-        """The matrix ``U / L`` for integer rows ``U`` and a positive integer ``L``."""
-        zero = Fraction(0)
-        return cls(tuple(tuple(Fraction(x, L) if x else zero for x in row) for row in U))
+        """The matrix ``U / L`` for integer rows ``U`` and a positive integer ``L``.
+
+        Each distinct integer becomes one ``Fraction``, which every entry
+        equal to it shares: a symmetric ``U`` gives mirrored entries one
+        object, and each ``gcd`` against ``L`` runs once per distinct value.
+        """
+        shared = {x: Fraction(x, L) for x in set(chain.from_iterable(U))}
+        return cls(tuple(tuple(map(shared.__getitem__, row)) for row in U))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -282,13 +289,8 @@ class RationalMatrix:
         return RationalMatrix.from_rows(aug)
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        # tuple equality tries identity first, so a shared mirror costs no Fraction.__eq__
+        return self.rows == self.cols and self.data == tuple(zip(*self.data))
 
     def to_dense(self) -> DenseMatrix:
         return DenseMatrix.from_rows([[float(x) for x in r] for r in self.data])
@@ -309,12 +311,27 @@ Matrix = Union[DenseMatrix, RationalMatrix]
 
 
 def matrix_to_json_dict(mat: Matrix) -> dict:
+    """The JSON object of a matrix; a rational entry is written as ``str(x)``.
+
+    Each distinct entry object's text is made once per call and shared by
+    every position holding that object, as the mirrored entries of a
+    symmetric reduction do. An entry past the int-to-str digit limit is
+    written by ``_rational_text``, in chunks, and shares its text the same way.
+    """
     if isinstance(mat, DenseMatrix):
         return {"rows": mat.rows, "cols": mat.cols, "data": mat.entries}
-    try:
-        data = [str(x) for row in mat.data for x in row]
-    except ValueError:  # an entry past the int-to-str digit limit
-        data = [_rational_text(x) for row in mat.data for x in row]
+    texts: dict[int, str] = {}  # by id: ``mat`` keeps every entry alive
+    data = []
+    for row in mat.data:
+        for x in row:
+            text = texts.get(id(x))
+            if text is None:
+                try:
+                    text = str(x)
+                except ValueError:  # past the int-to-str digit limit
+                    text = _rational_text(x)
+                texts[id(x)] = text
+            data.append(text)
     return {"rows": mat.rows, "cols": mat.cols, "data": data}
 
 
@@ -378,6 +395,8 @@ def load_matrix(path: str | Path) -> Matrix:
 
 
 def _parse_csv(text: str, label: str) -> DenseMatrix:
+    import csv  # here, not at the top: only a .csv input needs it
+
     rows: list[list[float]] = []
     try:
         for record in csv.reader(text.splitlines()):

@@ -16,14 +16,14 @@ from itertools import chain, combinations
 from typing import Callable
 
 # modules, not their functions: a hitting-set search executes neither
-from minctrl import greedy, linalg
+# greedy nor linalg, and an eigenvector search does not execute reductions
+from minctrl import greedy, linalg, reductions
 from minctrl.errors import (
     EnumerationGuardError,
     InternalVerificationError,
     InvalidInputError,
 )
 from minctrl.matrices import Matrix, RationalMatrix
-from minctrl.reductions import HittingSetInstance
 
 MAX_GROUND_SIZE = 20
 MAX_STATE_DIM = 14
@@ -53,7 +53,7 @@ class OracleResult:
 
 
 def brute_force_hitting_set(
-    inst: HittingSetInstance, *, allow_large: bool = False
+    inst: reductions.HittingSetInstance, *, allow_large: bool = False
 ) -> OracleResult:
     """Smallest subset of the ground set meeting every set (1-based elements)."""
     _check_guard("ground size", inst.ground_size, MAX_GROUND_SIZE, allow_large)

@@ -18,23 +18,27 @@ product) plus a final column, then completes the rows to an exact orthogonal
 basis; conjugating a diagonal from an orthogonal-row matrix is symmetric.
 
 All arithmetic is exact; every construction re-verifies its own defining
-identities before returning. The work runs on integers, with no
-``RationalMatrix`` product. Both builds write ``A`` as an integer matrix
-``M`` over one common denominator ``L`` and certify it with one shared
-integer product, ``W M == L diag(1..n) W`` for integer left-eigenvector rows
-``W``. The plain build conjugates: an integer ``U`` with ``W U = L I``,
-taken from the closed-form inverse of the eigenvector matrix (certified as
-a right inverse in integers, no elimination), gives ``M = U diag(1..n) W``,
-and each entry of ``A`` becomes one ``Fraction``. The symmetric build takes
-``W`` as the primitive rows of its orthogonal eigenvector matrix, checks
-``W W^T`` diagonal, and with ``L`` the lcm of the squared norms sums the
-symmetric ``M = sum_k k (L / |w_k|^2) w_k^T w_k`` (``k = 1..r``) as
-rank-one updates over its upper triangle only. The lower triangle is
-mirrored before the certificate, which checks the whole of ``M``, and each
-nonzero upper entry becomes one ``Fraction`` that its mirror shares. The
-orthogonal completion carries each vector as an integer numerator over one
-denominator, through fraction-free Gram-Schmidt and the repair step, and
-builds its ``Fraction`` output once.
+identities before returning. The work runs on integers from the instance to
+the returned matrices, with no ``RationalMatrix`` product and no round trip
+through ``Fraction``: the integer eigenvector rows ``W`` are built once per
+build, and ``Fraction`` entries are made only for the matrices returned.
+Both builds write ``A`` as an integer matrix ``M`` over one common
+denominator ``L`` and certify it with one shared integer product,
+``W M == L diag(1..n) W`` for integer left-eigenvector rows ``W``. The plain
+build conjugates: an integer ``U`` with ``W U = L I``, the closed-form
+inverse of the eigenvector matrix (certified as a right inverse in
+integers, no elimination), gives ``M = U diag(1..n) W``. The symmetric build
+pads ``W`` with its pair columns, completes the rows to an orthogonal
+eigenvector matrix, takes their primitive rows, checks their Gram matrix
+diagonal, and with ``L`` the lcm of the squared norms sums the symmetric
+``M = sum_k k (L / |w_k|^2) w_k^T w_k`` (``k = 1..r``) as rank-one updates
+over its upper triangle only. The lower triangle is mirrored before the
+certificate, which checks the whole of ``M``. ``RationalMatrix.from_integers``
+makes one ``Fraction`` per distinct entry of ``M``, so an entry and its
+mirror share one object, and saving a matrix writes each object's text
+once. The orthogonal completion carries each vector as an integer numerator
+over one denominator, through fraction-free Gram-Schmidt and the repair
+step, and builds its ``Fraction`` output once.
 
 Ground-set elements are 1-based (matching the instance file format); matrix
 coordinates are 0-based.
@@ -54,9 +58,7 @@ from typing import Sequence
 from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
 from minctrl.matrices import (
     RationalMatrix,
-    integer_form,
     integer_product,
-    integer_rows,
     primitive_vector,
     scale_to_integers,
 )
@@ -189,7 +191,12 @@ def incidence_matrix(inst: HittingSetInstance) -> RationalMatrix:
 
 def eigenvector_matrix(inst: HittingSetInstance) -> RationalMatrix:
     """The strictly diagonally dominant left-eigenvector matrix of the instance."""
-    m, p = inst.ground_size, inst.num_sets
+    return RationalMatrix.from_integers(_eigenvector_rows(inst), 1)
+
+
+def _eigenvector_rows(inst: HittingSetInstance) -> list[list[int]]:
+    """The rows of ``eigenvector_matrix``, which are integers."""
+    m = inst.ground_size
     n = inst.state_dim
     rows = []
     for i in range(m):
@@ -208,7 +215,7 @@ def eigenvector_matrix(inst: HittingSetInstance) -> RationalMatrix:
     rows.append(last)
     if not _strictly_diagonally_dominant(rows):
         raise InternalVerificationError("eigenvector matrix lost diagonal dominance")
-    return RationalMatrix.from_integers(rows, 1)
+    return rows
 
 
 def _strictly_diagonally_dominant(rows: list[list[int]]) -> bool:
@@ -223,6 +230,16 @@ def eigenvector_matrix_inverse(inst: HittingSetInstance) -> RationalMatrix:
     ``-1/(2(m+1))`` under each element of ``S``, and ``|S|/(2(m+1))`` in the
     anchor column; the anchor row is itself. Same sparsity pattern as the
     matrix it inverts, except the anchor column.
+    """
+    return RationalMatrix.from_integers(*_inverse_rows(inst, _eigenvector_rows(inst)))
+
+
+def _inverse_rows(inst: HittingSetInstance, W: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Integer ``U`` and ``L`` with ``U / L`` the inverse of the integer rows ``W``.
+
+    ``W`` is ``_eigenvector_rows(inst)``, and the closed form is certified
+    against it: a square matrix's right inverse is its inverse, so
+    ``W U == L I`` is the check.
     """
     m = inst.ground_size
     n = inst.state_dim
@@ -244,12 +261,9 @@ def eigenvector_matrix_inverse(inst: HittingSetInstance) -> RationalMatrix:
     last = [0] * n
     last[n - 1] = L
     U.append(last)
-    # A square matrix's right inverse is its inverse. With the rows of V
-    # scaled to integers, W = S V, the identity V (U / L) == I reads W U == L S.
-    W, S = integer_rows(eigenvector_matrix(inst))
-    if integer_product(W, U) != [[L * s if j == i else 0 for j in range(n)] for i, s in enumerate(S)]:
+    if integer_product(W, U) != [[L if j == i else 0 for j in range(n)] for i in range(n)]:
         raise InternalVerificationError("closed-form inverse is not a right inverse")
-    return RationalMatrix.from_integers(U, L)
+    return U, L
 
 
 def _conjugated_diagonal(W: list[list[int]], U: list[list[int]], L: int) -> RationalMatrix:
@@ -283,11 +297,10 @@ def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
     is always needed).
     """
     m, p = inst.ground_size, inst.num_sets
-    V = eigenvector_matrix(inst)
-    W, _ = integer_rows(V)
-    A = _conjugated_diagonal(W, *integer_form(eigenvector_matrix_inverse(inst)))
+    W = _eigenvector_rows(inst)
+    A = _conjugated_diagonal(W, *_inverse_rows(inst, W))
     return ReductionOutput(
-        left_eigenvectors=V,
+        left_eigenvectors=RationalMatrix.from_integers(W, 1),
         system_matrix=A,
         eigenvalues=tuple(range(1, inst.state_dim + 1)),
         index_map=CoordinateMap(
@@ -423,9 +436,9 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     eigenvector matrix, ``L`` the lcm of their squared norms and ``M = sum_k
     k (L / |w_k|^2) w_k^T w_k``. ``M`` is built over ``i <= j`` from each
     row's nonzeros and mirrored; the left-eigenvector certificate multiplies
-    the full ``M``, and mirrored entries share one ``Fraction``.
+    the full ``M``, and ``from_integers`` gives mirrored entries one ``Fraction``.
     """
-    V = eigenvector_matrix(inst)
+    V_ints = _eigenvector_rows(inst)
     base = inst.state_dim
     pairs = [(i, j) for i in range(1, base + 1) for j in range(i + 1, base + 1)]
     r = base + 1 + len(pairs)
@@ -433,8 +446,6 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     pair_col = {pair: base + idx for idx, pair in enumerate(pairs)}
     final_col = r - 1
 
-    # V is an integer matrix (every row scale is 1), so the padded rows are too.
-    V_ints, _ = integer_rows(V)
     padded = [row + [0] * (r - base) for row in V_ints]
     for (i, j) in pairs:
         inner = _dot(V_ints[i - 1], V_ints[j - 1])
@@ -451,11 +462,12 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     # run the first-axis extension on coordinate-swapped copies.
     swapped = [_swap_ends(row) for row in padded]
     extension = [_swap_ends(v) for v in orthogonal_extension(swapped)]
-    V_hat = RationalMatrix.from_rows(padded + extension)
+    V_hat = RationalMatrix(RationalMatrix.from_integers(padded, 1).data + tuple(extension))
 
     # Primitive integer rows W of V_hat (the row scales cancel in A_hat).
     # The rank-one sum for M below is L A_hat only once W W^T is diagonal.
-    W = [primitive_vector(w) for w in integer_rows(V_hat)[0]]
+    W = [primitive_vector(w) for w in padded]
+    W += [primitive_vector(scale_to_integers(v)[0]) for v in extension]
     nonzeros = [[(t, x) for t, x in enumerate(w) if x] for w in W]
     for a in range(r):
         for b in range(a + 1, r):
@@ -475,14 +487,7 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
         for j in range(i + 1, r):
             M[j][i] = M[i][j]
     _certify_left_eigenvectors(W, M, L)
-    # One Fraction per nonzero upper entry, shared with its mirror.
-    zero = Fraction(0)
-    entries = [[zero] * r for _ in range(r)]
-    for i, row in enumerate(M):
-        for j in range(i, r):
-            if row[j]:
-                entries[i][j] = entries[j][i] = Fraction(row[j], L)
-    A_hat = RationalMatrix(tuple(map(tuple, entries)))
+    A_hat = RationalMatrix.from_integers(M, L)
     if not A_hat.is_symmetric():
         raise InternalVerificationError("extended system matrix is not symmetric")
 

@@ -24,15 +24,16 @@ from pathlib import Path
 import pytest
 
 import minctrl
-from helpers import GOLDEN_INSTANCE_SETS, golden_A, golden_instance
-from minctrl.matrices import save_matrix
+from helpers import GOLDEN_INSTANCE_SETS, golden_A, golden_instance, golden_V
+from minctrl.matrices import RationalMatrix, save_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 # Runs each argv through ``cli.main`` in turn and reports, after the import
-# and after each call, the numpy submodules loaded and the minctrl modules
-# executed (a registered module not yet run is still of its lazy type).
+# and after each call, the numpy submodules loaded, the minctrl modules
+# executed (a registered module not yet run is still of its lazy type) and
+# whether ``csv``, which only a CSV matrix input needs, was imported.
 SCRIPT = """
 import json, sys, types
 import minctrl, minctrl.cli
@@ -44,6 +45,7 @@ def loaded():
             k.removeprefix("minctrl.") for k, m in sys.modules.items()
             if k.startswith("minctrl.") and type(m) is types.ModuleType
         ),
+        "csv": "csv" in sys.modules,
     }
 
 report = {"import": loaded(), "calls": []}
@@ -78,10 +80,10 @@ def test_reduce_and_oracle_never_load_numpy(tmp_path):
     ]
     solve = ["solve", "plain/A.json", "--out", "s.json"]
     report = _run([*numpy_free, solve], tmp_path)
-    assert report["import"] == {"numpy": [], "minctrl": ["cli", "errors"]}
+    assert report["import"] == {"numpy": [], "minctrl": ["cli", "errors"], "csv": False}
     assert report["kernel"] == "pure"
-    assert [(rc, seen["numpy"]) for rc, seen in report["calls"][:-1]] == [
-        (0, [])
+    assert [(rc, seen["numpy"], seen["csv"]) for rc, seen in report["calls"][:-1]] == [
+        (0, [], False)
     ] * len(numpy_free)
     # the first numeric use runs numpy, and the solve goes on as usual
     rc, loaded = report["calls"][-1]
@@ -104,17 +106,33 @@ _KERNEL = {"_kernels", "_kernels.pure"}
             ["oracle", "inst.json", "--kind", "hitting-set"],
             {"matrices", "oracles", "reductions"},
         ),
+        (
+            ["oracle", "V.json", "--kind", "min-vector"],
+            {"matrices", "oracles", "linalg", *_KERNEL},
+        ),
+        (["oracle", "V.json", "--kind", "min-diagonal"], {"matrices", "oracles"}),
         (["solve", "A.json"], {"matrices", "greedy", "linalg", *_KERNEL}),
+        (["verify", "A.json", "b.json"], {"matrices", "oracles", "greedy", "linalg", *_KERNEL}),
         (
             ["experiment", "--n-values", "5", "--trials", "1"],
             {"matrices", "greedy", "linalg", "experiments", *_KERNEL},
         ),
     ],
-    ids=["reduce", "oracle-hitting-set", "solve", "experiment"],
+    ids=[
+        "reduce",
+        "oracle-hitting-set",
+        "oracle-min-vector",
+        "oracle-min-diagonal",
+        "solve",
+        "verify",
+        "experiment",
+    ],
 )
 def test_each_command_executes_only_its_modules(tmp_path, argv, executed):
     (tmp_path / "inst.json").write_text(json.dumps(golden_instance().to_json_dict()))
     save_matrix(golden_A(), tmp_path / "A.json")
+    save_matrix(golden_V(), tmp_path / "V.json")
+    save_matrix(RationalMatrix.from_rows([[1]] * golden_A().rows), tmp_path / "b.json")
     report = _run([[*argv, "--out", "out.json"]], tmp_path)
     assert report["import"]["minctrl"] == sorted(_IMPORTED)
     [(rc, loaded)] = report["calls"]

@@ -116,6 +116,20 @@ def test_json_round_trip_past_int_digit_limit(tmp_path):
     _assert_integer_forms(m)
 
 
+def test_texts_past_int_digit_limit_made_once_per_entry_object(monkeypatch):
+    big = Fraction(10**4999 + 7, 3)  # a 5,000-digit numerator, past the 4,300-digit limit
+    m = RationalMatrix(((big, Fraction(1, 3)), (Fraction(-5), big)))
+    reference = [minctrl.matrices._rational_text(x) for row in m.data for x in row]
+    texts = []
+    real = minctrl.matrices._rational_text
+    monkeypatch.setattr(
+        minctrl.matrices, "_rational_text", lambda x: texts.append(x) or real(x)
+    )
+    data = matrix_to_json_dict(m)["data"]
+    assert data == reference
+    assert texts == [big] and data[0] is data[3]
+
+
 def test_json_round_trip_past_int_digit_limit_without_decimal(tmp_path, monkeypatch):
     # conversions past the limit go by 4,000-digit chunks, not through decimal
     def no_decimal(*_args, **_kwargs):
@@ -352,3 +366,23 @@ def test_matmul_edge_shapes(shape):
 def test_matmul_rejects_dimension_mismatch():
     with pytest.raises(InvalidInputError, match="dimension mismatch"):
         RationalMatrix.identity(2) @ RationalMatrix.identity(3)
+
+
+def test_from_integers_makes_one_fraction_per_distinct_integer():
+    m = RationalMatrix.from_integers([[3, 0, 6], [0, 3, 6], [6, 6, -3]], 4)
+    assert m == RationalMatrix.from_rows([["3/4", 0, "3/2"], [0, "3/4", "3/2"], ["3/2", "3/2", "-3/4"]])
+    d = m.data
+    assert d[0][0] is d[1][1] and d[0][1] is d[1][0]
+    assert d[0][2] is d[1][2] is d[2][0] is d[2][1]
+    assert len({id(x) for row in d for x in row}) == 4
+
+
+def test_is_symmetric_compares_values():
+    rows = [[Fraction(1, 3), Fraction(2, 5), 0], [Fraction(2, 5), 7, 1], [0, 1, 2]]
+    m = RationalMatrix.from_rows(rows)
+    assert m.data[0][1] is not m.data[1][0]  # equal values in distinct objects
+    assert m.is_symmetric()
+    rows[2][1] = Fraction(3, 2)  # one mirrored entry differs
+    assert not RationalMatrix.from_rows(rows).is_symmetric()
+    assert not RationalMatrix.from_rows([[1, 2]]).is_symmetric()
+    assert RationalMatrix.from_rows([[5]]).is_symmetric()

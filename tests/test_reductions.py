@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -439,27 +440,98 @@ def test_builders_never_eliminate(no_elimination, paper_instance, paper_A):
     assert build_symmetric_extension(small).system_matrix.is_symmetric()
 
 
-def _perturbed(mat: RationalMatrix, i: int, j: int) -> RationalMatrix:
-    rows = [list(r) for r in mat.data]
-    rows[i][j] += Fraction(1, 7)
-    return RationalMatrix.from_rows(rows)
+def _perturbed(rows: list[list[int]], i: int, j: int) -> list[list[int]]:
+    """A copy of integer rows with entry ``(i, j)`` raised by one."""
+    out = [list(row) for row in rows]
+    out[i][j] += 1
+    return out
 
 
 def test_closed_form_inverse_certified_as_right_inverse(monkeypatch, paper_instance):
-    V = eigenvector_matrix(paper_instance)
-    monkeypatch.setattr(minctrl.reductions, "eigenvector_matrix", lambda inst: _perturbed(V, 3, 1))
+    W = _perturbed(minctrl.reductions._eigenvector_rows(paper_instance), 3, 1)
+    monkeypatch.setattr(minctrl.reductions, "_eigenvector_rows", lambda inst: W)
     with pytest.raises(InternalVerificationError, match="right inverse"):
         eigenvector_matrix_inverse(paper_instance)
+    with pytest.raises(InternalVerificationError, match="right inverse"):
+        build_reduction(paper_instance)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (3, 1), (7, 7), (5, 7)])
 def test_corrupted_inverse_fails_left_eigenvector_identity(monkeypatch, paper_instance, entry):
-    V_inv = eigenvector_matrix_inverse(paper_instance)
-    monkeypatch.setattr(
-        minctrl.reductions, "eigenvector_matrix_inverse", lambda inst: _perturbed(V_inv, *entry)
-    )
+    certified = minctrl.reductions._inverse_rows
+
+    def corrupted(inst, W):
+        U, L = certified(inst, W)
+        return _perturbed(U, *entry), L
+
+    monkeypatch.setattr(minctrl.reductions, "_inverse_rows", corrupted)
     with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
         build_reduction(paper_instance)
+
+
+def _spy_on_builds(monkeypatch) -> Counter:
+    """Count a build's eigenvector-row builds, integer products, conversions
+    between ``Fraction`` and integer matrices, and ``from_rows`` calls."""
+    calls: Counter = Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(minctrl.reductions, "_eigenvector_rows")
+    spy(minctrl.reductions, "integer_product")
+    for name in ("integer_rows", "integer_form"):
+        for module in (minctrl.matrices, minctrl.reductions):
+            if hasattr(module, name):
+                spy(module, name)
+    from_rows = RationalMatrix.from_rows
+
+    def counted_from_rows(cls, rows):
+        calls["from_rows"] += 1
+        return from_rows(rows)
+
+    monkeypatch.setattr(RationalMatrix, "from_rows", classmethod(counted_from_rows))
+    return calls
+
+
+def test_builds_stay_in_integers(monkeypatch, paper_instance):
+    planted = HittingSetInstance.from_json_dict(planted_instance(random.Random(5), 8, 13, 3))
+    calls = _spy_on_builds(monkeypatch)
+    for inst, n in [(paper_instance, 8), (planted, 22)]:
+        assert build_reduction(inst).system_matrix.rows == n
+        # one row build; the right-inverse check, the conjugation and the certificate
+        assert calls == Counter(_eigenvector_rows=1, integer_product=3)
+        calls.clear()
+    for sets, r in [((2, [[1, 2]]), 11), ((3, [[1, 2], [2, 3]]), 22)]:
+        sym = build_symmetric_extension(HittingSetInstance.from_sets(*sets))
+        assert sym.system_matrix.rows == r
+        # one row build and the certificate
+        assert calls == Counter(_eigenvector_rows=1, integer_product=1)
+        calls.clear()
+
+
+@pytest.mark.parametrize("sets", [(1, [[1]]), (2, [[1, 2]])])
+def test_symmetric_system_matrix_shares_equal_entries(sets):
+    A_hat = build_symmetric_extension(HittingSetInstance.from_sets(*sets)).system_matrix
+    r = A_hat.rows
+    assert all(A_hat.data[i][j] is A_hat.data[j][i] for i in range(r) for j in range(i))
+    # equal values share one object, wherever they sit (at r = 7, off the mirror too)
+    by_value = {}
+    for row in A_hat.data:
+        for x in row:
+            assert by_value.setdefault(x, x) is x
+
+
+def test_saved_texts_are_each_entrys_str(paper_instance):
+    sym = build_symmetric_extension(paper_instance)
+    red = build_reduction(paper_instance)
+    for M in (red.left_eigenvectors, red.system_matrix, sym.left_eigenvectors, sym.system_matrix):
+        assert matrix_to_json_dict(M)["data"] == [str(x) for row in M.data for x in row]
 
 
 # --- integer conjugation: differential check, guards and certificates -------------
