@@ -46,9 +46,7 @@ _EXPORTS = {
     "greedy_diagonal": "greedy",
     "randomized_greedy_vector": "greedy",
     "EigenSystem": "linalg",
-    "JordanSpec": "linalg",
     "controllability_matrix": "linalg",
-    "covered_count": "linalg",
     "left_eigensystem": "linalg",
     "pbh_controllability_rank": "linalg",
     "pbh_support_test": "linalg",

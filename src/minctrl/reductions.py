@@ -29,16 +29,16 @@ build conjugates: an integer ``U`` with ``W U = L I``, the closed-form
 inverse of the eigenvector matrix (certified as a right inverse in
 integers, no elimination), gives ``M = U diag(1..n) W``. The symmetric build
 pads ``W`` with its pair columns, completes the rows to an orthogonal
-eigenvector matrix, takes their primitive rows, checks their Gram matrix
-diagonal, and with ``L`` the lcm of the squared norms sums the symmetric
-``M = sum_k k (L / |w_k|^2) w_k^T w_k`` (``k = 1..r``) as rank-one updates
-over its upper triangle only. The lower triangle is mirrored before the
-certificate, which checks the whole of ``M``. ``RationalMatrix.from_integers``
-makes one ``Fraction`` per distinct entry of ``M``, so an entry and its
-mirror share one object, and saving a matrix writes each object's text
-once. The orthogonal completion carries each vector as an integer numerator
-over one denominator, through fraction-free Gram-Schmidt and the repair
-step, and builds its ``Fraction`` output once.
+eigenvector matrix, takes their primitive rows, and with ``L`` the lcm of
+the squared norms sums the symmetric ``M = sum_k k (L / |w_k|^2) w_k^T w_k``
+(``k = 1..r``) as rank-one updates over its upper triangle only. The lower
+triangle is mirrored before the certificate, which checks the whole of
+``M``. ``RationalMatrix.from_integers`` makes one ``Fraction`` per distinct
+entry of ``M``, so an entry and its mirror share one object, and saving a
+matrix writes each object's text once. The orthogonal completion carries
+each vector as an integer numerator over one denominator, through
+fraction-free Gram-Schmidt and the repair step, and makes one ``Fraction``
+per distinct value of its output, which the eigenvector matrix shares.
 
 Ground-set elements are 1-based (matching the instance file format); matrix
 coordinates are 0-based.
@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
@@ -328,7 +328,8 @@ def orthogonal_extension(
     preserves orthogonality and leaves both first coordinates nonzero. Every
     vector is carried as an integer numerator over one positive denominator;
     the input checks and the postconditions run on integers, and the
-    ``Fraction`` output is built once at the end.
+    ``Fraction`` output is built once at the end, one object per distinct
+    value.
     """
     basis = [scale_to_integers([Fraction(x) for x in v]) for v in vectors]
     if not basis:
@@ -406,8 +407,11 @@ def orthogonal_extension(
         for w in ints[:k]:
             if _dot(v, w) != 0:
                 raise InternalVerificationError("extension not orthogonal to inputs")
-    zero = Fraction(0)
-    return [tuple(Fraction(x, den) if x else zero for x in num) for num, den in out]
+    # Over one denominator, equal values have equal numerators, and
+    # ``from_integers`` makes one ``Fraction`` per distinct numerator.
+    den = lcm(*(d for _, d in out))
+    shared = RationalMatrix.from_integers([[x * (den // d) for x in num] for num, d in out], den)
+    return list(shared.data)
 
 
 def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
@@ -437,6 +441,13 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     k (L / |w_k|^2) w_k^T w_k``. ``M`` is built over ``i <= j`` from each
     row's nonzeros and mirrored; the left-eigenvector certificate multiplies
     the full ``M``, and ``from_integers`` gives mirrored entries one ``Fraction``.
+
+    The sum is ``L A_hat`` only if the rows ``w_k`` are pairwise orthogonal,
+    and each pair is proved once: padded row against padded row here;
+    completion row against completion row, and against every padded row, by
+    ``orthogonal_extension``'s postconditions, which swapping the first and
+    last coordinates of both vectors does not change. The certificate
+    ``W M == L diag(1..r) W`` and the symmetry check then cover the result.
     """
     V_ints = _eigenvector_rows(inst)
     base = inst.state_dim
@@ -462,18 +473,21 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     # run the first-axis extension on coordinate-swapped copies.
     swapped = [_swap_ends(row) for row in padded]
     extension = [_swap_ends(v) for v in orthogonal_extension(swapped)]
-    V_hat = RationalMatrix(RationalMatrix.from_integers(padded, 1).data + tuple(extension))
+    # V_hat holds one Fraction per distinct value: a padded entry, an integer,
+    # takes the completion's object for its value where there is one.
+    shared = {x.numerator: x for v in extension for x in v if x.denominator == 1}
+    for x in set(chain.from_iterable(padded)):
+        shared.setdefault(x, Fraction(x))
+    V_hat = RationalMatrix(
+        tuple(tuple(map(shared.__getitem__, row)) for row in padded) + tuple(extension)
+    )
 
     # Primitive integer rows W of V_hat (the row scales cancel in A_hat).
-    # The rank-one sum for M below is L A_hat only once W W^T is diagonal.
+    # The rank-one sum for M below is L A_hat because W W^T is diagonal
+    # (the docstring names the checks that prove it).
     W = [primitive_vector(w) for w in padded]
     W += [primitive_vector(scale_to_integers(v)[0]) for v in extension]
     nonzeros = [[(t, x) for t, x in enumerate(w) if x] for w in W]
-    for a in range(r):
-        for b in range(a + 1, r):
-            w = W[b]
-            if sum(x * w[t] for t, x in nonzeros[a]):
-                raise InternalVerificationError("extended rows are not orthogonal")
     norms = [_dot(w, w) for w in W]
     L = lcm(*norms)
     M = [[0] * r for _ in range(r)]

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
+from minctrl.errors import InvalidInputError
 from minctrl.linalg import rank_exact
 from minctrl.matrices import RationalMatrix
 from minctrl.reductions import HittingSetInstance
@@ -85,8 +88,6 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 12) -> RationalMatr
 
 def random_jordan_spec(rng: random.Random, max_n: int = 6):
     """Random exact Jordan data: distinct eigenvalues, invertible transform."""
-    from minctrl.linalg import JordanSpec
-
     n = rng.randint(2, max_n)
     sizes = []
     left = n
@@ -101,3 +102,82 @@ def random_jordan_spec(rng: random.Random, max_n: int = 6):
         block_sizes=tuple(sizes),
         t_inverse=t_inv,
     )
+
+
+# The covered-count characterization of rank C(A, b) for exactly known Jordan
+# structure. No command runs it: the tests check it against ``rank_exact``.
+@dataclass(frozen=True)
+class JordanSpec:
+    """Jordan structure given exactly: block eigenvalues, sizes, and the
+    rows of the inverse transform grouped block by block.
+
+    Block eigenvalues must be pairwise distinct (every eigenspace
+    one-dimensional); the stored rows must form a basis.
+    """
+
+    block_eigenvalues: tuple[Fraction, ...]
+    block_sizes: tuple[int, ...]
+    t_inverse: RationalMatrix
+
+    def __post_init__(self):
+        n = sum(self.block_sizes)
+        if len(self.block_eigenvalues) != len(self.block_sizes):
+            raise InvalidInputError("one eigenvalue per block required")
+        if any(d < 1 for d in self.block_sizes):
+            raise InvalidInputError("block sizes must be positive")
+        if len(set(self.block_eigenvalues)) != len(self.block_eigenvalues):
+            raise InvalidInputError("block eigenvalues must be pairwise distinct")
+        if self.t_inverse.rows != n or self.t_inverse.cols != n:
+            raise InvalidInputError(
+                f"t_inverse must be {n}x{n}, got "
+                f"{self.t_inverse.rows}x{self.t_inverse.cols}"
+            )
+        if rank_exact(self.t_inverse) != n:
+            raise InvalidInputError("t_inverse rows must form a basis")
+
+    @property
+    def n(self) -> int:
+        return sum(self.block_sizes)
+
+    def block_row(self, block: int, j: int) -> tuple[Fraction, ...]:
+        """Row ``j`` (1-based within the block) of the inverse transform."""
+        offset = sum(self.block_sizes[:block])
+        return self.t_inverse.row(offset + j - 1)
+
+    def jordan_matrix(self) -> RationalMatrix:
+        n = self.n
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        offset = 0
+        for lam, d in zip(self.block_eigenvalues, self.block_sizes):
+            for k in range(d):
+                rows[offset + k][offset + k] = lam
+                if k + 1 < d:
+                    rows[offset + k][offset + k + 1] = Fraction(1)
+            offset += d
+        return RationalMatrix.from_rows(rows)
+
+    def system_matrix(self) -> RationalMatrix:
+        """The matrix this Jordan data describes: ``T J T^{-1}``, exactly."""
+        t = self.t_inverse.inverse()
+        return t @ self.jordan_matrix() @ self.t_inverse
+
+
+def covered_count(jordan: JordanSpec, b: Sequence[Fraction | int]) -> int:
+    """Rank of the controllability matrix, combinatorially.
+
+    For each block, find the largest in-block position whose transform row
+    has nonzero inner product with `b`; the positions at or below it are
+    covered. The total number of covered rows equals ``rank C(A, b)``.
+    """
+    vec = [Fraction(x) if not isinstance(x, Fraction) else x for x in b]
+    if len(vec) != jordan.n:
+        raise InvalidInputError(f"b must have length {jordan.n}")
+    total = 0
+    for block, d in enumerate(jordan.block_sizes):
+        z = 0
+        for j in range(1, d + 1):
+            row = jordan.block_row(block, j)
+            if sum(r * x for r, x in zip(row, vec)) != 0:
+                z = j
+        total += z
+    return total

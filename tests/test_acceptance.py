@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     GOLDEN_A_ROWS,
     GOLDEN_V_ROWS,
+    covered_count,
     random_instance,
     random_invertible_rational,
     random_jordan_spec,
@@ -23,7 +24,7 @@ from helpers import (
 from minctrl.cli import main
 from minctrl.experiments import ExperimentConfig, run_experiment
 from minctrl.greedy import deterministic_greedy_vector, randomized_greedy_vector
-from minctrl.linalg import controllability_matrix, covered_count, rank_exact
+from minctrl.linalg import controllability_matrix, rank_exact
 from minctrl.matrices import RationalMatrix, load_matrix
 from minctrl.oracles import (
     brute_force_hitting_set,

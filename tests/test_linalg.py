@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_jordan_spec, random_unimodular
+from helpers import JordanSpec, covered_count, random_jordan_spec, random_unimodular
 from minctrl.errors import BackendPreconditionError, InvalidInputError
 from minctrl.linalg import (
-    JordanSpec,
     controllability_matrix,
-    covered_count,
     left_eigensystem,
     pbh_controllability_rank,
     pbh_support_test,

@@ -527,6 +527,16 @@ def test_symmetric_system_matrix_shares_equal_entries(sets):
             assert by_value.setdefault(x, x) is x
 
 
+@pytest.mark.parametrize("sets", [(1, [[1]]), (2, [[1, 2]]), (3, [[1, 2], [2, 3]])])
+def test_symmetric_eigenvectors_share_equal_entries(sets):
+    # r = 7, 11 and 22: the padded rows and the completion share one object per value
+    V_hat = build_symmetric_extension(HittingSetInstance.from_sets(*sets)).left_eigenvectors
+    by_value = {}
+    for row in V_hat.data:
+        for x in row:
+            assert by_value.setdefault(x, x) is x
+
+
 def test_saved_texts_are_each_entrys_str(paper_instance):
     sym = build_symmetric_extension(paper_instance)
     red = build_reduction(paper_instance)
@@ -622,7 +632,7 @@ def test_perturbed_extension_fails_gram_check(monkeypatch):
         return [tuple(v) for v in out]
 
     monkeypatch.setattr(minctrl.reductions, "orthogonal_extension", perturbed)
-    with pytest.raises(InternalVerificationError, match="extended rows are not orthogonal"):
+    with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
         build_symmetric_extension(inst)
 
 
