@@ -40,8 +40,8 @@ from minctrl.matrices import (
     as_dense,
     integer_form,
     integer_product,
-    integer_rows,
     primitive_vector,
+    scale_to_integers,
 )
 
 # Eigenvalues closer than this are treated as repeated; a decomposition can
@@ -137,7 +137,7 @@ def rank_numeric(M: DenseMatrix | np.ndarray) -> int:
 
 def rank_exact(M: RationalMatrix) -> int:
     """True rank over the rationals; deterministic, no tolerances."""
-    return integer_rank([primitive_vector(row) for row in integer_rows(M)[0]])
+    return integer_rank([primitive_vector(scale_to_integers(row)[0]) for row in M.data])
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ Two matrix families cover everything downstream:
 
 Every exact computation runs on integers, and this module holds the one
 conversion each way. ``scale_to_integers`` clears the denominators of a
-rational vector (a positive multiple, so no rank changes), ``integer_rows``
-does so row by row, and ``primitive_vector`` divides an integer vector by the
-gcd of its entries, which keeps the integers the rank kernel sees small.
+rational vector (a positive multiple, so no rank changes), and
+``primitive_vector`` divides an integer vector by the gcd of its entries,
+which keeps the integers the rank kernel sees small.
 ``integer_form`` writes a whole matrix as ``U / L`` over one common
 denominator, ``integer_product`` multiplies integer matrices summing only
 nonzero products, and ``RationalMatrix.from_integers`` turns ``U / L`` back
@@ -436,12 +436,6 @@ def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The integers ``s * values`` and ``s``, the lcm of the denominators."""
     scale = lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values], scale
-
-
-def integer_rows(M: RationalMatrix) -> tuple[list[list[int]], list[int]]:
-    """The rows of ``M`` scaled to integers, and their positive scales."""
-    scaled = [scale_to_integers(row) for row in M.data]
-    return [ints for ints, _ in scaled], [scale for _, scale in scaled]
 
 
 def integer_form(M: RationalMatrix) -> tuple[list[list[int]], int]:

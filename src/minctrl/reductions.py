@@ -35,10 +35,12 @@ the squared norms sums the symmetric ``M = sum_k k (L / |w_k|^2) w_k^T w_k``
 triangle is mirrored before the certificate, which checks the whole of
 ``M``. ``RationalMatrix.from_integers`` makes one ``Fraction`` per distinct
 entry of ``M``, so an entry and its mirror share one object, and saving a
-matrix writes each object's text once. The orthogonal completion carries
-each vector as an integer numerator over one denominator, through
-fraction-free Gram-Schmidt and the repair step, and makes one ``Fraction``
-per distinct value of its output, which the eigenvector matrix shares.
+matrix writes each object's text once. The orthogonal completion takes
+integer vectors and returns integer rows ``U`` over one positive
+denominator, carrying each vector as an integer numerator over its own
+denominator through fraction-free Gram-Schmidt and the repair step; the
+eigenvector matrix is the padded rows and ``U`` over that denominator, made
+by one ``from_integers`` call.
 
 Ground-set elements are 1-based (matching the instance file format); matrix
 coordinates are 0-based.
@@ -48,20 +50,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 from typing import Sequence
 
 from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
-from minctrl.matrices import (
-    RationalMatrix,
-    integer_product,
-    primitive_vector,
-    scale_to_integers,
-)
+from minctrl.matrices import RationalMatrix, integer_product, primitive_vector
 
 
 @dataclass(frozen=True)
@@ -311,61 +307,64 @@ def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
     )
 
 
-def orthogonal_extension(
-    vectors: Sequence[Sequence[Fraction | int]],
-) -> list[tuple[Fraction, ...]]:
+def orthogonal_extension(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Complete orthogonal vectors avoiding the first axis to a full basis.
 
-    Input: ``k >= 1`` pairwise-orthogonal rational vectors in n-space, each
-    with first coordinate zero, ``k < n``. Output: ``n - k`` further vectors
-    such that the whole collection is pairwise orthogonal (exactly) and every
-    returned vector has a nonzero first coordinate.
+    Input: ``k >= 1`` pairwise-orthogonal integer vectors in n-space, each
+    with first coordinate zero, ``k < n``. Output: integer rows ``U`` and a
+    positive integer ``L``, the form ``RationalMatrix.from_integers`` takes,
+    where the ``n - k`` rows of ``U / L`` make the whole collection pairwise
+    orthogonal (exactly) and each has a nonzero first coordinate. They depend
+    only on the lines the inputs span.
 
     Method: seed with the first standard basis vector, Gram-Schmidt the
     remaining coordinates (fraction-free), then repair each
     zero-first-coordinate vector ``u`` against the seed ``a`` via
     ``u <- (|a|^2/|u|^2) u + a`` and ``a <- a - u`` (old values), which
     preserves orthogonality and leaves both first coordinates nonzero. Every
-    vector is carried as an integer numerator over one positive denominator;
-    the input checks and the postconditions run on integers, and the
-    ``Fraction`` output is built once at the end, one object per distinct
-    value.
+    vector is carried as an integer numerator over one positive denominator,
+    the input checks and the postconditions run on integers, and ``L`` is
+    the lcm of the output's denominators.
     """
-    basis = [scale_to_integers([Fraction(x) for x in v]) for v in vectors]
-    if not basis:
+    k = len(vectors)
+    if k == 0:
         raise InvalidInputError("need at least one input vector")
-    n = len(basis[0][0])
-    k = len(basis)
+    n = len(vectors[0])
     if k >= n:
         raise InvalidInputError(f"{k} vectors already span or exceed {n}-space")
-    if any(len(v) != n for v, _ in basis):
+    if any(len(v) != n for v in vectors):
         raise InvalidInputError("input vectors have mixed lengths")
-    for idx, (v, _) in enumerate(basis):
+    for idx, v in enumerate(vectors):
+        if not all(map(is_integer, v)):
+            raise InvalidInputError(f"input vector #{idx + 1} has a non-integer entry")
         if v[0] != 0:
             raise InvalidInputError(
                 f"input vector #{idx + 1} has nonzero first coordinate"
             )
         if not any(v):
             raise InvalidInputError(f"input vector #{idx + 1} is zero")
+    # Primitive integer copies ``w`` of the basis vectors: positive
+    # multiples, so each projection below is unchanged. ``int`` makes a
+    # fixed-width integer, such as numpy's, one that cannot overflow.
+    ints = [primitive_vector([int(x) for x in v]) for v in vectors]
     for i in range(k):
         for j in range(i + 1, k):
-            if _dot(basis[i][0], basis[j][0]) != 0:
+            if _dot(ints[i], ints[j]) != 0:
                 raise InvalidInputError(
                     f"input vectors #{i + 1} and #{j + 1} are not orthogonal"
                 )
 
-    # Gram-Schmidt over primitive integer copies ``w`` of the basis vectors
-    # (positive multiples, so each projection is unchanged) and their squared
-    # norms. The basis is exactly orthogonal, so projecting a unit vector
-    # ``e_t`` onto its complement subtracts ``(w_t / |w|^2) w`` for each ``w``
-    # with ``w_t != 0``; the candidate is kept as ``num / den`` over the lcm
-    # of those squared norms.
+    # Gram-Schmidt over ``ints`` and their squared norms: the basis is
+    # exactly orthogonal, so projecting a unit vector ``e_t`` onto its
+    # complement subtracts ``(w_t / |w|^2) w`` for each ``w`` with
+    # ``w_t != 0``; the candidate is kept as ``num / den`` over the lcm of
+    # those squared norms.
     seed = [int(t == 0) for t in range(n)]
-    basis.append((seed, 1))
-    ints = [primitive_vector(v) for v, _ in basis]
+    ints.append(seed)
     norms = [_dot(w, w) for w in ints]
+    ext = [(seed, 1)]
     for axis in range(1, n):
-        if len(basis) == n:
+        if k + len(ext) == n:
             break
         hits = [(w, nw) for w, nw in zip(ints, norms) if w[axis]]
         den = lcm(*(nw for _, nw in hits))
@@ -377,27 +376,26 @@ def orthogonal_extension(
                 if x:
                     num[t] -= f * x
         if any(num):
-            basis.append((num, den))
+            ext.append((num, den))
             w = primitive_vector(num)
             ints.append(w)
             norms.append(_dot(w, w))
-    if len(basis) != n:
+    if k + len(ext) != n:
         raise InternalVerificationError("Gram-Schmidt failed to complete a basis")
 
     # The repair on ``u = nu/du`` and the seed ``a = na/da``: with
     # ``p = |na|^2 du`` and ``q = |nu|^2 da``, ``(|a|^2/|u|^2) u + a`` is
     # ``(p nu + q na) / (q da)`` and ``a - u`` is ``(du na - da nu) / (da du)``.
-    for l in range(k + 1, n):
-        nu, du = basis[l]
+    for l in range(1, len(ext)):
+        nu, du = ext[l]
         if nu[0] != 0:
             continue
-        na, da = basis[k]
+        na, da = ext[0]
         p, q = _dot(na, na) * du, _dot(nu, nu) * da
-        basis[l] = _lowest([p * x + q * y for x, y in zip(nu, na)], q * da)
-        basis[k] = _lowest([du * y - da * x for x, y in zip(nu, na)], da * du)
+        ext[l] = _lowest([p * x + q * y for x, y in zip(nu, na)], q * da)
+        ext[0] = _lowest([du * y - da * x for x, y in zip(nu, na)], da * du)
 
-    out = basis[k:]
-    out_ints = [primitive_vector(num) for num, _ in out]
+    out_ints = [primitive_vector(num) for num, _ in ext]
     for i, v in enumerate(out_ints):
         if v[0] == 0:
             raise InternalVerificationError("extension vector kept a zero first coordinate")
@@ -407,11 +405,8 @@ def orthogonal_extension(
         for w in ints[:k]:
             if _dot(v, w) != 0:
                 raise InternalVerificationError("extension not orthogonal to inputs")
-    # Over one denominator, equal values have equal numerators, and
-    # ``from_integers`` makes one ``Fraction`` per distinct numerator.
-    den = lcm(*(d for _, d in out))
-    shared = RationalMatrix.from_integers([[x * (den // d) for x in num] for num, d in out], den)
-    return list(shared.data)
+    L = lcm(*(d for _, d in ext))
+    return [[x * (L // d) for x in num] for num, d in ext], L
 
 
 def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
@@ -443,11 +438,14 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     the full ``M``, and ``from_integers`` gives mirrored entries one ``Fraction``.
 
     The sum is ``L A_hat`` only if the rows ``w_k`` are pairwise orthogonal,
-    and each pair is proved once: padded row against padded row here;
-    completion row against completion row, and against every padded row, by
+    and each pair is proved once: padded row against padded row by
+    construction, since the pair column of rows ``i`` and ``j`` is nonzero
+    in those two rows only and cancels their inner product; completion row
+    against completion row, and against every padded row, by
     ``orthogonal_extension``'s postconditions, which swapping the first and
     last coordinates of both vectors does not change. The certificate
-    ``W M == L diag(1..r) W`` and the symmetry check then cover the result.
+    ``W M == L diag(1..r) W``, which fails for independent rows that are not
+    orthogonal, and the symmetry check then cover the result.
     """
     V_ints = _eigenvector_rows(inst)
     base = inst.state_dim
@@ -464,29 +462,18 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
             col = pair_col[(i, j)]
             padded[i - 1][col] = 1
             padded[j - 1][col] = -inner
-    for a in range(base):
-        for b in range(a + 1, base):
-            if _dot(padded[a], padded[b]) != 0:
-                raise InternalVerificationError("pair columns failed to orthogonalize rows")
 
     # Complete the basis with vectors whose *final* coordinate is nonzero:
     # run the first-axis extension on coordinate-swapped copies.
-    swapped = [_swap_ends(row) for row in padded]
-    extension = [_swap_ends(v) for v in orthogonal_extension(swapped)]
-    # V_hat holds one Fraction per distinct value: a padded entry, an integer,
-    # takes the completion's object for its value where there is one.
-    shared = {x.numerator: x for v in extension for x in v if x.denominator == 1}
-    for x in set(chain.from_iterable(padded)):
-        shared.setdefault(x, Fraction(x))
-    V_hat = RationalMatrix(
-        tuple(tuple(map(shared.__getitem__, row)) for row in padded) + tuple(extension)
-    )
+    U, den = orthogonal_extension([_swap_ends(row) for row in padded])
+    U = [_swap_ends(u) for u in U]
+    # One Fraction per distinct value of V_hat, padded entries included.
+    V_hat = RationalMatrix.from_integers([[x * den for x in row] for row in padded] + U, den)
 
     # Primitive integer rows W of V_hat (the row scales cancel in A_hat).
     # The rank-one sum for M below is L A_hat because W W^T is diagonal
     # (the docstring names the checks that prove it).
-    W = [primitive_vector(w) for w in padded]
-    W += [primitive_vector(scale_to_integers(v)[0]) for v in extension]
+    W = [primitive_vector(w) for w in padded + U]
     nonzeros = [[(t, x) for t, x in enumerate(w) if x] for w in W]
     norms = [_dot(w, w) for w in W]
     L = lcm(*norms)
@@ -514,7 +501,7 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     )
 
 
-def _swap_ends(vec: Sequence[Fraction | int]) -> tuple[Fraction | int, ...]:
+def _swap_ends(vec: list[int]) -> list[int]:
     out = list(vec)
     out[0], out[-1] = out[-1], out[0]
-    return tuple(out)
+    return out

@@ -7,9 +7,10 @@ from anywhere.
 
 No module but ``matrices`` flattens a matrix's entries by hand: a
 comprehension over ``<x>.data`` that then iterates each row is how a
-rational matrix gets cleared to integers, and ``matrices.integer_form``,
-``integer_rows`` and ``RationalMatrix.from_integers`` are the one place
-that does it.
+rational matrix gets cleared to integers or made from them, and
+``matrices`` is the one place that does it: ``integer_form`` for a whole
+matrix, ``scale_to_integers`` for one row, and
+``RationalMatrix.from_integers`` back.
 
 No module but ``linalg`` uses ``rank_exact``: exact ranks go through the
 rank oracles, and ``rank_exact(controllability_matrix(A, B))`` stays an

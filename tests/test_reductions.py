@@ -9,20 +9,21 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import minctrl.reductions
 from helpers import random_instance
-from minctrl.errors import InternalVerificationError, InvalidInputError
+from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
 from minctrl.linalg import rank_exact
 from minctrl.matrices import (
     RationalMatrix,
     integer_form,
-    integer_rows,
     matrix_to_json_dict,
     primitive_vector,
+    scale_to_integers,
 )
 from minctrl.reductions import (
     HittingSetInstance,
@@ -208,10 +209,11 @@ def test_inverse_sparsity_pattern(paper_instance):
 # --- orthogonal extension ----------------------------------------------------------
 
 def test_orthogonal_extension_simple():
-    out = orthogonal_extension([[0, 1]])
-    assert len(out) == 1
-    assert out[0][0] != 0
-    assert sum(a * b for a, b in zip(out[0], (0, 1))) == 0
+    U, L = orthogonal_extension([[0, 1]])
+    assert (U, L) == ([[1, 0]], 1)
+    # squared norms past 2**63 do not overflow when the entries are int64
+    big = [0, 2**40 + 1, 3**25]
+    assert orthogonal_extension([np.array(big, dtype=np.int64)]) == orthogonal_extension([big])
 
 
 @pytest.mark.parametrize(
@@ -223,15 +225,18 @@ def test_orthogonal_extension_simple():
     ],
 )
 def test_orthogonal_extension_postconditions(vectors):
-    out = orthogonal_extension(vectors)
+    U, L = orthogonal_extension(vectors)
     n = len(vectors[0])
-    assert len(out) == n - len(vectors)
-    everything = [tuple(Fraction(x) for x in v) for v in vectors] + out
+    assert len(U) == n - len(vectors)
+    assert is_integer(L) and L > 0
+    assert all(is_integer(x) for u in U for x in u)
+    # the rows of U / L are orthogonal where those of U are, since L > 0
+    everything = vectors + U
     for i, v in enumerate(everything):
         for w in everything[i + 1 :]:
             assert sum(a * b for a, b in zip(v, w)) == 0
-    for v in out:
-        assert v[0] != 0
+    for u in U:
+        assert u[0] != 0
 
 
 def test_orthogonal_extension_rejects_bad_input():
@@ -241,6 +246,9 @@ def test_orthogonal_extension_rejects_bad_input():
         orthogonal_extension([[0, 1, 0], [0, 1, 1]])  # not orthogonal
     with pytest.raises(InvalidInputError):
         orthogonal_extension([[0, 1], [0, 2]])  # k = n and dependent
+    for entry in (True, 1.0, Fraction(1), Fraction(1, 2)):
+        with pytest.raises(InvalidInputError, match="non-integer"):
+            orthogonal_extension([[0, 1, 0], [0, 0, entry]])
 
 
 # --- symmetric extension ------------------------------------------------------------
@@ -417,7 +425,9 @@ def _orthogonal_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_orthogonal_inputs())
 def test_orthogonal_extension_equals_fraction_gram_schmidt(vectors):
-    assert orthogonal_extension(vectors) == _fraction_extension(vectors)
+    # Positive integer multiples of the rational vectors span the same lines.
+    U, L = orthogonal_extension([scale_to_integers(v)[0] for v in vectors])
+    assert [tuple(Fraction(x, L) for x in u) for u in U] == _fraction_extension(vectors)
 
 
 @pytest.fixture()
@@ -471,7 +481,7 @@ def test_corrupted_inverse_fails_left_eigenvector_identity(monkeypatch, paper_in
 
 def _spy_on_builds(monkeypatch) -> Counter:
     """Count a build's eigenvector-row builds, integer products, conversions
-    between ``Fraction`` and integer matrices, and ``from_rows`` calls."""
+    from ``Fraction`` to integer matrices and vectors, and ``from_rows`` calls."""
     calls: Counter = Counter()
 
     def spy(owner, name):
@@ -485,7 +495,7 @@ def _spy_on_builds(monkeypatch) -> Counter:
 
     spy(minctrl.reductions, "_eigenvector_rows")
     spy(minctrl.reductions, "integer_product")
-    for name in ("integer_rows", "integer_form"):
+    for name in ("scale_to_integers", "integer_form"):
         for module in (minctrl.matrices, minctrl.reductions):
             if hasattr(module, name):
                 spy(module, name)
@@ -504,13 +514,14 @@ def test_builds_stay_in_integers(monkeypatch, paper_instance):
     calls = _spy_on_builds(monkeypatch)
     for inst, n in [(paper_instance, 8), (planted, 22)]:
         assert build_reduction(inst).system_matrix.rows == n
-        # one row build; the right-inverse check, the conjugation and the certificate
+        # one row build; the right-inverse check, the conjugation and the
+        # certificate; no scale_to_integers or integer_form
         assert calls == Counter(_eigenvector_rows=1, integer_product=3)
         calls.clear()
     for sets, r in [((2, [[1, 2]]), 11), ((3, [[1, 2], [2, 3]]), 22)]:
         sym = build_symmetric_extension(HittingSetInstance.from_sets(*sets))
         assert sym.system_matrix.rows == r
-        # one row build and the certificate
+        # one row build and the certificate; no scale_to_integers or integer_form
         assert calls == Counter(_eigenvector_rows=1, integer_product=1)
         calls.clear()
 
@@ -627,9 +638,9 @@ def test_perturbed_extension_fails_gram_check(monkeypatch):
     real = orthogonal_extension
 
     def perturbed(vectors):
-        out = [list(v) for v in real(vectors)]
-        out[1][2] += Fraction(1, 7)
-        return [tuple(v) for v in out]
+        U, L = real(vectors)
+        U[1][2] += 1
+        return U, L
 
     monkeypatch.setattr(minctrl.reductions, "orthogonal_extension", perturbed)
     with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
@@ -666,7 +677,7 @@ def test_changed_common_denominator_inverse_fails_left_eigenvector_identity(pape
 def _symmetric_certificate_inputs():
     """Primitive rows ``W`` of ``V_hat`` and ``M = L A_hat`` for an r = 11 extension."""
     sym = build_symmetric_extension(HittingSetInstance.from_sets(2, [[1, 2]]))
-    W = [primitive_vector(w) for w in integer_rows(sym.left_eigenvectors)[0]]
+    W = [primitive_vector(w) for w in integer_form(sym.left_eigenvectors)[0]]
     M, L = integer_form(sym.system_matrix)
     return W, M, L
 
