@@ -8,15 +8,18 @@ backend and record how many nonzero input entries it needed. Every accepted
 trial's output vector is re-verified against the PBH eigenvector count
 before being recorded.
 
-Each sampled graph is decomposed at most once. One ``left_eigensystem`` call,
-made with ``cluster_gap`` set to the config's gap threshold, gives the
-spectrum the gap filter reads, and an accepted graph hands that same
-``EigenSystem`` to the greedy solver and to the verification. Both read
-their distinctness threshold from it, so the filter, the solver and the
-verification can never disagree about the gap. A graph whose
-decomposition fails its residual check is rejected like any other. The
-verification still recomputes every ``v_i^T b`` from the recorded support
-and values, independently of the solver's incremental products.
+``eigen_gap_filter`` is the harness's one accept test, called once per
+sampled graph, and each graph is decomposed at most once. After the
+isolated-node pre-check below, one ``left_eigensystem`` call, made with
+``cluster_gap`` set to the config's gap threshold, decomposes the graph, and
+``linalg.require_distinct_spectrum``, the check every PBH count makes,
+decides whether that decomposition is accepted. The filter returns it, and
+the trial hands that same ``EigenSystem`` to the greedy solver and to the
+verification, so the filter, the solver and the verification can never
+disagree about the gap. A graph whose decomposition fails its residual
+check is rejected like any other. The verification still recomputes every
+``v_i^T b`` from the recorded support and values, independently of the
+solver's incremental products.
 
 Before any decomposition, an exact O(n^2) scan rejects a graph with two
 *isolated* nodes (no off-diagonal nonzero in the node's row, or none in its
@@ -43,7 +46,13 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 from minctrl import DEFAULT_SEED, np
-from minctrl.errors import InvalidInputError, NumericBackendError, is_integer, is_real
+from minctrl.errors import (
+    BackendPreconditionError,
+    InvalidInputError,
+    NumericBackendError,
+    is_integer,
+    is_real,
+)
 from minctrl.greedy import (
     SolveResult,
     deterministic_greedy_vector,
@@ -54,6 +63,7 @@ from minctrl.linalg import (
     EigenSystem,
     left_eigensystem,
     pbh_controllability_rank,
+    require_distinct_spectrum,
 )
 from minctrl.matrices import DenseMatrix
 
@@ -234,20 +244,29 @@ def sample_er_digraph(
     return DenseMatrix(adjacency)
 
 
-def eigen_gap_filter(A: DenseMatrix | EigenSystem, threshold: float) -> bool:
-    """Accept iff the closest eigenvalue pair is farther apart than threshold.
+def eigen_gap_filter(A: DenseMatrix, threshold: float) -> EigenSystem | None:
+    """The harness's accept test: ``A``'s one decomposition, or ``None``.
 
-    Reads ``min_pairwise_gap`` of an ``EigenSystem``. A matrix is accepted
-    iff ``_accepted_eigensystem`` accepts it, the harness's own test: a
-    repeated isolated eigenvalue or a failed residual check rejects it.
+    ``A`` is a square ``DenseMatrix``. A repeated isolated eigenvalue
+    rejects it before any decomposition; otherwise it is decomposed once,
+    by ``left_eigensystem(A, cluster_gap=threshold)``, and accepted iff
+    ``require_distinct_spectrum`` accepts that decomposition, the check
+    every PBH count makes. A failed residual check rejects ``A`` too. The
+    accepted decomposition is returned, for the solver and the verification
+    to share; it is truthy, so the result also reads as a ``bool``.
     """
     if not (is_real(threshold) and threshold > 0):
         raise InvalidInputError("threshold must be positive")
-    if isinstance(A, DenseMatrix):
-        if A.rows != A.cols:
-            raise InvalidInputError("matrix must be square")
-        return _accepted_eigensystem(A, threshold) is not None
-    return A.min_pairwise_gap > threshold
+    if not isinstance(A, DenseMatrix) or A.rows != A.cols:
+        raise InvalidInputError("the gap filter takes a square DenseMatrix")
+    if repeats_isolated_eigenvalue(A):
+        return None
+    try:
+        eig = left_eigensystem(A, cluster_gap=threshold)
+        require_distinct_spectrum(eig)
+    except (NumericBackendError, BackendPreconditionError):
+        return None
+    return eig
 
 
 def repeats_isolated_eigenvalue(A: DenseMatrix) -> bool:
@@ -268,22 +287,6 @@ def repeats_isolated_eigenvalue(A: DenseMatrix) -> bool:
             return True
         seen.add(value)
     return False
-
-
-def _accepted_eigensystem(A: DenseMatrix, threshold: float) -> EigenSystem | None:
-    """``A``'s one decomposition if the gap filter accepts it, else ``None``.
-
-    A decomposition that fails its residual check rejects ``A`` as well.
-    Returning ``None`` drops a rejected ``EigenSystem`` before the caller
-    samples and decomposes the next candidate.
-    """
-    if repeats_isolated_eigenvalue(A):
-        return None
-    try:
-        eig = left_eigensystem(A, cluster_gap=threshold)
-    except NumericBackendError:
-        return None
-    return eig if eigen_gap_filter(eig, threshold) else None
 
 
 def _derived_seed(*entropy: int) -> int:
@@ -308,7 +311,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 candidate = sample_er_digraph(
                     n, p, graph_seed, include_self_loops=cfg.include_self_loops
                 )
-                eig = _accepted_eigensystem(candidate, cfg.eigen_gap_threshold)
+                eig = eigen_gap_filter(candidate, cfg.eigen_gap_threshold)
                 if eig is not None:
                     break
             else:
@@ -342,7 +345,7 @@ def _solve_trial(
 
 
 def _verify_support(eig: EigenSystem, result: SolveResult) -> int:
-    b = np.zeros(eig.n)
+    b = np.zeros((eig.n, 1))
     for idx, value in zip(result.support, result.values):
         b[idx] = value
-    return pbh_controllability_rank(eig, b)
+    return pbh_controllability_rank(eig, DenseMatrix(b))

@@ -11,11 +11,14 @@ and a numeric backend (SVD thresholding, eigenvector counting) are provided;
 the numeric path exists because the raw controllability-matrix rank is badly
 conditioned for floats, while counting eigenvector orthogonality is not.
 
-The eigenvector count is ``pbh_controllability_rank``, for a vector or a
-multi-column input; its cutoff, like the greedy PBH oracle's, is
+The eigenvector count is ``pbh_controllability_rank``, for a matrix with one
+row per state; its cutoff, like the greedy PBH oracle's, is
 ``pbh_reached``. Its one setting is the distinctness threshold: the
 ``cluster_gap`` of the ``EigenSystem`` it is given, so a decomposition and
 every PBH count made from it agree on which eigenvalues count as repeated.
+``require_distinct_spectrum`` makes that comparison, the only one of an
+eigenvalue gap: the PBH counts and the experiment harness's accept test
+all call it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 from minctrl import np
 from minctrl._kernels import integer_rank
@@ -55,31 +58,6 @@ DEFAULT_ORTH_TOL_SCALE = 1e-8
 # numeric eigenvector. It bounds only which inputs can be certified: the
 # exact check, not the rounding, decides.
 EIGENBASIS_MAX_DENOMINATOR = 10**6
-
-# a string, so that defining the alias does not execute numpy
-VectorLike = Union[DenseMatrix, RationalMatrix, Sequence[float], "np.ndarray"]
-
-
-def _as_input_columns(B: VectorLike, n: int) -> np.ndarray:
-    """``B`` as an ``n x m`` float array; a vector is the one-column case."""
-    if isinstance(B, (DenseMatrix, RationalMatrix)):
-        B = as_dense(B).array
-    try:
-        arr = np.asarray(B, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"input entries must be real numbers: {exc}") from exc
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    elif arr.ndim == 2 and arr.shape == (1, n):
-        arr = arr.T
-    if arr.ndim != 2 or arr.shape[0] != n or arr.shape[1] < 1:
-        raise InvalidInputError(
-            f"expected an {n}-vector or an {n}-row matrix, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("input has non-finite entries")
-    return arr
-
 
 def controllability_matrix(A: Matrix, B: Matrix) -> Matrix:
     """Horizontal stack of ``B, AB, A^2 B, ..., A^{n-1} B``.
@@ -198,7 +176,8 @@ def left_eigensystem(
     residual = float(
         np.linalg.norm(rows @ A.array - values[:, None] * rows, axis=1).max()
     )
-    if residual > tolerance:
+    # written so that a NaN residual fails the check too
+    if not residual <= tolerance:
         raise NumericBackendError(
             f"eigenvector residual {residual:.3e} exceeds tolerance "
             f"{tolerance:.3e}",
@@ -229,7 +208,8 @@ def require_distinct_spectrum(eig: EigenSystem) -> None:
     eigenvalue is simple; eigenvalues within ``eig.cluster_gap`` of each
     other count as repeated.
     """
-    if eig.min_pairwise_gap <= eig.cluster_gap:
+    # written so that a NaN gap is rejected too
+    if not eig.min_pairwise_gap > eig.cluster_gap:
         raise BackendPreconditionError(
             f"eigenvalue gap {eig.min_pairwise_gap:.3e} is below the "
             f"distinctness threshold {eig.cluster_gap:.3e}; the eigenvector "
@@ -249,18 +229,22 @@ def pbh_reached(products: np.ndarray, norms) -> np.ndarray:
     return above.any(axis=1) if above.ndim == 2 else above
 
 
-def pbh_controllability_rank(eig: EigenSystem, B: VectorLike) -> int:
+def pbh_controllability_rank(eig: EigenSystem, B: Matrix) -> int:
     """Controllability rank by counting eigenvectors non-orthogonal to `B`.
 
-    ``B`` is an n-vector (a row or a column) or an ``n x m`` input matrix;
-    row ``i`` counts when ``|v_i^T B[:, c]| > 1e-8 * ||B[:, c]||`` for some
-    column ``c``. For a matrix with distinct eigenvalues this equals
-    ``rank C(A, B)`` whenever that cutoff separates true zeros from the
-    rest. Eigenvalues within ``eig.cluster_gap`` of each other are rejected:
-    use the exact rank or the covered-count characterization instead.
+    ``B`` is a matrix with one row per state, dense or rational, as for
+    ``oracles.controllability_rank``: a ``1 x n`` ``B`` is rejected, not
+    read as a column. Row ``i`` counts when ``|v_i^T B[:, c]| > 1e-8 *
+    ||B[:, c]||`` for some column ``c``. For a matrix with distinct
+    eigenvalues this equals ``rank C(A, B)`` whenever that cutoff separates
+    true zeros from the rest. Eigenvalues within ``eig.cluster_gap`` of each
+    other are rejected: use the exact rank or the covered-count
+    characterization instead.
     """
     require_distinct_spectrum(eig)
-    cols = _as_input_columns(B, eig.n)
+    cols = as_dense(B).array
+    if len(cols) != eig.n:
+        raise InvalidInputError(f"B has {len(cols)} rows but A is {eig.n}x{eig.n}")
     reached = pbh_reached(eig.left_eigenvectors @ cols, np.linalg.norm(cols, axis=0))
     return int(np.count_nonzero(reached))
 

@@ -65,7 +65,10 @@ class DenseMatrix:
     __slots__ = ("array",)
 
     def __init__(self, array: np.ndarray):
-        arr = np.asarray(array, dtype=np.float64)
+        try:
+            arr = np.asarray(array, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"matrix entries must be real numbers: {exc}") from exc
         if arr.ndim != 2:
             raise InvalidInputError(f"expected a 2-D array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -94,7 +97,7 @@ class DenseMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "DenseMatrix":
-        return cls(np.array(rows, dtype=np.float64))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "DenseMatrix":

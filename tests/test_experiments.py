@@ -10,7 +10,11 @@ import minctrl.experiments
 import minctrl.greedy
 import minctrl.linalg
 from minctrl.cli import main as cli_main
-from minctrl.errors import InvalidInputError, NumericBackendError
+from minctrl.errors import (
+    BackendPreconditionError,
+    InvalidInputError,
+    NumericBackendError,
+)
 from minctrl.experiments import (
     ExperimentConfig,
     eigen_gap_filter,
@@ -18,7 +22,11 @@ from minctrl.experiments import (
     run_experiment,
     sample_er_digraph,
 )
-from minctrl.greedy import deterministic_greedy_vector, randomized_greedy_vector
+from minctrl.greedy import (
+    deterministic_greedy_vector,
+    randomized_greedy_vector,
+    rank_oracle,
+)
 from minctrl.linalg import left_eigensystem
 from minctrl.matrices import DenseMatrix
 from minctrl.oracles import kalman_test
@@ -73,12 +81,51 @@ def test_eigen_gap_filter():
     assert not eigen_gap_filter(DenseMatrix.diagonal([1, 1.005]), 0.01)
     assert eigen_gap_filter(DenseMatrix.diagonal([1, 1.005]), 0.001)
     assert eigen_gap_filter(DenseMatrix.from_rows([[7]]), 0.01)
-    assert eigen_gap_filter(left_eigensystem(DenseMatrix.diagonal([1, 2, 3])), 0.01)
-    assert not eigen_gap_filter(
-        left_eigensystem(DenseMatrix.diagonal([1, 1.005])), 0.01
-    )
+    # the filter decomposes what it accepts: it takes only a square matrix
+    for bad in (
+        left_eigensystem(DenseMatrix.diagonal([1, 2, 3])),
+        left_eigensystem(DenseMatrix.diagonal([1, 1.005])),
+        DenseMatrix.from_rows([[1, 2]]),
+    ):
+        with pytest.raises(InvalidInputError, match="square DenseMatrix"):
+            eigen_gap_filter(bad, 0.01)
     with pytest.raises(InvalidInputError):
         eigen_gap_filter(DenseMatrix.diagonal([1, 2]), 0.0)
+
+
+def _pbh_accepts(eig) -> bool:
+    try:
+        rank_oracle(eig, "pbh")
+    except BackendPreconditionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("threshold", [0.01, 0.1])
+def test_eigen_gap_filter_is_the_pbh_accept_test(threshold):
+    # the filter rejects a graph exactly when a PBH oracle on the graph's
+    # decomposition under the same threshold refuses it, and otherwise
+    # returns that decomposition, for the solver and the verification
+    for delta, distinct in ((threshold / 2, False), (2 * threshold, True)):
+        A = DenseMatrix.diagonal([1, 1 + delta, 3])
+        assert _pbh_accepts(left_eigensystem(A, cluster_gap=threshold)) is distinct
+        assert (eigen_gap_filter(A, threshold) is not None) is distinct
+    outcomes = []
+    for n in (3, 6, 10):
+        for p in (0.3, 0.6):
+            for seed in range(6):
+                A = sample_er_digraph(n, p, seed)
+                eig = left_eigensystem(A, cluster_gap=threshold)
+                accepted = eigen_gap_filter(A, threshold)
+                outcomes.append(_pbh_accepts(eig))
+                if not outcomes[-1]:
+                    assert accepted is None
+                    continue
+                assert accepted.cluster_gap == threshold
+                for name in ("eigenvalues", "left_eigenvectors"):
+                    assert np.array_equal(getattr(accepted, name), getattr(eig, name))
+                assert accepted.min_pairwise_gap == eig.min_pairwise_gap
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, True, 0, -1], ids=repr)
@@ -242,10 +289,10 @@ def no_eigvals(monkeypatch):
 
 @pytest.mark.parametrize("solver", ["randomized", "deterministic"])
 def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
-    # One left_eigensystem call per sampled graph that the isolated-node
-    # pre-check lets through; the accepted graph's call is its trial's only
-    # decomposition, shared by the gap filter, the solver and the verification.
-    # The gap filter reads each decomposition once.
+    # The gap filter runs once per sampled graph, and makes one
+    # left_eigensystem call for each graph its isolated-node pre-check lets
+    # through; the accepted graph's call is its trial's only decomposition,
+    # shared by the gap filter, the solver and the verification.
     calls = []
     sampled = []
     filtered = []
@@ -276,7 +323,7 @@ def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
     assert all(r.controllable for r in accepted)
     assert len(sampled) == len(accepted) + report.rejected_graph_count
     assert len(calls) == len(sampled)  # no graph here has an isolated repeat
-    assert len(filtered) == len(calls)
+    assert len(filtered) == len(sampled)
     # sparse graphs: most are rejected by the pre-check, without a call
     sparse = ExperimentConfig(
         n_values=(30,), trials_per_n=3, seed=1, edge_probability=0.08, solver=solver
@@ -289,7 +336,7 @@ def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
     decomposed = [A for A in sampled if not repeats_isolated_eigenvalue(A)]
     assert 0 < len(decomposed) < len(sampled)
     assert len(calls) == len(decomposed)
-    assert len(filtered) == len(calls)
+    assert len(filtered) == len(sampled)
 
 
 def test_failed_decomposition_is_a_rejected_graph(monkeypatch):

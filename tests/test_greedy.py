@@ -324,7 +324,7 @@ def test_pbh_solvers_take_a_decomposition(paper_A, solve):
         lambda eig: deterministic_greedy_vector(eig, "pbh"),
         lambda eig: randomized_greedy_vector(eig, 4, "pbh"),
         lambda eig: greedy_diagonal(eig, "pbh"),
-        lambda eig: pbh_controllability_rank(eig, [1.0, 1.0, 1.0]),
+        lambda eig: pbh_controllability_rank(eig, DenseMatrix.from_rows([[1], [1], [1]])),
     ],
     ids=["det", "rand", "diag", "rank"],
 )
@@ -353,7 +353,7 @@ def test_pbh_input_rank_of_one_entry_columns_is_the_dense_count(paper_A, system)
         B = np.zeros((n, len(support)))
         B[support, range(len(support))] = values
         columns = [((j, v),) for j, v in zip(support, values)]
-        assert oracle.input_rank(columns) == pbh_controllability_rank(eig, B)
+        assert oracle.input_rank(columns) == pbh_controllability_rank(eig, DenseMatrix(B))
 
 
 # The exact oracle the solvers get, against the exact rank of the

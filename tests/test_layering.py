@@ -19,6 +19,10 @@ independent reference for the tests.
 No module but ``linalg`` reads ``DEFAULT_ORTH_TOL_SCALE``: the PBH
 threshold is ``linalg.pbh_reached``, and every PBH count counts its mask.
 
+No module but ``linalg`` reads ``min_pairwise_gap``: the one eigenvalue-gap
+comparison is ``linalg.require_distinct_spectrum``, which every PBH count and
+the experiment harness's accept test make.
+
 No module imports numpy when it is imported itself: ``minctrl.np``, made in
 the package's ``__init__`` by its one lazy loader, is the one binding of
 numpy, which runs numpy on its first attribute use, so ``reduce`` and
@@ -159,6 +163,11 @@ def test_rank_exact_used_only_in_linalg(path):
 @_OUTSIDE_LINALG
 def test_orth_tol_scale_read_only_in_linalg(path):
     assert _name_uses(path, "DEFAULT_ORTH_TOL_SCALE") == []
+
+
+@_OUTSIDE_LINALG
+def test_eigenvalue_gap_read_only_in_linalg(path):
+    assert _name_uses(path, "min_pairwise_gap") == []
 
 
 def test_guard_flags_rank_exact_uses(tmp_path):

@@ -1,5 +1,7 @@
 """Rank/eigenstructure primitives against hand values and exact oracles."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import JordanSpec, covered_count, random_jordan_spec, random_unimodular
-from minctrl.errors import BackendPreconditionError, InvalidInputError
+from minctrl.errors import (
+    BackendPreconditionError,
+    InvalidInputError,
+    NumericBackendError,
+)
 from minctrl.linalg import (
     controllability_matrix,
     left_eigensystem,
@@ -161,24 +167,54 @@ def test_left_eigensystem_requires_square():
         left_eigensystem(DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
+def test_left_eigensystem_rejects_a_nan_residual(monkeypatch):
+    # `residual > tolerance` is false for a NaN residual, which would let a
+    # NaN eigenvalue, and the NaN gap it gives, through to the PBH counts
+    original = np.linalg.eig
+
+    def nan_entry(a):
+        values, vectors = original(a)
+        values[0] = np.nan
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eig", nan_entry)
+    with pytest.raises(NumericBackendError, match="residual nan"):
+        left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
+
+
 # --- PBH operations -----------------------------------------------------------
+
+def column(*entries) -> DenseMatrix:
+    return DenseMatrix.from_rows([[x] for x in entries])
+
 
 def test_pbh_rank_diag():
     eig = left_eigensystem(DenseMatrix.diagonal([1, 2]))
-    assert pbh_controllability_rank(eig, [1, 1]) == 2
-    assert pbh_controllability_rank(eig, [1, 0]) == 1
+    assert pbh_controllability_rank(eig, column(1, 1)) == 2
+    assert pbh_controllability_rank(eig, column(1, 0)) == 1
 
 
 def test_pbh_rank_paper_example(paper_instance):
     red = build_reduction(paper_instance)
     eig = left_eigensystem(red.system_matrix.to_dense())
-    assert pbh_controllability_rank(eig, [1, 1, 0, 0, 0, 0, 0, 1]) == 8
+    assert pbh_controllability_rank(eig, column(1, 1, 0, 0, 0, 0, 0, 1)) == 8
 
 
 def test_pbh_rank_rejects_repeated_eigenvalues():
     eig = left_eigensystem(DenseMatrix.identity(2))
     with pytest.raises(BackendPreconditionError):
-        pbh_controllability_rank(eig, [1, 1])
+        pbh_controllability_rank(eig, column(1, 1))
+
+
+def test_require_distinct_spectrum_rejects_a_nan_gap():
+    # `gap <= cluster_gap` is false for a NaN gap, which would accept it
+    eig = dataclasses.replace(
+        left_eigensystem(DenseMatrix.diagonal([1, 2, 3])), min_pairwise_gap=math.nan
+    )
+    with pytest.raises(BackendPreconditionError, match="eigenvalue gap nan"):
+        require_distinct_spectrum(eig)
+    with pytest.raises(BackendPreconditionError):
+        pbh_controllability_rank(eig, column(1, 1, 1))
 
 
 @pytest.mark.parametrize(
@@ -194,27 +230,58 @@ def test_left_eigensystem_rejects_bad_cluster_gap(gap):
 
 
 def test_pbh_rank_takes_columns_rows_and_matrices():
+    # B is a matrix with one row per state: a column, or several; a row
+    # vector is rejected, as controllability_rank rejects it
     eig = left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
-    for b in ([1, 0, 1], np.array([[1.0], [0.0], [1.0]]),
-              DenseMatrix.from_rows([[1, 0, 1]])):
+    for b in (column(1, 0, 1), DenseMatrix(np.array([[1.0], [0.0], [1.0]])),
+              RationalMatrix.from_rows([[1], [0], [1]])):
         assert pbh_controllability_rank(eig, b) == 2
     # each column has its own tolerance: a tiny column still counts
-    B = np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]])
+    B = DenseMatrix(np.array([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]]))
     assert pbh_controllability_rank(eig, B) == 2
-    for bad in ([1, 0], np.ones((2, 3)), np.ones((3, 0)), np.ones((1, 1, 3))):
+    for bad in ([[1, 0, 1]], [[1], [0]], np.ones((2, 3))):
+        with pytest.raises(InvalidInputError, match="rows but A is 3x3"):
+            pbh_controllability_rank(eig, DenseMatrix(np.array(bad)))
+    for bad in (np.ones((3, 0)), np.ones((1, 1, 3))):
         with pytest.raises(InvalidInputError):
+            pbh_controllability_rank(eig, DenseMatrix(bad))
+    # a list or an array is not a matrix
+    for bad in ([1, 0, 1], np.array([[1.0], [0.0], [1.0]])):
+        with pytest.raises(InvalidInputError, match="expected a matrix"):
             pbh_controllability_rank(eig, bad)
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        DenseMatrix.from_rows([[1, 0, 1]]),
+        RationalMatrix.from_rows([[1, 0, 1]]),
+        DenseMatrix.from_rows([[1], [1]]),
+    ],
+    ids=["dense-row", "rational-row", "two-rows"],
+)
+def test_pbh_rank_rejects_the_inputs_controllability_rank_rejects(B):
+    A = DenseMatrix.diagonal([1, 2, 3])
+    messages = []
+    for rank in (
+        lambda: pbh_controllability_rank(left_eigensystem(A), B),
+        lambda: controllability_rank(A, B, "pbh"),
+    ):
+        with pytest.raises(InvalidInputError) as exc:
+            rank()
+        messages.append(str(exc.value))
+    assert messages == [f"B has {B.rows} rows but A is 3x3"] * 2
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_pbh_rank_rejects_non_finite_vector(bad):
-    # every comparison with NaN is false, so no threshold count means anything
+    # every comparison with NaN is false, so no threshold count means anything;
+    # a non-finite B never becomes a matrix to count with
     eig = left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
-    with pytest.raises(InvalidInputError):
-        pbh_controllability_rank(eig, [bad, 0, 0])
-    with pytest.raises(InvalidInputError):
-        pbh_controllability_rank(eig, np.array([[bad], [0.0], [0.0]]))
-
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        pbh_controllability_rank(eig, column(bad, 0, 0))
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        pbh_controllability_rank(eig, DenseMatrix(np.array([[bad], [0.0], [0.0]])))
 
 
 @pytest.mark.parametrize(
@@ -222,20 +289,22 @@ def test_pbh_rank_rejects_non_finite_vector(bad):
     [
         RationalMatrix.from_rows([[Fraction(1, 3)], [0], [2]]),
         RationalMatrix.from_rows([[Fraction(1, 3), 0], [0, 0], [0, Fraction(-5, 7)]]),
-        ["a", "b", "c"],
-        [None, None, None],
+        [["a"], ["b"], ["c"]],
+        [[None], [None], [None]],
         [[1], [2, 3], [4]],
     ],
     ids=["rational-column", "rational-matrix", "strings", "nones", "ragged"],
 )
 def test_pbh_rank_takes_rational_input_and_rejects_non_numbers(B):
+    # non-numbers never become a matrix to count with, dense or rational
     A = DenseMatrix.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
     eig = left_eigensystem(A)
     if isinstance(B, RationalMatrix):
         assert pbh_controllability_rank(eig, B) == controllability_rank(A, B, "pbh")
-    else:
+        return
+    for matrix in (DenseMatrix.from_rows, RationalMatrix.from_rows):
         with pytest.raises(InvalidInputError):
-            pbh_controllability_rank(eig, B)
+            pbh_controllability_rank(eig, matrix(B))
 
 def test_pbh_support_test_basics(paper_V):
     eye = RationalMatrix.identity(3)
@@ -265,13 +334,14 @@ def test_pbh_rank_matches_exact_rank(n, seed):
         controllability_matrix(A, RationalMatrix.from_rows([[x] for x in b]))
     )
     eig = left_eigensystem(A.to_dense())
-    assert pbh_controllability_rank(eig, [float(x) for x in b]) == expected
+    assert pbh_controllability_rank(eig, column(*b)) == expected
     # a multi-column input: one sparse 0/1 column beside b
     B = RationalMatrix.from_rows(
         [[x, int(rng.random() < 0.3)] for x in b]
     )
     expected = rank_exact(controllability_matrix(A, B))
     assert pbh_controllability_rank(eig, B.to_dense()) == expected
+    assert pbh_controllability_rank(eig, B) == expected
 
 
 # --- covered count ------------------------------------------------------------
