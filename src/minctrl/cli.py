@@ -86,23 +86,13 @@ def _cmd_reduce(args) -> int:
     red = reductions.build_reduction(inst)
     matrices.save_matrix(red.left_eigenvectors, out_dir / "V.json")
     matrices.save_matrix(red.system_matrix, out_dir / "A.json")
-    index_map = {
-        "schema_version": 1,
-        "eigenvalues": list(red.eigenvalues),
-        **red.index_map.to_json_dict(),
-    }
+    index_map = {"schema_version": 1, **red.to_json_dict()}
     written = ["V.json", "A.json"]
     if args.symmetric:
         sym = reductions.build_symmetric_extension(inst)
         matrices.save_matrix(sym.left_eigenvectors, out_dir / "V_hat.json")
         matrices.save_matrix(sym.system_matrix, out_dir / "A_hat.json")
-        index_map["symmetric"] = {
-            "eigenvalues": list(sym.eigenvalues),
-            "pair_columns": [
-                {"pair": list(pair), "column": col} for pair, col in sym.pair_columns
-            ],
-            "final_column": sym.final_column,
-        }
+        index_map["symmetric"] = sym.to_json_dict()
         written += ["V_hat.json", "A_hat.json"]
     (out_dir / "index_map.json").write_text(
         json.dumps(index_map, sort_keys=True, indent=2) + "\n"

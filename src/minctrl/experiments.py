@@ -126,7 +126,10 @@ class ExperimentConfig:
         if self.edge_probability is not None:
             return self.edge_probability
         log = math.log(n) if self.log_base == "natural" else math.log10(n)
-        p = 2.0 * log / n
+        try:
+            p = 2.0 * log / n
+        except OverflowError:  # n past the float range: the quotient underflows
+            p = 0.0
         if not 0 < p <= 1:
             raise InvalidInputError(
                 f"derived edge probability {p} for n={n} is outside (0, 1]; "

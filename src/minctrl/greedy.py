@@ -148,6 +148,8 @@ class SolveResult:
 
 def sparse_columns(B: Matrix, value: Callable = Fraction) -> list[tuple]:
     """Each column of ``B`` as the pairs ``(i, value(B[i, c]))`` of its nonzeros."""
+    if value is float:  # through as_dense, which rejects an entry past float64
+        B = as_dense(B)
     rows = B.array.tolist() if isinstance(B, DenseMatrix) else as_rational(B).data
     return [tuple((i, value(x)) for i, x in enumerate(col) if x) for col in zip(*rows)]
 

@@ -24,6 +24,7 @@ all call it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -152,7 +153,10 @@ def left_eigensystem(
     treated as repeated, since floating point cannot certify them distinct,
     and the PBH counts reject the system outright.
     """
-    if not is_real(cluster_gap) or not cluster_gap > 0:
+    # a float infinity, but no number past float64: the gap checks format it as one
+    if not (
+        is_real(cluster_gap) and 0 < cluster_gap <= sys.float_info.max or cluster_gap == math.inf
+    ):
         raise InvalidInputError(
             f"cluster_gap must be a positive number, got {cluster_gap!r}"
         )

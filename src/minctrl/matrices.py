@@ -43,7 +43,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -67,12 +67,14 @@ class DenseMatrix:
     def __init__(self, array: np.ndarray):
         try:
             arr = np.asarray(array, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # Overflow: past float64
             raise InvalidInputError(f"matrix entries must be real numbers: {exc}") from exc
         if arr.ndim != 2:
             raise InvalidInputError(f"expected a 2-D array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidInputError(f"matrix dimensions must be positive, got {arr.shape}")
+        if _has_boolean_entry(array):
+            raise InvalidInputError("boolean is not a matrix entry")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("matrix entries must be finite (no NaN/Inf)")
         arr = arr.copy()
@@ -135,6 +137,13 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
+def _has_boolean_entry(array) -> bool:
+    """Whether 2-D input holds a boolean: by dtype for a typed ndarray, else by entry."""
+    if isinstance(array, np.ndarray) and array.dtype != object:
+        return array.dtype == np.bool_
+    return any(isinstance(x, (bool, np.bool_)) for row in array for x in row)
+
+
 def _as_fraction(value: RationalLike | float) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -143,6 +152,8 @@ def _as_fraction(value: RationalLike | float) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not isfinite(value):
+            raise InvalidInputError("matrix entries must be finite (no NaN/Inf)")
         return Fraction(value)  # exact: binary floats are rationals
     if isinstance(value, str):
         try:
@@ -296,7 +307,7 @@ class RationalMatrix:
         return self.rows == self.cols and self.data == tuple(zip(*self.data))
 
     def to_dense(self) -> DenseMatrix:
-        return DenseMatrix.from_rows([[float(x) for x in r] for r in self.data])
+        return DenseMatrix.from_rows(self.data)  # an entry past float64 is invalid input
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import count
+from itertools import combinations, count
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
@@ -142,37 +142,45 @@ def load_instance(path: str | Path) -> HittingSetInstance:
 
 
 @dataclass(frozen=True)
-class CoordinateMap:
-    """Which state coordinates carry elements, sets, and the anchor (0-based)."""
+class ReductionOutput:
+    """The compiled system: one coordinate per element, then per set, then the anchor."""
 
-    elements: tuple[int, ...]
-    sets: tuple[int, ...]
-    anchor: int
+    instance: HittingSetInstance
+    left_eigenvectors: RationalMatrix
+    system_matrix: RationalMatrix
 
     def to_json_dict(self) -> dict:
+        m, p = self.instance.ground_size, self.instance.num_sets
         return {
-            "elements": list(self.elements),
-            "sets": list(self.sets),
-            "anchor": self.anchor,
+            "eigenvalues": list(range(1, m + p + 2)),
+            "elements": list(range(m)),
+            "sets": list(range(m, m + p)),
+            "anchor": m + p,
         }
 
 
 @dataclass(frozen=True)
-class ReductionOutput:
-    left_eigenvectors: RationalMatrix
-    system_matrix: RationalMatrix
-    eigenvalues: tuple[int, ...]
-    index_map: CoordinateMap
-
-
-@dataclass(frozen=True)
 class SymmetricExtensionOutput:
+    """The symmetric system: the base coordinates, one per pair of them, then a final one."""
+
+    instance: HittingSetInstance
     left_eigenvectors: RationalMatrix
     system_matrix: RationalMatrix
-    eigenvalues: tuple[int, ...]
-    # pair (i, j) of 1-based row numbers -> 0-based column index
-    pair_columns: tuple[tuple[tuple[int, int], int], ...]
-    final_column: int
+
+    def to_json_dict(self) -> dict:
+        r = self.system_matrix.rows
+        return {
+            "eigenvalues": list(range(1, r + 1)),
+            "pair_columns": [
+                {"pair": list(p), "column": c} for p, c in _pair_columns(self.instance.state_dim)
+            ],
+            "final_column": r - 1,
+        }
+
+
+def _pair_columns(s: int) -> list[tuple[tuple[int, int], int]]:
+    """Each pair ``(i, j)`` of 1-based rows ``i < j <= s`` and its column ``s, s + 1, ...``."""
+    return [(pair, s + idx) for idx, pair in enumerate(combinations(range(1, s + 1), 2))]
 
 
 def incidence_matrix(inst: HittingSetInstance) -> RationalMatrix:
@@ -292,19 +300,9 @@ def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
     the instance's minimum hitting-set size plus one (the anchor coordinate
     is always needed).
     """
-    m, p = inst.ground_size, inst.num_sets
     W = _eigenvector_rows(inst)
     A = _conjugated_diagonal(W, *_inverse_rows(inst, W))
-    return ReductionOutput(
-        left_eigenvectors=RationalMatrix.from_integers(W, 1),
-        system_matrix=A,
-        eigenvalues=tuple(range(1, inst.state_dim + 1)),
-        index_map=CoordinateMap(
-            elements=tuple(range(m)),
-            sets=tuple(range(m, m + p)),
-            anchor=m + p,
-        ),
-    )
+    return ReductionOutput(inst, RationalMatrix.from_integers(W, 1), A)
 
 
 def orthogonal_extension(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -449,17 +447,13 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     """
     V_ints = _eigenvector_rows(inst)
     base = inst.state_dim
-    pairs = [(i, j) for i in range(1, base + 1) for j in range(i + 1, base + 1)]
-    r = base + 1 + len(pairs)
-
-    pair_col = {pair: base + idx for idx, pair in enumerate(pairs)}
-    final_col = r - 1
+    pair_columns = _pair_columns(base)
+    r = base + 1 + len(pair_columns)
 
     padded = [row + [0] * (r - base) for row in V_ints]
-    for (i, j) in pairs:
+    for (i, j), col in pair_columns:
         inner = _dot(V_ints[i - 1], V_ints[j - 1])
         if inner:
-            col = pair_col[(i, j)]
             padded[i - 1][col] = 1
             padded[j - 1][col] = -inner
 
@@ -492,13 +486,7 @@ def build_symmetric_extension(inst: HittingSetInstance) -> SymmetricExtensionOut
     if not A_hat.is_symmetric():
         raise InternalVerificationError("extended system matrix is not symmetric")
 
-    return SymmetricExtensionOutput(
-        left_eigenvectors=V_hat,
-        system_matrix=A_hat,
-        eigenvalues=tuple(range(1, r + 1)),
-        pair_columns=tuple(sorted(pair_col.items())),
-        final_column=final_col,
-    )
+    return SymmetricExtensionOutput(inst, V_hat, A_hat)
 
 
 def _swap_ends(vec: list[int]) -> list[int]:

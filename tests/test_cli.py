@@ -1,5 +1,6 @@
 """CLI exit codes, file round trips, and payload shapes."""
 
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,30 @@ def test_reduce_symmetric_outputs(workdir, capsys):
     assert A_hat.is_symmetric()
     index_map = json.loads((out_dir / "index_map.json").read_text())
     assert "symmetric" in index_map
+
+
+INDEX_MAP_SHA256 = {
+    # the golden instance: m = 3, four sets, so 8 base coordinates and r = 37
+    (): "fefe4c9eac4578a4e9a3da9c1cb316ed90442629c5614e9df81d59bd5deb324b",
+    ("--symmetric",): "f34b4dae9dd062ebd6a06341f13760078903546e320836e1a9e2074f684dc5c7",
+}
+
+
+@pytest.mark.parametrize("flags", list(INDEX_MAP_SHA256), ids=["plain", "symmetric"])
+def test_reduce_index_map_bytes(workdir, capsys, flags):
+    out_dir = workdir / "map"
+    assert run("reduce", workdir / "inst.json", *flags, "--out-dir", out_dir) == 0
+    capsys.readouterr()
+    raw = (out_dir / "index_map.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == INDEX_MAP_SHA256[flags]
+    index_map = json.loads(raw)
+    assert (index_map["elements"], index_map["sets"]) == ([0, 1, 2], [3, 4, 5, 6])
+    if flags:
+        pairs = index_map["symmetric"]["pair_columns"]
+        assert len(pairs) == 28  # pairs of the 8 base rows
+        assert pairs[0] == {"pair": [1, 2], "column": 8}
+        assert pairs[-1] == {"pair": [7, 8], "column": 35}
+        assert index_map["symmetric"]["final_column"] == 36
 
 
 def test_reduce_rejects_invalid_instance(workdir, capsys):
@@ -320,6 +345,37 @@ def test_svd_controllability_matrix_overflow_is_invalid_input(
     err = capsys.readouterr().err
     assert "must be finite" in err
     assert "overflow" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "bad.json", "--backend", "exact"),
+        ("solve", "bad.json", "--backend", "pbh"),
+        ("oracle", "bad.json", "--kind", "min-vector"),
+        ("verify", "bad.json", "b.json"),
+        ("verify", "eye2.json", "bad_b.json"),
+    ],
+    ids=["solve-exact", "solve-pbh", "oracle-min-vector", "verify-A", "verify-b"],
+)
+def test_non_finite_rational_entry_is_invalid_input(workdir, capsys, monkeypatch, token, args):
+    # Python's json reads these tokens as floats; one string entry makes the
+    # file rational, and each entry then becomes a Fraction
+    monkeypatch.chdir(workdir)
+    (workdir / "bad.json").write_text(f'{{"rows": 2, "cols": 2, "data": ["1", {token}, 0, 2]}}')
+    (workdir / "bad_b.json").write_text(f'{{"rows": 2, "cols": 1, "data": ["1", {token}]}}')
+    (workdir / "b.json").write_text(json.dumps({"rows": 2, "cols": 1, "data": [1, 1]}))
+    assert run(*args) == 2
+    assert capsys.readouterr().err == "error: matrix entries must be finite (no NaN/Inf)\n"
+
+
+def test_integer_past_float_range_is_invalid_input(workdir, capsys):
+    big = workdir / "big.json"
+    big.write_text('{"rows": 1, "cols": 1, "data": [1' + "0" * 400 + "]}")
+    assert run("solve", big) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix entries must be real numbers")
 
 
 def test_parser_built_once_per_process():

@@ -54,6 +54,19 @@ def test_impossible_graph_size_is_invalid_input(capsys):
     assert err.startswith("error: n = 3000000000 is too large") and "internal" not in err
 
 
+def test_n_past_the_float_range_is_invalid_input(capsys):
+    # 2 ln(n) / n underflows to 0.0 rather than overflowing n to a float
+    n = 10**400
+    with pytest.raises(InvalidInputError, match="derived edge probability 0.0 for"):
+        ExperimentConfig(n_values=(n,), trials_per_n=1).probability_for(n)
+    assert cli_main(["experiment", "--n-values", str(n), "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: derived edge probability 0.0") and "internal" not in err
+    args = ["experiment", "--n-values", str(n), "--trials", "1", "--edge-probability", "0.5"]
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: n = {n} is too large")
+
+
 def test_sample_self_loop_flag():
     a = sample_er_digraph(5, 1.0, 3)
     assert np.all(np.diag(a.array) == 1)

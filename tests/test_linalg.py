@@ -182,6 +182,16 @@ def test_left_eigensystem_rejects_a_nan_residual(monkeypatch):
         left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
 
 
+@pytest.mark.parametrize("gap", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+def test_left_eigensystem_rejects_a_gap_past_float64(gap):
+    # the gap checks compare and format the threshold as a float
+    with pytest.raises(InvalidInputError, match="cluster_gap must be a positive number"):
+        left_eigensystem(DenseMatrix.diagonal([1, 2, 3]), cluster_gap=gap)
+    # a float infinity is a threshold no gap meets, and is kept
+    eig = left_eigensystem(DenseMatrix.diagonal([1, 2]), cluster_gap=math.inf)
+    assert eig.cluster_gap == math.inf
+
+
 # --- PBH operations -----------------------------------------------------------
 
 def column(*entries) -> DenseMatrix:

@@ -36,6 +36,36 @@ def test_dense_rejects_nonfinite():
         DenseMatrix.from_rows([[math.inf], [0.0]])
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[True], [1]],
+        [[1.5, False]],
+        [[np.True_, 2.0]],
+        np.array([[True], [False]]),
+        [np.array([1.0, 2.0]), np.array([True, False])],
+        np.array([[True, 1.5]], dtype=object),
+    ],
+    ids=["nested", "nested-float", "numpy-scalar", "bool-array", "rows-of-arrays", "object-array"],
+)
+def test_dense_rejects_booleans_as_rational_does(entries):
+    with pytest.raises(InvalidInputError, match="boolean"):
+        DenseMatrix(entries)
+    with pytest.raises(InvalidInputError):
+        RationalMatrix.from_rows([list(row) for row in entries])
+
+
+def test_dense_checks_a_typed_array_by_dtype_only():
+    # a float ndarray, as the harness passes, is never scanned entry by entry
+    class NoIteration(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("scanned")
+
+    arr = np.eye(3).view(NoIteration)
+    assert DenseMatrix(arr) == DenseMatrix.identity(3)
+    assert DenseMatrix(np.array([[1, 0], [0, 1]], dtype=np.int64)) == DenseMatrix.identity(2)
+
+
 def test_dense_shape_and_entries():
     m = DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)

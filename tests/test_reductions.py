@@ -153,10 +153,12 @@ def test_eigenvector_matrix_full_rank_random():
 def test_build_reduction_paper_golden(paper_instance, paper_A):
     red = build_reduction(paper_instance)
     assert red.system_matrix == paper_A
-    assert red.eigenvalues == tuple(range(1, 9))
-    assert red.index_map.elements == (0, 1, 2)
-    assert red.index_map.sets == (3, 4, 5, 6)
-    assert red.index_map.anchor == 7
+    assert red.to_json_dict() == {
+        "eigenvalues": list(range(1, 9)),
+        "elements": [0, 1, 2],
+        "sets": [3, 4, 5, 6],
+        "anchor": 7,
+    }
 
 
 def test_build_reduction_single_set():
@@ -259,7 +261,7 @@ def test_symmetric_extension_single_set():
     r = 1 + 1 + 2 + 3  # elements + sets + anchor/final + pairs of 3 rows
     assert sym.left_eigenvectors.rows == 7 == r
     assert sym.system_matrix.is_symmetric()
-    assert sym.eigenvalues == tuple(range(1, 8))
+    assert sym.to_json_dict()["eigenvalues"] == list(range(1, 8))
 
 
 def test_symmetric_extension_rows_orthogonal(paper_instance):
@@ -300,10 +302,13 @@ def test_symmetric_extension_eigen_identity():
 def test_symmetric_extension_column_map():
     inst = HittingSetInstance.from_sets(1, [[1]])
     sym = build_symmetric_extension(inst)
-    pairs = dict(sym.pair_columns)
-    assert set(pairs) == {(1, 2), (1, 3), (2, 3)}
-    assert sorted(pairs.values()) == [3, 4, 5]
-    assert sym.final_column == 6
+    index_map = sym.to_json_dict()
+    assert index_map["pair_columns"] == [
+        {"pair": [1, 2], "column": 3},
+        {"pair": [1, 3], "column": 4},
+        {"pair": [2, 3], "column": 5},
+    ]
+    assert index_map["final_column"] == 6
 
 
 # --- integer arithmetic: byte identity, guards and certificates ---------------------
