@@ -11,13 +11,13 @@ before being recorded.
 ``eigen_gap_filter`` is the harness's one accept test, called once per
 sampled graph, and each graph is decomposed at most once. After the
 isolated-node pre-check below, one ``left_eigensystem`` call, made with
-``cluster_gap`` set to the config's gap threshold, decomposes the graph, and
-``linalg.require_distinct_spectrum``, the check every PBH count makes,
-decides whether that decomposition is accepted. The filter returns it, and
-the trial hands that same ``EigenSystem`` to the greedy solver and to the
-verification, so the filter, the solver and the verification can never
-disagree about the gap. A graph whose decomposition fails its residual
-check is rejected like any other. The verification still recomputes every
+``cluster_gap`` set to the config's gap threshold, decomposes the graph and
+decides the gap as it does so: a graph with no decomposition is rejected.
+The filter returns the decomposition, and the trial hands that same
+``EigenSystem`` to the greedy solver and to the verification, so the
+filter, the solver and the verification can never disagree about the gap.
+A graph whose decomposition fails its residual check is rejected like any
+other. The verification still recomputes every
 ``v_i^T b`` from the recorded support and values, independently of the
 solver's incremental products.
 
@@ -63,7 +63,6 @@ from minctrl.linalg import (
     EigenSystem,
     left_eigensystem,
     pbh_controllability_rank,
-    require_distinct_spectrum,
 )
 from minctrl.matrices import DenseMatrix
 
@@ -251,10 +250,9 @@ def eigen_gap_filter(A: DenseMatrix, threshold: float) -> EigenSystem | None:
     """The harness's accept test: ``A``'s one decomposition, or ``None``.
 
     ``A`` is a square ``DenseMatrix``. A repeated isolated eigenvalue
-    rejects it before any decomposition; otherwise it is decomposed once,
-    by ``left_eigensystem(A, cluster_gap=threshold)``, and accepted iff
-    ``require_distinct_spectrum`` accepts that decomposition, the check
-    every PBH count makes. A failed residual check rejects ``A`` too. The
+    rejects it before any decomposition; otherwise it is accepted iff
+    ``left_eigensystem(A, cluster_gap=threshold)`` decomposes it, which
+    refuses a gap not above ``threshold`` and a failed residual check. The
     accepted decomposition is returned, for the solver and the verification
     to share; it is truthy, so the result also reads as a ``bool``.
     """
@@ -265,11 +263,9 @@ def eigen_gap_filter(A: DenseMatrix, threshold: float) -> EigenSystem | None:
     if repeats_isolated_eigenvalue(A):
         return None
     try:
-        eig = left_eigensystem(A, cluster_gap=threshold)
-        require_distinct_spectrum(eig)
+        return left_eigensystem(A, cluster_gap=threshold)
     except (NumericBackendError, BackendPreconditionError):
         return None
-    return eig
 
 
 def repeats_isolated_eigenvalue(A: DenseMatrix) -> bool:

@@ -30,9 +30,10 @@ denominator, as in the symmetric reductions) it eliminates integer Krylov
 columns, one rank per probe. Both give the same ranks, hence the same
 traces. Every solver takes the system matrix; with ``"pbh"`` it also takes
 an ``EigenSystem`` the caller already has, so a matrix is decomposed once
-however many solves and checks use it. The pbh oracle rejects eigenvalues
-within that decomposition's ``cluster_gap`` (by default
-``DEFAULT_EIGEN_GAP``); the solvers take no threshold of their own.
+however many solves and checks use it. The pbh oracle decomposes a matrix
+with the default ``DEFAULT_EIGEN_GAP`` and takes a passed decomposition as
+it is, since an ``EigenSystem`` has a distinct spectrum by construction;
+the solvers take no threshold of their own.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from minctrl.linalg import (
     left_eigensystem,
     pbh_reached,
     rank_numeric,
-    require_distinct_spectrum,
 )
 from minctrl.matrices import (
     DenseMatrix,
@@ -302,8 +302,8 @@ class _KrylovOracle:
 class _PbhOracle:
     """Counts left eigenvectors non-orthogonal to the input (distinct spectra).
 
-    Takes the system matrix, or a decomposition the caller already has; the
-    decomposition's ``cluster_gap`` is the distinctness threshold.
+    Takes the system matrix, or a decomposition the caller already has,
+    whose spectrum is distinct by construction.
     ``input_rank`` reads each column's nonzeros off the eigenvector columns
     they select, as ``pbh_controllability_rank`` counts a dense input; for a
     one-entry column the product is exactly the dense one. Every count is of
@@ -315,7 +315,6 @@ class _PbhOracle:
 
     def __init__(self, A: Matrix | EigenSystem):
         eig = A if isinstance(A, EigenSystem) else left_eigensystem(as_dense(A))
-        require_distinct_spectrum(eig)
         self.n = eig.n
         self._eig = eig
         self._reached: dict[tuple, np.ndarray] = {}  # column -> row mask, once asked

@@ -13,12 +13,11 @@ conditioned for floats, while counting eigenvector orthogonality is not.
 
 The eigenvector count is ``pbh_controllability_rank``, for a matrix with one
 row per state; its cutoff, like the greedy PBH oracle's, is
-``pbh_reached``. Its one setting is the distinctness threshold: the
-``cluster_gap`` of the ``EigenSystem`` it is given, so a decomposition and
-every PBH count made from it agree on which eigenvalues count as repeated.
-``require_distinct_spectrum`` makes that comparison, the only one of an
-eigenvalue gap: the PBH counts and the experiment harness's accept test
-all call it.
+``pbh_reached``. It needs a distinct spectrum, and an ``EigenSystem`` has one
+by construction: ``left_eigensystem`` compares the smallest eigenvalue gap
+with its ``cluster_gap`` when it decomposes the matrix, the only comparison
+of an eigenvalue gap, and refuses a (nearly) repeated spectrum, so no PBH
+count re-checks it.
 """
 
 from __future__ import annotations
@@ -125,16 +124,13 @@ class EigenSystem:
 
     Row ``i`` of ``left_eigenvectors`` satisfies ``v_i^T A = lambda_i v_i^T``
     up to ``1e-8 * max(1, ||A||_F)`` and has unit Euclidean norm. Eigenvalues
-    are sorted by (real, imag) so the decomposition is reproducible.
-
-    ``cluster_gap`` is the PBH distinctness threshold: every PBH count
-    rejects the system when ``min_pairwise_gap`` is not above it.
+    are sorted by (real, imag) so the decomposition is reproducible, and
+    pairwise farther apart than the ``cluster_gap`` it was built with, so
+    every PBH count may use it as it is.
     """
 
     eigenvalues: np.ndarray
     left_eigenvectors: np.ndarray
-    min_pairwise_gap: float
-    cluster_gap: float
 
     @property
     def n(self) -> int:
@@ -149,11 +145,13 @@ def left_eigensystem(
     """Eigenvalues and unit-norm left eigenvectors of a square matrix.
 
     ``cluster_gap``, a positive real number, is the PBH distinctness
-    threshold of the result: eigenvalues closer than it are deliberately
-    treated as repeated, since floating point cannot certify them distinct,
-    and the PBH counts reject the system outright.
+    threshold: eigenvalues closer than it are deliberately treated as
+    repeated, since floating point cannot certify them distinct, and the
+    matrix is rejected with ``BackendPreconditionError``, because the
+    eigenvector count only equals the controllability rank for distinct
+    spectra.
     """
-    # a float infinity, but no number past float64: the gap checks format it as one
+    # a float infinity, but no number past float64: the gap check formats it as one
     if not (
         is_real(cluster_gap) and 0 < cluster_gap <= sys.float_info.max or cluster_gap == math.inf
     ):
@@ -193,32 +191,18 @@ def left_eigensystem(
     else:
         diff = np.abs(values[:, None] - values[None, :])
         min_gap = float(np.min(diff[np.triu_indices(n, k=1)]))
+    # written so that a NaN gap is rejected too
+    if not min_gap > cluster_gap:
+        raise BackendPreconditionError(
+            f"eigenvalue gap {min_gap:.3e} is below the distinctness threshold "
+            f"{cluster_gap:.3e}; the eigenvector count only equals the "
+            "controllability rank for distinct spectra"
+        )
 
     # both arrays are fresh copies, owned by the result alone
     rows.flags.writeable = False
     values.flags.writeable = False
-    return EigenSystem(
-        eigenvalues=values,
-        left_eigenvectors=rows,
-        min_pairwise_gap=min_gap,
-        cluster_gap=cluster_gap,
-    )
-
-
-def require_distinct_spectrum(eig: EigenSystem) -> None:
-    """Reject (nearly) repeated eigenvalues before any PBH count.
-
-    The eigenvector count only equals the controllability rank when every
-    eigenvalue is simple; eigenvalues within ``eig.cluster_gap`` of each
-    other count as repeated.
-    """
-    # written so that a NaN gap is rejected too
-    if not eig.min_pairwise_gap > eig.cluster_gap:
-        raise BackendPreconditionError(
-            f"eigenvalue gap {eig.min_pairwise_gap:.3e} is below the "
-            f"distinctness threshold {eig.cluster_gap:.3e}; the eigenvector "
-            "count only equals the controllability rank for distinct spectra"
-        )
+    return EigenSystem(eigenvalues=values, left_eigenvectors=rows)
 
 
 def pbh_reached(products: np.ndarray, norms) -> np.ndarray:
@@ -241,11 +225,8 @@ def pbh_controllability_rank(eig: EigenSystem, B: Matrix) -> int:
     read as a column. Row ``i`` counts when ``|v_i^T B[:, c]| > 1e-8 *
     ||B[:, c]||`` for some column ``c``. For a matrix with distinct
     eigenvalues this equals ``rank C(A, B)`` whenever that cutoff separates
-    true zeros from the rest. Eigenvalues within ``eig.cluster_gap`` of each
-    other are rejected: use the exact rank or the covered-count
-    characterization instead.
+    true zeros from the rest; ``eig``'s spectrum is distinct by construction.
     """
-    require_distinct_spectrum(eig)
     cols = as_dense(B).array
     if len(cols) != eig.n:
         raise InvalidInputError(f"B has {len(cols)} rows but A is {eig.n}x{eig.n}")

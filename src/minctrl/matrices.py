@@ -73,8 +73,7 @@ class DenseMatrix:
             raise InvalidInputError(f"expected a 2-D array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidInputError(f"matrix dimensions must be positive, got {arr.shape}")
-        if _has_boolean_entry(array):
-            raise InvalidInputError("boolean is not a matrix entry")
+        _check_entries(array)
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("matrix entries must be finite (no NaN/Inf)")
         arr = arr.copy()
@@ -137,11 +136,24 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
-def _has_boolean_entry(array) -> bool:
-    """Whether 2-D input holds a boolean: by dtype for a typed ndarray, else by entry."""
+def _check_entries(array) -> None:
+    """Reject 2-D input that holds anything but real numbers.
+
+    A typed ndarray is checked by dtype only (a boolean one is rejected);
+    anything else entry by entry with ``is_real``, which rejects booleans,
+    strings and ``None``, though numpy would convert them.
+    """
     if isinstance(array, np.ndarray) and array.dtype != object:
-        return array.dtype == np.bool_
-    return any(isinstance(x, (bool, np.bool_)) for row in array for x in row)
+        if array.dtype == np.bool_:
+            raise InvalidInputError("matrix entries must be real numbers (not booleans)")
+        return
+    for row in array:
+        for x in row:
+            if not is_real(x):
+                raise InvalidInputError(
+                    "matrix entries must be real numbers (not booleans, strings "
+                    f"or None), got {x!r}"
+                )
 
 
 def _as_fraction(value: RationalLike | float) -> Fraction:
@@ -381,10 +393,7 @@ def matrix_from_json_dict(obj: dict) -> Matrix:
         return RationalMatrix(
             tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
         )
-    grid = [data[i * cols : (i + 1) * cols] for i in range(rows)]
-    if not all(is_real(v) for v in data):  # not booleans
-        raise InvalidInputError("matrix data must contain numbers or rational strings")
-    return DenseMatrix.from_rows(grid)
+    return DenseMatrix.from_rows([data[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
 def load_matrix(path: str | Path) -> Matrix:

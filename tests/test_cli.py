@@ -396,6 +396,32 @@ def test_verify_rejects_non_square_matrix(workdir, capsys, backend):
     assert "A must be square, got 2x3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "d112.json", "--backend", "pbh"),
+        ("solve", "d112.json", "--backend", "pbh", "--mode", "diagonal"),
+        ("verify", "d112.json", "b3.json", "--backend", "pbh"),
+    ],
+    ids=["solve-vector", "solve-diagonal", "verify"],
+)
+def test_pbh_on_a_repeated_spectrum_is_invalid_input(workdir, capsys, monkeypatch, args):
+    # diag(1, 1, 2) has no decomposition the eigenvector count may use
+    monkeypatch.chdir(workdir)
+    (workdir / "d112.json").write_text(
+        json.dumps({"rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0, 2]})
+    )
+    (workdir / "b3.json").write_text(json.dumps({"rows": 3, "cols": 1, "data": [1, 1, 1]}))
+    assert run(*args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: eigenvalue gap 0.000e+00 is below the distinctness threshold "
+        "1.000e-02; the eigenvector count only equals the controllability rank "
+        "for distinct spectra\n"
+    )
+
+
 def test_experiment_flags_and_determinism(workdir, capsys):
     out1 = workdir / "r1.json"
     out2 = workdir / "r2.json"

@@ -97,7 +97,7 @@ def test_eigen_gap_filter():
     # the filter decomposes what it accepts: it takes only a square matrix
     for bad in (
         left_eigensystem(DenseMatrix.diagonal([1, 2, 3])),
-        left_eigensystem(DenseMatrix.diagonal([1, 1.005])),
+        left_eigensystem(DenseMatrix.diagonal([1, 1.005]), cluster_gap=0.001),
         DenseMatrix.from_rows([[1, 2]]),
     ):
         with pytest.raises(InvalidInputError, match="square DenseMatrix"):
@@ -106,38 +106,42 @@ def test_eigen_gap_filter():
         eigen_gap_filter(DenseMatrix.diagonal([1, 2]), 0.0)
 
 
-def _pbh_accepts(eig) -> bool:
+def _min_gap(values) -> float:
+    diff = np.abs(values[:, None] - values[None, :])
+    return float(np.min(diff[np.triu_indices(len(values), k=1)]))
+
+
+def _decomposition(A, threshold):
     try:
-        rank_oracle(eig, "pbh")
+        return left_eigensystem(A, cluster_gap=threshold)
     except BackendPreconditionError:
-        return False
-    return True
+        return None
 
 
 @pytest.mark.parametrize("threshold", [0.01, 0.1])
 def test_eigen_gap_filter_is_the_pbh_accept_test(threshold):
-    # the filter rejects a graph exactly when a PBH oracle on the graph's
-    # decomposition under the same threshold refuses it, and otherwise
-    # returns that decomposition, for the solver and the verification
+    # the filter rejects a graph exactly when the graph has no decomposition
+    # under the same threshold, and otherwise returns that decomposition,
+    # which a PBH oracle takes as it is, for the solver and the verification
     for delta, distinct in ((threshold / 2, False), (2 * threshold, True)):
         A = DenseMatrix.diagonal([1, 1 + delta, 3])
-        assert _pbh_accepts(left_eigensystem(A, cluster_gap=threshold)) is distinct
+        assert (_decomposition(A, threshold) is not None) is distinct
         assert (eigen_gap_filter(A, threshold) is not None) is distinct
     outcomes = []
     for n in (3, 6, 10):
         for p in (0.3, 0.6):
             for seed in range(6):
                 A = sample_er_digraph(n, p, seed)
-                eig = left_eigensystem(A, cluster_gap=threshold)
+                eig = _decomposition(A, threshold)
                 accepted = eigen_gap_filter(A, threshold)
-                outcomes.append(_pbh_accepts(eig))
-                if not outcomes[-1]:
+                outcomes.append(eig is not None)
+                if eig is None:
                     assert accepted is None
                     continue
-                assert accepted.cluster_gap == threshold
+                assert _min_gap(accepted.eigenvalues) > threshold
                 for name in ("eigenvalues", "left_eigenvectors"):
                     assert np.array_equal(getattr(accepted, name), getattr(eig, name))
-                assert accepted.min_pairwise_gap == eig.min_pairwise_gap
+                assert rank_oracle(accepted, "pbh").n == n
     assert 0 < sum(outcomes) < len(outcomes)
 
 
@@ -168,7 +172,8 @@ def test_repeats_isolated_eigenvalue(rows, repeated):
     A = DenseMatrix.from_rows(rows)
     assert repeats_isolated_eigenvalue(A) is repeated
     if repeated:
-        assert left_eigensystem(A).min_pairwise_gap == 0.0
+        with pytest.raises(BackendPreconditionError, match="gap 0.000e[+]00 is below"):
+            left_eigensystem(A)
         assert not eigen_gap_filter(A, 0.01)
 
 
@@ -191,10 +196,9 @@ def test_isolated_precheck_rejects_only_repeated_spectra(include_self_loops):
                 if not repeats_isolated_eigenvalue(A):
                     continue
                 fired += 1
-                values = np.linalg.eigvals(A.array)
-                diff = np.abs(values[:, None] - values[None, :])
-                assert np.min(diff[np.triu_indices(n, k=1)]) <= threshold
-                assert left_eigensystem(A).min_pairwise_gap <= threshold
+                assert _min_gap(np.linalg.eigvals(A.array)) <= threshold
+                with pytest.raises(BackendPreconditionError, match="below"):
+                    left_eigensystem(A, cluster_gap=threshold)
     assert 0 < fired < graphs
 
 

@@ -329,12 +329,13 @@ def test_pbh_solvers_take_a_decomposition(paper_A, solve):
     ids=["det", "rand", "diag", "rank"],
 )
 def test_cluster_gap_is_the_pbh_threshold(pbh_entry):
-    # eigenvalues 1 and 1.05 are 0.05 apart: repeated under a 0.1 gap,
-    # distinct under 0.01, whichever PBH entry reads the decomposition
-    A = DenseMatrix.diagonal([1, 1.05, 3])
+    # eigenvalues 1 and 1.005 are 0.005 apart: repeated under a 0.1 gap, so
+    # there is no decomposition to count with; distinct under 0.001, and then
+    # no PBH entry re-checks them against the default 0.01
+    A = DenseMatrix.diagonal([1, 1.005, 3])
     with pytest.raises(BackendPreconditionError, match="threshold 1.000e-01"):
-        pbh_entry(left_eigensystem(A, cluster_gap=0.1))
-    pbh_entry(left_eigensystem(A, cluster_gap=0.01))
+        left_eigensystem(A, cluster_gap=0.1)
+    pbh_entry(left_eigensystem(A, cluster_gap=0.001))
 
 
 @pytest.mark.parametrize("system", ["golden", "er40"])

@@ -19,9 +19,10 @@ independent reference for the tests.
 No module but ``linalg`` reads ``DEFAULT_ORTH_TOL_SCALE``: the PBH
 threshold is ``linalg.pbh_reached``, and every PBH count counts its mask.
 
-No module but ``linalg`` reads ``min_pairwise_gap``: the one eigenvalue-gap
-comparison is ``linalg.require_distinct_spectrum``, which every PBH count and
-the experiment harness's accept test make.
+Only ``linalg.left_eigensystem`` builds an ``EigenSystem``, right after it
+compares the smallest eigenvalue gap with its threshold: every decomposition
+has a distinct spectrum, so no PBH count and not the experiment harness's
+accept test read or compare a gap of their own.
 
 No module imports numpy when it is imported itself: ``minctrl.np``, made in
 the package's ``__init__`` by its one lazy loader, is the one binding of
@@ -137,6 +138,24 @@ def test_guard_flags_row_flattening(tmp_path):
     assert _row_flattening(bad) == ["line 1", "line 2"]
 
 
+def _eigensystem_builds(path: Path) -> list[str]:
+    """Calls of ``EigenSystem``, bare or as an attribute, with the top-level
+    definition that makes each."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", "module level")
+        found += [
+            (node.lineno, f"line {node.lineno} in {owner}")
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id == "EigenSystem")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "EigenSystem")
+            )
+        ]
+    return [where for _, where in sorted(found)]
+
+
 def _name_uses(path: Path, name: str) -> list[str]:
     """Reads of ``name``, bare or as an attribute."""
     lines = sorted(
@@ -167,7 +186,30 @@ def test_orth_tol_scale_read_only_in_linalg(path):
 
 @_OUTSIDE_LINALG
 def test_eigenvalue_gap_read_only_in_linalg(path):
-    assert _name_uses(path, "min_pairwise_gap") == []
+    assert _eigensystem_builds(path) == []
+
+
+def test_only_left_eigensystem_builds_an_eigensystem():
+    builds = _eigensystem_builds(SRC / "linalg.py")
+    assert [where.split(" in ")[1] for where in builds] == ["left_eigensystem"]
+
+
+def test_guard_flags_eigensystem_builds(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "eig = EigenSystem(values, rows)\n"
+        "def left_eigensystem(A):\n"
+        "    return linalg.EigenSystem(values, rows)\n"
+        "class Oracle:\n"
+        "    def __init__(self, eig: EigenSystem):\n"
+        "        self.ok = isinstance(eig, EigenSystem)\n"
+        "        self.eig = EigenSystem(eig.eigenvalues, rows)\n"
+    )
+    assert _eigensystem_builds(bad) == [
+        "line 1 in module level",
+        "line 3 in left_eigensystem",
+        "line 7 in Oracle",
+    ]
 
 
 def test_guard_flags_rank_exact_uses(tmp_path):

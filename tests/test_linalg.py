@@ -1,6 +1,5 @@
 """Rank/eigenstructure primitives against hand values and exact oracles."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -23,7 +22,6 @@ from minctrl.linalg import (
     pbh_support_test,
     rank_exact,
     rank_numeric,
-    require_distinct_spectrum,
 )
 from minctrl.matrices import DenseMatrix, RationalMatrix
 from minctrl.oracles import controllability_rank
@@ -126,7 +124,10 @@ def test_rank_exact_matches_numeric_on_small_integers(n, seed, deficient):
 def test_left_eigensystem_diagonal():
     eig = left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
     assert np.allclose(sorted(eig.eigenvalues.real), [1, 2, 3])
-    assert eig.min_pairwise_gap == pytest.approx(1.0)
+    # the smallest gap, 1, must lie above the threshold
+    assert left_eigensystem(DenseMatrix.diagonal([1, 2, 3]), cluster_gap=0.99).n == 3
+    with pytest.raises(BackendPreconditionError, match="gap 1.000e[+]00 is below"):
+        left_eigensystem(DenseMatrix.diagonal([1, 2, 3]), cluster_gap=1.0)
     # rows should be (signed) standard basis vectors
     for row in eig.left_eigenvectors:
         assert np.isclose(np.max(np.abs(row)), 1.0)
@@ -184,12 +185,13 @@ def test_left_eigensystem_rejects_a_nan_residual(monkeypatch):
 
 @pytest.mark.parametrize("gap", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
 def test_left_eigensystem_rejects_a_gap_past_float64(gap):
-    # the gap checks compare and format the threshold as a float
+    # the gap check compares and formats the threshold as a float
     with pytest.raises(InvalidInputError, match="cluster_gap must be a positive number"):
         left_eigensystem(DenseMatrix.diagonal([1, 2, 3]), cluster_gap=gap)
-    # a float infinity is a threshold no gap meets, and is kept
-    eig = left_eigensystem(DenseMatrix.diagonal([1, 2]), cluster_gap=math.inf)
-    assert eig.cluster_gap == math.inf
+    # a float infinity is a threshold no gap meets, even a 1 x 1 matrix's
+    for diagonal in ([1, 2], [7]):
+        with pytest.raises(BackendPreconditionError, match="threshold inf;"):
+            left_eigensystem(DenseMatrix.diagonal(diagonal), cluster_gap=math.inf)
 
 
 # --- PBH operations -----------------------------------------------------------
@@ -211,20 +213,20 @@ def test_pbh_rank_paper_example(paper_instance):
 
 
 def test_pbh_rank_rejects_repeated_eigenvalues():
-    eig = left_eigensystem(DenseMatrix.identity(2))
-    with pytest.raises(BackendPreconditionError):
-        pbh_controllability_rank(eig, column(1, 1))
+    # a repeated spectrum has no decomposition to count with
+    with pytest.raises(
+        BackendPreconditionError,
+        match="gap 0.000e[+]00 is below the distinctness threshold 1.000e-02",
+    ):
+        left_eigensystem(DenseMatrix.identity(2))
 
 
-def test_require_distinct_spectrum_rejects_a_nan_gap():
-    # `gap <= cluster_gap` is false for a NaN gap, which would accept it
-    eig = dataclasses.replace(
-        left_eigensystem(DenseMatrix.diagonal([1, 2, 3])), min_pairwise_gap=math.nan
-    )
+def test_require_distinct_spectrum_rejects_a_nan_gap(monkeypatch):
+    # `gap <= cluster_gap` is false for a NaN gap, which would accept it; the
+    # residual check rejects NaN eigenvalues first, so the gap is forced here
+    monkeypatch.setattr(np, "min", lambda _: math.nan)
     with pytest.raises(BackendPreconditionError, match="eigenvalue gap nan"):
-        require_distinct_spectrum(eig)
-    with pytest.raises(BackendPreconditionError):
-        pbh_controllability_rank(eig, column(1, 1, 1))
+        left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
 
 
 @pytest.mark.parametrize(
@@ -236,7 +238,7 @@ def test_left_eigensystem_rejects_bad_cluster_gap(gap):
     with pytest.raises(InvalidInputError, match="cluster_gap"):
         left_eigensystem(DenseMatrix.identity(2), cluster_gap=gap)
     with pytest.raises(BackendPreconditionError):
-        require_distinct_spectrum(left_eigensystem(DenseMatrix.identity(2)))
+        left_eigensystem(DenseMatrix.identity(2))
 
 
 def test_pbh_rank_takes_columns_rows_and_matrices():

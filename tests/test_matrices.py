@@ -55,6 +55,18 @@ def test_dense_rejects_booleans_as_rational_does(entries):
         RationalMatrix.from_rows([list(row) for row in entries])
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[["1", 2.0]], [[None, 1.0]], np.array([["1", 2.0]], dtype=object), [[1.0], ["2"]]],
+    ids=["numeric-string", "none", "object-array", "second-row"],
+)
+def test_dense_rejects_strings_and_none(entries):
+    # numpy would read "1" as 1.0 and None as NaN; a file's string entry
+    # makes it rational instead, so only direct input reaches this check
+    with pytest.raises(InvalidInputError, match="must be real numbers"):
+        DenseMatrix(entries)
+
+
 def test_dense_checks_a_typed_array_by_dtype_only():
     # a float ndarray, as the harness passes, is never scanned entry by entry
     class NoIteration(np.ndarray):
