@@ -70,10 +70,12 @@ from minctrl.matrices import (
 
 @dataclass(frozen=True)
 class TraceStep:
-    step: int
+    """One committed sweep: the coordinate and value it chose and the rank
+    it reached. A step's number is its position in the trace, and the rank
+    before it is the previous step's ``rank_after`` (0 for the first)."""
+
     chosen_index: int
     chosen_value: float
-    rank_before: int
     rank_after: int
 
 
@@ -88,11 +90,7 @@ class SolveResult:
 
     def __post_init__(self):
         rank = 0
-        for number, t in enumerate(self.trace):
-            if (t.step, t.rank_before) != (number, rank):
-                raise InternalVerificationError(
-                    "trace steps must count from 0, each from the previous rank"
-                )
+        for t in self.trace:
             if t.rank_after <= rank:
                 raise InternalVerificationError("trace ranks must strictly increase")
             rank = t.rank_after
@@ -122,6 +120,7 @@ class SolveResult:
         return len(self.trace)
 
     def to_json_dict(self) -> dict:
+        before = [0, *(t.rank_after for t in self.trace)]
         return {
             "schema_version": 1,
             "n": self.n,
@@ -130,7 +129,10 @@ class SolveResult:
             "final_rank": self.final_rank,
             "controllable": self.controllable,
             "backend": self.backend,
-            "trace": [dict(vars(t)) for t in self.trace],
+            "trace": [
+                {"step": k, **vars(t), "rank_before": before[k]}
+                for k, t in enumerate(self.trace)
+            ],
         }
 
     def to_json(self) -> str:
@@ -141,9 +143,9 @@ class SolveResult:
 # rank oracles: ``input_rank(B)`` is the rank of ``C(A, B)`` for the
 # ``sparse_columns`` of ``B``; ``best_probe(j, values)`` is the highest rank
 # of ``C(A, b + value * e_j)`` over ``values``, for the ``b`` last passed to
-# ``begin_sweep``, and the first value, in probe order, that reaches it.
-# The oracles whose ``best_probe`` is ``_probe_each`` rank one value at a
-# time with ``rank_with_vector(j, value)``.
+# ``begin_sweep``, and the first value, in probe order, that reaches it;
+# each oracle scores the values in order through ``_first_best``, which
+# stops at full rank. ``value(x)`` is the oracle's probe arithmetic.
 
 
 def sparse_columns(B: Matrix, value: Callable = Fraction) -> list[tuple]:
@@ -171,11 +173,6 @@ def _first_best(scored: Iterable[tuple[int, object]], top: int) -> tuple[int, ob
     return best_rank, best_value
 
 
-def _probe_each(oracle, j: int, values: Sequence) -> tuple[int, object]:
-    """``best_probe`` by one ``rank_with_vector`` per value, up to full rank."""
-    return _first_best(((oracle.rank_with_vector(j, v), v) for v in values), oracle.n)
-
-
 class _EigenbasisOracle:
     """Exact ranks ``#{i : v_i B != 0}`` over a certified integer eigenbasis.
 
@@ -189,7 +186,6 @@ class _EigenbasisOracle:
     """
 
     path = "eigenbasis"
-    zero = Fraction(0)
     value = Fraction
 
     def __init__(self, basis: list[list[int]]):
@@ -262,7 +258,6 @@ class _KrylovOracle:
     """
 
     path = "bareiss"
-    zero = Fraction(0)
     value = Fraction
 
     def __init__(self, A: RationalMatrix):
@@ -283,17 +278,19 @@ class _KrylovOracle:
         self._scale = scale_to_integers(b)[1]
         self._cols = self._columns(tuple((i, x) for i, x in enumerate(b) if x))
 
-    best_probe = _probe_each
-
-    def rank_with_vector(self, j: int, value: Fraction) -> int:
+    def best_probe(self, j: int, values: Sequence[Fraction]) -> tuple[int, Fraction]:
         # s*q*(b + (p/q) e_j) is q*b_int + s*p*e_j, whose power columns are
         # q*b_int + s*p*A^k e_j
-        q = value.denominator
-        shift = self._scale * value.numerator
-        return _krylov_rank(
-            [q * x + shift * y for x, y in zip(base, unit)]
-            for base, unit in zip(self._cols, self._columns(((j, 1),)))
-        )
+        units = self._columns(((j, 1),))
+
+        def rank(value: Fraction) -> int:
+            q, shift = value.denominator, self._scale * value.numerator
+            return _krylov_rank(
+                [q * x + shift * y for x, y in zip(base, unit)]
+                for base, unit in zip(self._cols, units)
+            )
+
+        return _first_best(((rank(v), v) for v in values), self.n)
 
     def input_rank(self, B: Sequence[tuple]) -> int:
         return _krylov_rank([c for column in B for c in self._columns(column)])
@@ -310,7 +307,6 @@ class _PbhOracle:
     a row mask from ``pbh_reached``, the one PBH threshold.
     """
 
-    zero = 0.0
     value = float
 
     def __init__(self, A: Matrix | EigenSystem):
@@ -324,12 +320,16 @@ class _PbhOracle:
         self._products = self._eig.left_eigenvectors @ vec
         self._norm_sq = float(vec @ vec)
 
-    best_probe = _probe_each
+    def best_probe(self, j: int, values: Sequence[float]) -> tuple[int, float]:
+        # one value at a time: on ER graphs the first probe usually reaches
+        # full rank, and _first_best stops there
+        column = self._eig.left_eigenvectors[:, j]
 
-    def rank_with_vector(self, j: int, value: float) -> int:
-        products = self._products + value * self._eig.left_eigenvectors[:, j]
-        norm_sq = self._norm_sq + value * value
-        return int(np.count_nonzero(pbh_reached(products, float(np.sqrt(norm_sq)))))
+        def rank(value: float) -> int:
+            norm = float(np.sqrt(self._norm_sq + value * value))
+            return int(np.count_nonzero(pbh_reached(self._products + value * column, norm)))
+
+        return _first_best(((rank(v), v) for v in values), self.n)
 
     def _reached_rows(self, column: tuple) -> np.ndarray:
         values = np.array([x for _, x in column], dtype=np.float64)
@@ -350,7 +350,6 @@ class _SvdOracle:
     """Thresholded singular values: ``rank_numeric`` of the input's
     ``controllability_matrix``."""
 
-    zero = 0.0
     value = float
 
     def __init__(self, A: DenseMatrix):
@@ -360,12 +359,13 @@ class _SvdOracle:
     def begin_sweep(self, b: list[float]) -> None:
         self._b = np.asarray(b, dtype=np.float64)
 
-    best_probe = _probe_each
+    def best_probe(self, j: int, values: Sequence[float]) -> tuple[int, float]:
+        def rank(value: float) -> int:
+            v = self._b.copy()
+            v[j] += value
+            return rank_numeric(controllability_matrix(self._A, DenseMatrix(v[:, None])))
 
-    def rank_with_vector(self, j: int, value: float) -> int:
-        v = self._b.copy()
-        v[j] = v[j] + value
-        return rank_numeric(controllability_matrix(self._A, DenseMatrix(v[:, None])))
+        return _first_best(((rank(v), v) for v in values), self.n)
 
     def input_rank(self, B: Sequence[Sequence]) -> int:
         inputs = DenseMatrix(np.array([_dense(c, self.n) for c in B]).T)
@@ -402,7 +402,7 @@ def _greedy(
     new entry of the input vector.
     """
     n = oracle.n
-    b = [oracle.zero] * n
+    b = [oracle.value(0)] * n
     support: list[int] = []
     rank = 0
     trace: list[TraceStep] = []
@@ -415,9 +415,7 @@ def _greedy(
         if not block:
             oracle.begin_sweep(b)
         cap = n - rank
-        best_c = 0
-        best_j = -1
-        best_v = oracle.zero
+        best_c, best_j, best_v = 0, -1, None
         for j in range(n):
             if j in support:
                 continue
@@ -431,8 +429,8 @@ def _greedy(
             break
         b[best_j] = best_v
         support.append(best_j)
-        trace.append(TraceStep(len(trace), best_j, float(best_v), rank, rank + best_c))
         rank += best_c
+        trace.append(TraceStep(best_j, float(best_v), rank))
     return SolveResult(n, backend, tuple(trace))
 
 

@@ -26,8 +26,8 @@ Both builds write ``A`` as an integer matrix ``M`` over one common
 denominator ``L`` and certify it with one shared integer product,
 ``W M == L diag(1..n) W`` for integer left-eigenvector rows ``W``. The plain
 build conjugates: an integer ``U`` with ``W U = L I``, the closed-form
-inverse of the eigenvector matrix (certified as a right inverse in
-integers, no elimination), gives ``M = U diag(1..n) W``. The symmetric build
+inverse of the eigenvector matrix (no elimination, and proved by the
+certificate), gives ``M = U diag(1..n) W``. The symmetric build
 pads ``W`` with its pair columns, completes the rows to an orthogonal
 eigenvector matrix, takes their primitive rows, and with ``L`` the lcm of
 the squared norms sums the symmetric ``M = sum_k k (L / |w_k|^2) w_k^T w_k``
@@ -235,16 +235,16 @@ def eigenvector_matrix_inverse(inst: HittingSetInstance) -> RationalMatrix:
     anchor column; the anchor row is itself. Same sparsity pattern as the
     matrix it inverts, except the anchor column.
     """
-    return RationalMatrix.from_integers(*_inverse_rows(inst, _eigenvector_rows(inst)))
+    U, L = _inverse_rows(inst)
+    scaled_identity = [[L if j == i else 0 for j in range(len(U))] for i in range(len(U))]
+    # a square matrix's right inverse is its inverse
+    if integer_product(_eigenvector_rows(inst), U) != scaled_identity:
+        raise InternalVerificationError("closed-form inverse is not a right inverse")
+    return RationalMatrix.from_integers(U, L)
 
 
-def _inverse_rows(inst: HittingSetInstance, W: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Integer ``U`` and ``L`` with ``U / L`` the inverse of the integer rows ``W``.
-
-    ``W`` is ``_eigenvector_rows(inst)``, and the closed form is certified
-    against it: a square matrix's right inverse is its inverse, so
-    ``W U == L I`` is the check.
-    """
+def _inverse_rows(inst: HittingSetInstance) -> tuple[list[list[int]], int]:
+    """Integer ``U`` and ``L`` with ``U / L`` the (unchecked) inverse of ``_eigenvector_rows``."""
     m = inst.ground_size
     n = inst.state_dim
     # Integer numerators over the one denominator L = 2(m+1).
@@ -265,8 +265,6 @@ def _inverse_rows(inst: HittingSetInstance, W: list[list[int]]) -> tuple[list[li
     last = [0] * n
     last[n - 1] = L
     U.append(last)
-    if integer_product(W, U) != [[L if j == i else 0 for j in range(n)] for i in range(n)]:
-        raise InternalVerificationError("closed-form inverse is not a right inverse")
     return U, L
 
 
@@ -275,7 +273,7 @@ def _conjugated_diagonal(W: list[list[int]], U: list[list[int]], L: int) -> Rati
 
     ``W`` holds the left eigenvectors, any positive row scaling of ``V``.
     ``A`` is certified by ``_certify_left_eigenvectors``, which holds only if
-    ``W U == L I``.
+    ``W U == L I`` (``W`` is invertible), so ``U`` needs no check of its own.
     """
     M = integer_product([[x * (k + 1) for k, x in enumerate(row)] for row in U], W)
     _certify_left_eigenvectors(W, M, L)
@@ -301,7 +299,7 @@ def build_reduction(inst: HittingSetInstance) -> ReductionOutput:
     is always needed).
     """
     W = _eigenvector_rows(inst)
-    A = _conjugated_diagonal(W, *_inverse_rows(inst, W))
+    A = _conjugated_diagonal(W, *_inverse_rows(inst))
     return ReductionOutput(inst, RationalMatrix.from_integers(W, 1), A)
 
 

@@ -114,6 +114,28 @@ def test_best_probe_is_first_argmax_of_exact_ranks(path, system, data):
     assert oracle.best_probe(j, values) == (best, values[ranks.index(best)])
 
 
+@pytest.mark.parametrize("path", EXACT_PATHS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SYSTEMS, st.data())
+def test_unit_input_rank_is_monotone_and_submodular(path, system, data):
+    # f(S) = rank C(A, I_S) is the dimension of the sum of the Krylov spaces
+    # K(e_s), s in S, so the diagonal greedy is greedy submodular cover
+    A, _ = system
+    oracle = _oracle(path, A)
+    n = A.rows
+
+    def f(S) -> int:
+        return oracle.input_rank([((s, 1),) for s in sorted(S)])
+
+    T = data.draw(st.sets(st.integers(0, n - 1)), label="T")
+    S = data.draw(st.sets(st.sampled_from(sorted(T))) if T else st.just(set()), label="S in T")
+    x = data.draw(st.integers(0, n - 1).filter(lambda x: x not in T) if len(T) < n else st.none())
+    assert f(set()) == 0
+    assert f(S) <= f(T) <= n
+    if x is not None:
+        assert f(S | {x}) - f(S) >= f(T | {x}) - f(T) >= 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(SYSTEMS)
 def test_solves_identical_on_every_path(system):

@@ -130,12 +130,15 @@ def test_deterministic_equals_randomized_on_distinct_spectra():
 def test_trace_monotone_and_short(paper_instance):
     red = build_reduction(paper_instance)
     result = deterministic_greedy_vector(red.system_matrix, "exact")
-    ranks = [t.rank_before for t in result.trace] + [result.final_rank]
+    ranks = [0] + [t.rank_after for t in result.trace]
     assert all(a < b for a, b in zip(ranks, ranks[1:]))
     assert len(result.trace) <= result.n
-    assert result.trace[0].rank_before == 0
     assert result.trace[-1].rank_after == result.final_rank
-    assert [t.step for t in result.trace] == list(range(len(result.trace)))
+    # the JSON trace numbers each step and gives the rank before it
+    trace = result.to_json_dict()["trace"]
+    assert [t["step"] for t in trace] == list(range(len(result.trace)))
+    assert [t["rank_before"] for t in trace] == ranks[:-1]
+    assert [t["rank_after"] for t in trace] == ranks[1:]
 
 
 def test_rank_evaluations_per_sweep_bounded(monkeypatch):
@@ -248,14 +251,12 @@ def test_solve_result_json_round_trip():
 @pytest.mark.parametrize(
     "trace, message",
     [
-        # (step, chosen_index, chosen_value, rank_before, rank_after)
-        ([(0, 2, 1.0, 0, 1), (1, 2, 1.0, 1, 2)], "duplicate support index"),
-        ([(1, 0, 1.0, 0, 1)], "count from 0"),
-        ([(0, 0, 1.0, 0, 1), (1, 1, 1.0, 0, 2)], "previous rank"),
-        ([(0, 0, 1.0, 0, 1), (1, 1, 1.0, 1, 1)], "strictly increase"),
-        ([(0, 0, 1.0, 0, 2), (1, 1, 1.0, 2, 4)], "exceeds n"),
+        # (chosen_index, chosen_value, rank_after)
+        ([(2, 1.0, 1), (2, 1.0, 2)], "duplicate support index"),
+        ([(0, 1.0, 1), (1, 1.0, 1)], "strictly increase"),
+        ([(0, 1.0, 2), (1, 1.0, 4)], "exceeds n"),
     ],
-    ids=["repeated-index", "step-number", "rank-gap", "no-rank-gain", "above-n"],
+    ids=["repeated-index", "no-rank-gain", "above-n"],
 )
 def test_solve_result_rejects_inconsistent_trace(trace, message):
     with pytest.raises(InternalVerificationError, match=message):
@@ -266,7 +267,7 @@ def test_solve_result_reads_everything_off_its_trace():
     empty = SolveResult(3, "exact", ())
     assert empty.final_rank == 0 and empty.support == () and empty.values == ()
     assert empty.controllable is False and empty.sparsity == 0
-    solved = SolveResult(3, "pbh", (TraceStep(0, 2, 0.5, 0, 2), TraceStep(1, 0, 1.0, 2, 3)))
+    solved = SolveResult(3, "pbh", (TraceStep(2, 0.5, 2), TraceStep(0, 1.0, 3)))
     assert (solved.support, solved.values) == ((2, 0), (0.5, 1.0))
     assert solved.final_rank == 3 and solved.controllable and solved.sparsity == 2
 
@@ -355,6 +356,53 @@ def test_pbh_input_rank_of_one_entry_columns_is_the_dense_count(paper_A, system)
         B[support, range(len(support))] = values
         columns = [((j, v),) for j, v in zip(support, values)]
         assert oracle.input_rank(columns) == pbh_controllability_rank(eig, DenseMatrix(B))
+
+
+@pytest.mark.parametrize("backend", ["pbh", "svd"])
+@pytest.mark.parametrize("system", ["golden", "er12", "diag"])
+def test_float_best_probe_is_first_argmax_of_single_probes(paper_A, backend, system):
+    A = {
+        "golden": paper_A.to_dense(),
+        "er12": sample_er_digraph(12, 0.4, 7),
+        "diag": DenseMatrix.diagonal([1.0, 2.0, 3.0, 4.0]),
+    }[system]
+    oracle = rank_oracle(A, backend)
+    n = oracle.n
+    W = left_eigensystem(A).left_eigenvectors
+    real_rows = [w.real for w in W if not np.iscomplex(w).any()]
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(40):
+        b = [rng.choice([0.0, 0.0, 1.0, -2.0, 0.5]) for _ in range(n)]
+        j = rng.randrange(n)
+        # a real row's root -(w_i b) / w_ij loses that row
+        roots = [-(w @ b) / w[j] for w in real_rows if abs(w[j]) > 1e-3]
+        pool = [0.0, 1.0, 2.0, -0.5, *rng.sample(roots, min(2, len(roots)))]
+        values = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+        oracle.begin_sweep(b)
+        ranks = [oracle.best_probe(j, (v,))[0] for v in values]
+        best = max(ranks)
+        assert oracle.best_probe(j, values) == (best, values[ranks.index(best)])
+        ties += len(set(ranks)) > 1 and ranks.index(best) > 0
+    assert ties  # some draws have their best after a lower-ranked value
+
+
+def test_pbh_best_probe_stops_at_the_first_full_rank_value(monkeypatch):
+    # the left eigenvectors of [[1, 1], [0, 2]] are (1, -1) and (0, 1), up to
+    # scale; from b = (1, 0), the value v at coordinate 1 reaches the first
+    # unless v = 1 and the second unless v = 0, so 2.0 is the first at rank 2
+    oracle = rank_oracle(DenseMatrix([[1.0, 1.0], [0.0, 2.0]]), "pbh")
+    scored = []
+    reached = minctrl.greedy.pbh_reached
+
+    def counting(products, norms):
+        scored.append(np.size(products) // oracle.n)  # probes in this call
+        return reached(products, norms)
+
+    monkeypatch.setattr(minctrl.greedy, "pbh_reached", counting)
+    oracle.begin_sweep([1.0, 0.0])
+    assert oracle.best_probe(1, (0.0, 1.0, 2.0, 3.0, 4.0)) == (2, 2.0)
+    assert sum(scored) == 3
 
 
 # The exact oracle the solvers get, against the exact rank of the

@@ -467,7 +467,8 @@ def test_closed_form_inverse_certified_as_right_inverse(monkeypatch, paper_insta
     monkeypatch.setattr(minctrl.reductions, "_eigenvector_rows", lambda inst: W)
     with pytest.raises(InternalVerificationError, match="right inverse"):
         eigenvector_matrix_inverse(paper_instance)
-    with pytest.raises(InternalVerificationError, match="right inverse"):
+    # the build proves W U == L I through its certificate
+    with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
         build_reduction(paper_instance)
 
 
@@ -475,8 +476,8 @@ def test_closed_form_inverse_certified_as_right_inverse(monkeypatch, paper_insta
 def test_corrupted_inverse_fails_left_eigenvector_identity(monkeypatch, paper_instance, entry):
     certified = minctrl.reductions._inverse_rows
 
-    def corrupted(inst, W):
-        U, L = certified(inst, W)
+    def corrupted(inst):
+        U, L = certified(inst)
         return _perturbed(U, *entry), L
 
     monkeypatch.setattr(minctrl.reductions, "_inverse_rows", corrupted)
@@ -519,9 +520,9 @@ def test_builds_stay_in_integers(monkeypatch, paper_instance):
     calls = _spy_on_builds(monkeypatch)
     for inst, n in [(paper_instance, 8), (planted, 22)]:
         assert build_reduction(inst).system_matrix.rows == n
-        # one row build; the right-inverse check, the conjugation and the
-        # certificate; no scale_to_integers or integer_form
-        assert calls == Counter(_eigenvector_rows=1, integer_product=3)
+        # one row build; the conjugation and the certificate, which also
+        # proves the inverse; no scale_to_integers or integer_form
+        assert calls == Counter(_eigenvector_rows=1, integer_product=2)
         calls.clear()
     for sets, r in [((2, [[1, 2]]), 11), ((3, [[1, 2], [2, 3]]), 22)]:
         sym = build_symmetric_extension(HittingSetInstance.from_sets(*sets))
