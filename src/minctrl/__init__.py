@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 # The CLI's parser reads these without executing ``greedy`` or ``experiments``,
 # which take them from here.
-RANK_BACKENDS = ("exact", "pbh", "svd")
+RANK_BACKENDS = ("exact", "pbh")
 DEFAULT_SEED = 1729
 
 # public name -> the submodule that defines it
@@ -51,7 +51,6 @@ _EXPORTS = {
     "pbh_controllability_rank": "linalg",
     "pbh_support_test": "linalg",
     "rank_exact": "linalg",
-    "rank_numeric": "linalg",
     "DenseMatrix": "matrices",
     "RationalMatrix": "matrices",
     "load_matrix": "matrices",

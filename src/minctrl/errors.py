@@ -26,7 +26,7 @@ class EnumerationGuardError(InvalidInputError):
 
 
 class NumericBackendError(MinctrlError, RuntimeError):
-    """Numeric factorization failure (eigensolver or SVD did not converge)."""
+    """Numeric factorization failure (the eigensolver did not converge)."""
 
     def __init__(self, message: str, matrix_hash: str | None = None):
         if matrix_hash is not None:

@@ -19,10 +19,9 @@ candidate is scored:
 ``rank_oracle`` gives the backend's oracle, which ranks any input matrix
 (``input_rank``) and scores a coordinate's probes in one call
 (``best_probe``). ``"pbh"`` counts eigenvectors non-orthogonal to the
-candidate (distinct eigenvalues only; far better conditioned than SVD on the
-controllability matrix) and ``"svd"`` thresholds singular values.
-``"exact"`` counts the same over integer left eigenvectors of n distinct
-eigenvalues that ``certified_left_eigenbasis`` proves, as every plain
+candidate (distinct eigenvalues only; far better conditioned than a float
+rank of the controllability matrix). ``"exact"`` counts the same over
+integer left eigenvectors of n distinct eigenvalues that ``certified_left_eigenbasis`` proves, as every plain
 hitting-set reduction has them; then all the probes of a coordinate cost
 one pass over the nonzeros of its column. Without them (a repeated, complex
 or irrational eigenvalue, a Jordan block, or an eigenvector with a large
@@ -50,10 +49,8 @@ from minctrl.errors import InternalVerificationError, InvalidInputError, is_inte
 from minctrl.linalg import (
     EigenSystem,
     certified_left_eigenbasis,
-    controllability_matrix,
     left_eigensystem,
     pbh_reached,
-    rank_numeric,
 )
 from minctrl.matrices import (
     DenseMatrix,
@@ -346,32 +343,6 @@ class _PbhOracle:
         return int(np.count_nonzero(reached))
 
 
-class _SvdOracle:
-    """Thresholded singular values: ``rank_numeric`` of the input's
-    ``controllability_matrix``."""
-
-    value = float
-
-    def __init__(self, A: DenseMatrix):
-        self.n = A.rows
-        self._A = A
-
-    def begin_sweep(self, b: list[float]) -> None:
-        self._b = np.asarray(b, dtype=np.float64)
-
-    def best_probe(self, j: int, values: Sequence[float]) -> tuple[int, float]:
-        def rank(value: float) -> int:
-            v = self._b.copy()
-            v[j] += value
-            return rank_numeric(controllability_matrix(self._A, DenseMatrix(v[:, None])))
-
-        return _first_best(((rank(v), v) for v in values), self.n)
-
-    def input_rank(self, B: Sequence[Sequence]) -> int:
-        inputs = DenseMatrix(np.array([_dense(c, self.n) for c in B]).T)
-        return rank_numeric(controllability_matrix(self._A, inputs))
-
-
 def rank_oracle(A: Matrix | EigenSystem, backend: str):
     """The ``backend`` oracle for ``A``: ``"exact"`` prefers a certified eigenbasis."""
     if backend not in RANK_BACKENDS:
@@ -380,11 +351,9 @@ def rank_oracle(A: Matrix | EigenSystem, backend: str):
         )
     if backend == "pbh":
         return _PbhOracle(A)
-    A = as_rational(A) if backend == "exact" else as_dense(A)
+    A = as_rational(A)
     if A.cols != A.rows:
         raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
-    if backend == "svd":
-        return _SvdOracle(A)
     basis = certified_left_eigenbasis(A)
     return _KrylovOracle(A) if basis is None else _EigenbasisOracle(basis)
 

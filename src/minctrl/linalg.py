@@ -7,8 +7,8 @@ and an input vector `b`:
 * which left eigenvectors of `A` are orthogonal to `b` (the PBH test).
 
 Both an exact-rational backend (fraction-free elimination, zero tolerance)
-and a numeric backend (SVD thresholding, eigenvector counting) are provided;
-the numeric path exists because the raw controllability-matrix rank is badly
+and a numeric backend (eigenvector counting) are provided; the numeric
+backend counts because the raw controllability-matrix rank is badly
 conditioned for floats, while counting eigenvector orthogonality is not.
 
 The eigenvector count is ``pbh_controllability_rank``, for a matrix with one
@@ -41,6 +41,7 @@ from minctrl.matrices import (
     Matrix,
     RationalMatrix,
     as_dense,
+    as_rational,
     integer_form,
     integer_product,
     primitive_vector,
@@ -59,58 +60,24 @@ DEFAULT_ORTH_TOL_SCALE = 1e-8
 # exact check, not the rounding, decides.
 EIGENBASIS_MAX_DENOMINATOR = 10**6
 
-def controllability_matrix(A: Matrix, B: Matrix) -> Matrix:
-    """Horizontal stack of ``B, AB, A^2 B, ..., A^{n-1} B``.
+def controllability_matrix(A: Matrix, B: Matrix) -> RationalMatrix:
+    """Horizontal stack of ``B, AB, A^2 B, ..., A^{n-1} B``, exactly.
 
-    `A` must be square and `B` must have matching row count. Dense inputs
-    give a dense result, and a power ``A^k B`` that overflows float64 is
-    invalid input; rational inputs stay exact.
+    `A` must be square and `B` must have matching row count. Both are taken
+    with ``as_rational``, which converts every float exactly, so the result
+    is a ``RationalMatrix``.
     """
-    dense = isinstance(A, DenseMatrix) and isinstance(B, DenseMatrix)
-    if not dense and not (
-        isinstance(A, RationalMatrix) and isinstance(B, RationalMatrix)
-    ):
-        raise InvalidInputError("A and B must both be dense or both be rational")
+    A, B = as_rational(A), as_rational(B)
     n = A.rows
     if A.cols != n:
         raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
     if B.rows != n:
         raise InvalidInputError(f"B has {B.rows} rows but A is {n}x{n}")
-    if dense:
-        m = B.cols
-        out = np.zeros((n, n * m))
-        out[:, :m] = B.array
-        for k in range(1, n):
-            block = A.array @ out[:, (k - 1) * m : k * m]
-            if not np.all(np.isfinite(block)):
-                raise InvalidInputError(
-                    f"A^{k} B overflowed float64: controllability matrix "
-                    "entries must be finite"
-                )
-            out[:, k * m : (k + 1) * m] = block
-        return DenseMatrix(out)
     blocks = [B]
     for _ in range(1, n):
         blocks.append(A @ blocks[-1])
     rows = [tuple(x for blk in blocks for x in blk.row(i)) for i in range(n)]
     return RationalMatrix(tuple(rows))
-
-
-def rank_numeric(M: DenseMatrix | np.ndarray) -> int:
-    """Number of singular values above ``max(rows, cols) * sigma_max * eps``.
-
-    The cutoff is relative to the largest singular value, so scaling ``M``
-    does not change its rank.
-    """
-    arr = M.array if isinstance(M, DenseMatrix) else np.asarray(M)
-    try:
-        sigma = np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericBackendError(f"SVD failed: {exc}") from exc
-    if sigma.size == 0:
-        return 0
-    threshold = max(arr.shape) * sigma[0] * np.finfo(np.float64).eps
-    return int(np.count_nonzero(sigma > threshold))
 
 
 def rank_exact(M: RationalMatrix) -> int:

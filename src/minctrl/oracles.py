@@ -137,10 +137,10 @@ def controllability_rank(A: Matrix, B: Matrix, rank_backend: str = "exact") -> i
 
     The ``input_rank`` of ``rank_oracle(A, rank_backend)``: ``"exact"``
     counts over a certified eigenbasis, else eliminates integer Krylov
-    columns; ``"svd"`` thresholds singular values; ``"pbh"`` counts the left
-    eigenvectors of ``A`` not orthogonal to some column of ``B`` (distinct
-    spectra only; see ``pbh_controllability_rank``). ``B`` needs one row per
-    state for every backend: a ``1 x n`` ``B`` is rejected, not read as a column.
+    columns; ``"pbh"`` counts the left eigenvectors of ``A`` not orthogonal
+    to some column of ``B`` (distinct spectra only; see
+    ``pbh_controllability_rank``). ``B`` needs one row per state for every
+    backend: a ``1 x n`` ``B`` is rejected, not read as a column.
     """
     oracle = greedy.rank_oracle(A, rank_backend)
     columns = greedy.sparse_columns(B, oracle.value)

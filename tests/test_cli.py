@@ -330,21 +330,19 @@ def test_unusable_output_path_is_invalid_input(workdir, capsys, monkeypatch, arg
     ],
     ids=["solve-vector", "solve-diagonal", "verify"],
 )
-def test_svd_controllability_matrix_overflow_is_invalid_input(
-    workdir, capsys, monkeypatch, args
-):
-    # A^2 overflows float64; every svd rank goes through the one
-    # controllability matrix, which rejects non-finite entries
+def test_exact_backend_answers_powers_past_float64(workdir, capsys, monkeypatch, args):
+    # A^2 overflows float64, but every float is an exact rational, so the
+    # exact backend ranks these powers as it ranks any others
     monkeypatch.chdir(workdir)
     (workdir / "A.json").write_text(
         json.dumps({"rows": 3, "cols": 3, "data": [1e200, 1, 0, 0, 2e200, 1, 0, 0, 3e200]})
     )
     (workdir / "b.json").write_text(json.dumps({"rows": 3, "cols": 1, "data": [1, 1, 1]}))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert run(*args, "--backend", "svd") == 2
-    err = capsys.readouterr().err
-    assert "must be finite" in err
-    assert "overflow" in err
+    assert run(*args, "--backend", "exact") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["controllable"] is True
+    if args[0] == "solve":
+        assert payload["support"] == [2]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -386,7 +384,7 @@ def test_verify_dimension_mismatch(workdir, capsys):
     assert run("verify", workdir / "diag123.json", workdir / "eye2.json") == 2
 
 
-@pytest.mark.parametrize("backend", ("exact", "pbh", "svd"))
+@pytest.mark.parametrize("backend", ("exact", "pbh"))
 def test_verify_rejects_non_square_matrix(workdir, capsys, backend):
     (workdir / "wide.json").write_text(
         json.dumps({"rows": 2, "cols": 3, "data": [1, 0, 0, 0, 2, 0]})
@@ -485,12 +483,23 @@ def test_experiment_csv_output(workdir, capsys):
 
 
 def test_default_backend_env(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("MINCTRL_BACKEND", "svd")
+    monkeypatch.setenv("MINCTRL_BACKEND", "pbh")
     assert run("solve", workdir / "diag123.json") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["backend"] == "svd"
-    monkeypatch.setenv("MINCTRL_BACKEND", "bogus")
-    assert run("solve", workdir / "diag123.json") == 2
+    assert payload["backend"] == "pbh"
+    for name in ("svd", "bogus"):
+        monkeypatch.setenv("MINCTRL_BACKEND", name)
+        assert run("solve", workdir / "diag123.json") == 2
+        assert capsys.readouterr().err == (
+            f"error: MINCTRL_BACKEND={name!r} is not one of ('exact', 'pbh')\n"
+        )
+
+
+def test_svd_backend_is_not_a_choice(workdir, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("solve", workdir / "diag123.json", "--backend", "svd")
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'svd'" in capsys.readouterr().err
 
 
 def test_solve_writes_output_file(workdir, capsys):
@@ -501,7 +510,7 @@ def test_solve_writes_output_file(workdir, capsys):
     assert payload["trace"]
 
 
-@pytest.mark.parametrize("backend", ["exact", "svd"])
+@pytest.mark.parametrize("backend", ["exact", "pbh"])
 def test_solve_negative_seed_rejected(workdir, capsys, backend):
     matrix = workdir / "diag12.json"
     matrix.write_text(json.dumps({"rows": 2, "cols": 2, "data": [1, 0, 0, 2]}))

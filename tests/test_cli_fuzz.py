@@ -143,7 +143,7 @@ def command(draw):
     A = "A" + suffix
     if name == "oracle":
         return ["oracle", A, "--kind", kind], {A: text}
-    backend = ["--backend", draw(st.sampled_from(["exact", "pbh", "svd"]))]
+    backend = ["--backend", draw(st.sampled_from(["exact", "pbh"]))]
     if name == "solve":
         mode = ["--mode", draw(st.sampled_from(["vector", "diagonal"]))]
         algo = ["--algo", draw(st.sampled_from(["det", "rand"]))]

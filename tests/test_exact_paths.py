@@ -3,7 +3,8 @@
 Each property runs over every family of ``SYSTEMS`` and every path of
 ``EXACT_PATHS``, skipping a path that does not apply to the drawn system.
 Ranks are checked against ``rank_exact`` of the controllability matrix,
-never against another path; solves are checked across paths.
+never against another path; solves are checked across paths, and on a
+nonderogatory ``A`` across the vector and diagonal solvers.
 """
 
 import random
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import minctrl.greedy
 from helpers import random_unimodular
-from minctrl.greedy import rank_oracle, sparse_columns
+from minctrl.greedy import deterministic_greedy_vector, greedy_diagonal, rank_oracle, sparse_columns
 from minctrl.linalg import certified_left_eigenbasis, controllability_matrix, rank_exact
 from minctrl.matrices import RationalMatrix
 from minctrl.oracles import controllability_rank
@@ -149,3 +150,37 @@ def test_solves_identical_on_every_path(system):
             mp.setattr(minctrl.greedy, "rank_oracle", lambda A, _backend: EXACT_PATHS[path](A))
             solves.append({name: solve(A).to_json() for name, solve in SOLVERS.items()})
     assert all(s == solves[0] for s in solves)
+
+
+def _nonderogatory(A: RationalMatrix) -> bool:
+    """Whether the minimal polynomial of ``A`` has degree n: the flattened
+    powers ``I, A, ..., A^{n-1}`` are independent."""
+    n = A.rows
+    powers, power = [], RationalMatrix.identity(n)
+    for _ in range(n):
+        powers.append([x for row in power.data for x in row])
+        power = power @ A
+    return rank_exact(RationalMatrix.from_rows(powers)) == n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SYSTEMS)
+def test_vector_and_diagonal_greedy_agree_on_nonderogatory_a(system):
+    # on a cyclic A a generic vector supported on S reaches rank C(A, I_S),
+    # and one of det's 2n + 1 probes is generic enough, so the two sweeps
+    # score every candidate alike and commit the same steps
+    A, _ = system
+    assume(_nonderogatory(A))
+    vector, diagonal = deterministic_greedy_vector(A, "exact"), greedy_diagonal(A, "exact")
+    assert vector.support == diagonal.support
+    assert [t.rank_after for t in vector.trace] == [t.rank_after for t in diagonal.trace]
+
+
+def test_vector_and_diagonal_greedy_differ_on_a_derogatory_a():
+    # the eigenvalue 1 has a two-dimensional eigenspace: one vector input
+    # reaches only one direction of it, a diagonal input both
+    A = RationalMatrix.diagonal([1, 1, 2])
+    assert not _nonderogatory(A)
+    vector, diagonal = deterministic_greedy_vector(A, "exact"), greedy_diagonal(A, "exact")
+    assert (vector.support, [t.rank_after for t in vector.trace]) == ((0, 2), [1, 2])
+    assert (diagonal.support, diagonal.final_rank) == ((0, 1, 2), 3)

@@ -55,7 +55,7 @@ SOLVERS = {
     "diag": lambda A, backend: greedy_diagonal(A, backend),
 }
 
-BACKENDS = ("exact", "pbh", "svd")
+BACKENDS = ("exact", "pbh")
 
 CASES = [
     f"{matrix}-{solver}-{backend}"

@@ -39,7 +39,7 @@ SYSTEMS = {
     "eye2": (DenseMatrix.identity(2), {"unctrb": [1.0, 1.0]}),
 }
 
-BACKENDS = ("exact", "pbh", "svd")
+BACKENDS = ("exact", "pbh")
 
 CASES = [
     (system, b_name, orientation, backend)

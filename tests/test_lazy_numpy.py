@@ -187,7 +187,7 @@ PUBLIC = {
     "greedy": "SolveResult TraceStep deterministic_greedy_vector greedy_diagonal"
     " randomized_greedy_vector",
     "linalg": "EigenSystem controllability_matrix left_eigensystem"
-    " pbh_controllability_rank pbh_support_test rank_exact rank_numeric",
+    " pbh_controllability_rank pbh_support_test rank_exact",
     "matrices": "DenseMatrix RationalMatrix load_matrix save_matrix",
     "oracles": "OracleResult brute_force_hitting_set brute_force_min_diagonal_support"
     " brute_force_min_vector_support controllability_rank kalman_test",
@@ -206,7 +206,7 @@ print(json.dumps(sorted(set(names) - {"__builtins__"})))
 """
     bound = json.loads(_python(script, cwd=tmp_path))
     expected = {*PUBLIC, *(name for names in PUBLIC.values() for name in names.split())}
-    assert len(bound) == 51
+    assert len(bound) == 50
     assert set(bound) == expected
 
 

@@ -21,7 +21,6 @@ from minctrl.linalg import (
     pbh_controllability_rank,
     pbh_support_test,
     rank_exact,
-    rank_numeric,
 )
 from minctrl.matrices import DenseMatrix, RationalMatrix
 from minctrl.oracles import controllability_rank
@@ -34,15 +33,20 @@ def test_ctrb_identity():
     C = controllability_matrix(
         DenseMatrix.identity(2), DenseMatrix.from_rows([[1], [0]])
     )
-    assert C == DenseMatrix.from_rows([[1, 1], [0, 0]])
-    assert rank_numeric(C) == 1
+    assert C == RationalMatrix.from_rows([[1, 1], [0, 0]])
+    assert rank_exact(C) == 1
 
 
 def test_ctrb_diagonal():
     C = controllability_matrix(
         DenseMatrix.diagonal([1, 2]), DenseMatrix.from_rows([[1], [1]])
     )
-    assert C == DenseMatrix.from_rows([[1, 1], [1, 2]])
+    assert C == RationalMatrix.from_rows([[1, 1], [1, 2]])
+    # a float converts exactly, and the two inputs need not be of one kind
+    C = controllability_matrix(
+        DenseMatrix.diagonal([0.1, 2]), RationalMatrix.from_rows([[1], [1]])
+    )
+    assert C == RationalMatrix.from_rows([[1, Fraction(0.1)], [1, 2]])
 
 
 def test_ctrb_paper_example_full_rank(paper_A):
@@ -68,7 +72,7 @@ def test_ctrb_matrix_input_block_order():
     A = DenseMatrix.from_rows([[0, 1], [0, 0]])
     B = DenseMatrix.from_rows([[1, 0], [0, 1]])
     C = controllability_matrix(A, B)
-    assert C == DenseMatrix.from_rows([[1, 0, 0, 1], [0, 1, 0, 0]])
+    assert C == RationalMatrix.from_rows([[1, 0, 0, 1], [0, 1, 0, 0]])
 
 
 # --- ranks -------------------------------------------------------------------
@@ -79,28 +83,6 @@ def test_rank_exact_basics(paper_V):
     assert rank_exact(paper_V) == 8
 
 
-def test_rank_numeric_basics(paper_V):
-    assert rank_numeric(DenseMatrix.identity(2)) == 2
-    assert rank_numeric(paper_V.to_dense()) == 8
-
-
-def test_rank_numeric_near_singular_default_policy():
-    eps = 1e-15
-    arr = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
-    # derive the expectation before relying on it: the small singular value
-    # must sit below the default threshold and the large one above it
-    sigma = np.linalg.svd(arr, compute_uv=False)
-    threshold = 2 * sigma[0] * np.finfo(np.float64).eps
-    assert sigma[1] < threshold < sigma[0]
-    assert rank_numeric(DenseMatrix(arr)) == 1
-
-
-def test_rank_numeric_cutoff_is_relative():
-    m = DenseMatrix.diagonal([1.0, 1e-6])
-    assert rank_numeric(m) == 2
-    assert rank_numeric(DenseMatrix(1e-9 * m.array)) == 2
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 8),
@@ -108,14 +90,14 @@ def test_rank_numeric_cutoff_is_relative():
     st.booleans(),
 )
 def test_rank_exact_matches_numeric_on_small_integers(n, seed, deficient):
-    # integer entries of magnitude <= 1000 convert to float exactly, so the
-    # two backends must agree after conversion
+    # integer entries of magnitude <= 1000 convert to float exactly, so
+    # numpy's float rank is an independent reference for the exact one
     rng = random.Random(seed)
     rows = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
     if deficient:
         rows[-1] = [x + y for x, y in zip(rows[0], rows[1 % n])]
     exact = rank_exact(RationalMatrix.from_rows(rows))
-    numeric = rank_numeric(DenseMatrix.from_rows(rows))
+    numeric = int(np.linalg.matrix_rank(np.array(rows, dtype=np.float64)))
     assert exact == numeric
 
 

@@ -13,12 +13,7 @@ import minctrl.oracles
 from helpers import random_instance, random_invertible_rational
 from minctrl.errors import EnumerationGuardError, InvalidInputError, MinctrlError
 from minctrl.greedy import RANK_BACKENDS
-from minctrl.linalg import (
-    controllability_matrix,
-    left_eigensystem,
-    pbh_controllability_rank,
-    rank_numeric,
-)
+from minctrl.linalg import left_eigensystem, pbh_controllability_rank
 from minctrl.matrices import DenseMatrix, RationalMatrix, as_dense
 from minctrl.oracles import (
     brute_force_hitting_set,
@@ -206,7 +201,7 @@ def test_witness_certified():
 
 def test_kalman_basics(paper_A):
     assert kalman_test(
-        DenseMatrix.diagonal([1, 2]), DenseMatrix.from_rows([[1], [1]]), "svd"
+        DenseMatrix.diagonal([1, 2]), DenseMatrix.from_rows([[1], [1]]), "pbh"
     )
     assert not kalman_test(
         DenseMatrix.identity(2), DenseMatrix.from_rows([[1], [1]]), "exact"
@@ -216,7 +211,7 @@ def test_kalman_basics(paper_A):
     assert kalman_test(paper_A.to_dense(), b.to_dense(), "pbh")
 
 
-@pytest.mark.parametrize("backend", ("exact", "pbh", "svd"))
+@pytest.mark.parametrize("backend", RANK_BACKENDS)
 def test_kalman_rejects_non_matrices(backend):
     with pytest.raises(InvalidInputError):
         kalman_test(np.eye(2), np.ones((2, 1)), backend)
@@ -269,7 +264,7 @@ def test_kalman_backends_agree_on_multi_column_inputs():
             ]
             rng.shuffle(cols)
             B = RationalMatrix.from_rows([list(row) for row in zip(*cols)])
-            answers = {kalman_test(A, B, backend) for backend in ("exact", "pbh", "svd")}
+            answers = {kalman_test(A, B, backend) for backend in RANK_BACKENDS}
             assert len(answers) == 1
             outcomes.append(answers.pop())
     assert True in outcomes and False in outcomes
@@ -279,7 +274,7 @@ def test_controllability_rank_backends_agree(paper_A):
     b = RationalMatrix.from_rows([[1], [0], [0], [0], [0], [0], [0], [0]])
     ranks = {controllability_rank(paper_A, b, backend) for backend in RANK_BACKENDS}
     assert ranks == {4}
-    with pytest.raises(InvalidInputError, match=r"\('exact', 'pbh', 'svd'\)"):
+    with pytest.raises(InvalidInputError, match=r"\('exact', 'pbh'\)"):
         controllability_rank(paper_A, b, "cholesky")
 
 
@@ -293,8 +288,8 @@ def test_controllability_rank_rejects_row_b_for_every_backend(backend):
     assert controllability_rank(A, DenseMatrix.from_rows([[1], [1], [1]]), backend) == 3
 
 
-# The pbh and svd backends of ``controllability_rank`` go through the greedy
-# solvers' rank oracles; they must still return what their own formulas give.
+# The pbh backend of ``controllability_rank`` goes through the greedy
+# solvers' rank oracle; it must still return what its own formula gives.
 
 _entries = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 0.5, 2.0, -3.25, 7.0])
 
@@ -319,9 +314,6 @@ def test_numeric_backends_match_their_formulas(data):
     if data.draw(st.booleans(), label="rational inputs"):
         A, B = A.to_rational(), B.to_rational()
     dense_A, dense_B = as_dense(A), as_dense(B)
-    assert controllability_rank(A, B, "svd") == rank_numeric(
-        controllability_matrix(dense_A, dense_B)
-    )
     try:
         expected = pbh_controllability_rank(left_eigensystem(dense_A), dense_B)
     except MinctrlError as exc:
