@@ -49,7 +49,6 @@ _EXPORTS = {
     "controllability_matrix": "linalg",
     "left_eigensystem": "linalg",
     "pbh_controllability_rank": "linalg",
-    "pbh_support_test": "linalg",
     "rank_exact": "linalg",
     "DenseMatrix": "matrices",
     "RationalMatrix": "matrices",

@@ -26,7 +26,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from minctrl import np
 from minctrl._kernels import integer_rank
@@ -276,18 +275,3 @@ def certified_left_eigenbasis(A: RationalMatrix) -> list[list[int]] | None:
         eigenvalues.add(mu)
         basis.append(v)
     return basis
-
-
-def pbh_support_test(V_rows: RationalMatrix, support: Iterable[int]) -> bool:
-    """Exact PBH feasibility of a support set.
-
-    True iff every eigenvector row has a nonzero entry at some index in
-    ``support`` (0-based column indices); equivalently, some vector carried
-    by ``support`` is orthogonal to no row. Empty support is allowed.
-    """
-    idx = sorted(set(support))
-    for j in idx:
-        if not 0 <= j < V_rows.cols:
-            raise InvalidInputError(f"support index {j} out of range")
-    return all(any(row[j] for j in idx) for row in V_rows.data)
-

@@ -1,11 +1,14 @@
 """Exact brute-force ground truth for small instances.
 
-Every oracle gives its own feasibility predicate to one search, which
-enumerates candidate supports in increasing cardinality and lexicographic
-order within a cardinality, so witnesses are deterministic: the first
-feasible candidate wins. Inputs are checked first, so the full set is
-feasible. Size guards keep the worst case around 10^7 feasibility checks;
-pass ``allow_large=True`` to go past them deliberately.
+Every oracle asks one question: which smallest support meets every row?
+For ``hitting-set`` the rows are the instance's sets; for ``min-vector``
+and ``min-diagonal`` they are the supports of the left eigenvectors (the
+PBH test, Hautus 1969). Each target becomes a list of int bitmasks once,
+and one search tests them. It enumerates candidate supports in increasing
+cardinality and lexicographic order within a cardinality, so witnesses are
+deterministic: the first feasible candidate wins. Inputs are checked first,
+so the full set is feasible. Size guards keep the worst case around 10^7
+feasibility checks; pass ``allow_large=True`` to go past them deliberately.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Callable
 
-# modules, not their functions: a hitting-set search executes neither
-# greedy nor linalg, and an eigenvector search does not execute reductions
-from minctrl import greedy, linalg, reductions
+# modules, not their functions: no search executes greedy, and an
+# eigenvector search does not execute reductions
+from minctrl import greedy, reductions
 from minctrl.errors import (
     EnumerationGuardError,
     InternalVerificationError,
@@ -57,10 +59,8 @@ def brute_force_hitting_set(
 ) -> OracleResult:
     """Smallest subset of the ground set meeting every set (1-based elements)."""
     _check_guard("ground size", inst.ground_size, MAX_GROUND_SIZE, allow_large)
-    return _first_feasible(
-        range(1, inst.ground_size + 1),
-        lambda candidate: all(s.intersection(candidate) for s in inst.sets),
-    )
+    masks = [sum(1 << e for e in s) for s in inst.sets]
+    return _first_feasible(range(1, inst.ground_size + 1), masks)
 
 
 def brute_force_min_vector_support(
@@ -69,46 +69,35 @@ def brute_force_min_vector_support(
     """Smallest support carrying a controllable input vector.
 
     ``V_rows`` holds exact left eigenvectors (one row per eigenvalue, all
-    distinct); a support works iff it meets the support of every row, tested
-    with the shared PBH support predicate. Witness indices are 0-based.
+    distinct); a support works iff it meets the support of every row (PBH).
+    Witness indices are 0-based.
     """
-    _check_eigenvectors(V_rows, allow_large)
-    return _first_feasible(
-        range(V_rows.cols), lambda candidate: linalg.pbh_support_test(V_rows, candidate)
-    )
+    return _first_feasible(range(V_rows.cols), _row_masks(V_rows, allow_large))
 
 
 def brute_force_min_diagonal_support(
     V_rows: RationalMatrix, *, allow_large: bool = False
 ) -> OracleResult:
-    """Smallest diagonal-input support; independent of the vector oracle.
+    """Smallest support carrying a controllable diagonal input.
 
-    Feasibility is decided by materializing the product of each eigenvector
-    row with the candidate diagonal matrix and testing it for a nonzero
-    entry, rather than by the shared support predicate, so the two oracles
-    cross-check each other.
+    The same search as ``brute_force_min_vector_support``: with a distinct
+    spectrum, a diagonal input on a support is controllable exactly when a
+    generic vector on it is, that is, when it meets every row's support.
     """
-    _check_eigenvectors(V_rows, allow_large)
-    n = V_rows.cols
-
-    def reaches_every_row(candidate):
-        chosen = set(candidate)
-        # row times diag(candidate indicator): keep chosen coordinates
-        return all(
-            any([row[j] if j in chosen else 0 for j in range(n)]) for row in V_rows.data
-        )
-
-    return _first_feasible(range(n), reaches_every_row)
+    return _first_feasible(range(V_rows.cols), _row_masks(V_rows, allow_large))
 
 
-def _first_feasible(universe: range, feasible: Callable) -> OracleResult:
-    """The first feasible subset of ``universe``; ``enumerated`` counts the
-    candidates examined, the witness included."""
+def _first_feasible(universe: range, masks: list[int]) -> OracleResult:
+    """The first subset of ``universe`` that meets every mask, where element
+    ``e`` is bit ``e``; ``enumerated`` counts the candidates examined, the
+    witness included."""
+    bits = [1 << e for e in universe]
     candidates = chain.from_iterable(
-        combinations(universe, size) for size in range(len(universe) + 1)
+        zip(combinations(universe, size), map(sum, combinations(bits, size)))
+        for size in range(len(universe) + 1)
     )
-    for examined, candidate in enumerate(candidates, 1):
-        if feasible(candidate):
+    for examined, (candidate, chosen) in enumerate(candidates, 1):
+        if all(mask & chosen for mask in masks):
             return OracleResult(candidate, examined)
     raise InternalVerificationError("no candidate support is feasible")
 
@@ -121,15 +110,20 @@ def _check_guard(what: str, size: int, limit: int, allow_large: bool) -> None:
         )
 
 
-def _check_eigenvectors(V_rows: RationalMatrix, allow_large: bool) -> None:
-    """Reject what no support could serve before the search starts."""
+def _row_masks(V_rows: RationalMatrix, allow_large: bool) -> list[int]:
+    """Each eigenvector row's support as a bitmask, bit ``j`` for column ``j``.
+
+    What no support could serve is rejected before the search starts.
+    """
     if V_rows.rows != V_rows.cols:
         raise InvalidInputError(
             f"eigenvector matrix must be square, got {V_rows.rows}x{V_rows.cols}"
         )
     _check_guard("state dimension", V_rows.rows, MAX_STATE_DIM, allow_large)
-    if not all(any(row) for row in V_rows.data):
+    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in V_rows.data]
+    if not all(masks):
         raise InvalidInputError("a zero eigenvector row makes every support fail")
+    return masks
 
 
 def controllability_rank(A: Matrix, B: Matrix, rank_backend: str = "exact") -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from minctrl.errors import InvalidInputError
 from minctrl.linalg import rank_exact
@@ -49,6 +49,33 @@ def golden_V() -> RationalMatrix:
 
 def golden_A() -> RationalMatrix:
     return RationalMatrix.from_rows(GOLDEN_A_ROWS)
+
+
+# The two support predicates the brute-force oracles once called, kept as
+# references: ``minctrl.oracles`` tests one bitmask per row instead.
+def meets_every_row(V_rows: RationalMatrix, support: Iterable[int]) -> bool:
+    """Exact PBH feasibility of a support set.
+
+    True iff every eigenvector row has a nonzero entry at some index in
+    ``support`` (0-based column indices); equivalently, some vector carried
+    by ``support`` is orthogonal to no row. Empty support is allowed.
+    """
+    idx = sorted(set(support))
+    for j in idx:
+        if not 0 <= j < V_rows.cols:
+            raise InvalidInputError(f"support index {j} out of range")
+    return all(any(row[j] for j in idx) for row in V_rows.data)
+
+
+def diagonal_meets_every_row(V_rows: RationalMatrix, support: Iterable[int]) -> bool:
+    """Feasibility of a diagonal input on ``support``, by materializing the
+    product of each eigenvector row with the diagonal indicator matrix of
+    ``support`` and testing it for a nonzero entry."""
+    chosen = set(support)
+    n = V_rows.cols
+    return all(
+        any([row[j] if j in chosen else 0 for j in range(n)]) for row in V_rows.data
+    )
 
 
 def random_instance(rng: random.Random, max_m: int = 5, max_p: int = 5) -> HittingSetInstance:

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 import minctrl.greedy
 from helpers import random_unimodular
-from minctrl.greedy import deterministic_greedy_vector, greedy_diagonal, rank_oracle, sparse_columns
+from minctrl.greedy import (
+    deterministic_greedy_vector,
+    greedy_diagonal,
+    randomized_greedy_vector,
+    rank_oracle,
+    sparse_columns,
+)
 from minctrl.linalg import certified_left_eigenbasis, controllability_matrix, rank_exact
 from minctrl.matrices import RationalMatrix
 from minctrl.oracles import controllability_rank
@@ -167,13 +173,17 @@ def _nonderogatory(A: RationalMatrix) -> bool:
 @given(SYSTEMS)
 def test_vector_and_diagonal_greedy_agree_on_nonderogatory_a(system):
     # on a cyclic A a generic vector supported on S reaches rank C(A, I_S),
-    # and one of det's 2n + 1 probes is generic enough, so the two sweeps
-    # score every candidate alike and commit the same steps
+    # and one of det's 2n + 1 probes, like rand's standard-normal draw, is
+    # generic enough, so the sweeps score every candidate alike and commit
+    # the same steps
     A, _ = system
     assume(_nonderogatory(A))
-    vector, diagonal = deterministic_greedy_vector(A, "exact"), greedy_diagonal(A, "exact")
-    assert vector.support == diagonal.support
-    assert [t.rank_after for t in vector.trace] == [t.rank_after for t in diagonal.trace]
+    diagonal = greedy_diagonal(A, "exact")
+    expected = (diagonal.support, [t.rank_after for t in diagonal.trace])
+    vectors = [deterministic_greedy_vector(A, "exact")]
+    vectors += [randomized_greedy_vector(A, seed, "exact") for seed in (0, 7, 1729)]
+    for vector in vectors:
+        assert (vector.support, [t.rank_after for t in vector.trace]) == expected
 
 
 def test_vector_and_diagonal_greedy_differ_on_a_derogatory_a():

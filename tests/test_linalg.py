@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import JordanSpec, covered_count, random_jordan_spec, random_unimodular
+from helpers import (
+    JordanSpec,
+    covered_count,
+    meets_every_row,
+    random_jordan_spec,
+    random_unimodular,
+)
 from minctrl.errors import (
     BackendPreconditionError,
     InvalidInputError,
@@ -19,7 +25,6 @@ from minctrl.linalg import (
     controllability_matrix,
     left_eigensystem,
     pbh_controllability_rank,
-    pbh_support_test,
     rank_exact,
 )
 from minctrl.matrices import DenseMatrix, RationalMatrix
@@ -302,15 +307,10 @@ def test_pbh_rank_takes_rational_input_and_rejects_non_numbers(B):
 
 def test_pbh_support_test_basics(paper_V):
     eye = RationalMatrix.identity(3)
-    assert pbh_support_test(eye, [0, 1, 2])
-    assert not pbh_support_test(eye, [0, 1])
-    assert not pbh_support_test(eye, [])
-    assert pbh_support_test(paper_V, [0, 1, 7])
-
-
-def test_pbh_support_test_bad_index():
-    with pytest.raises(InvalidInputError):
-        pbh_support_test(RationalMatrix.identity(2), [5])
+    assert meets_every_row(eye, [0, 1, 2])
+    assert not meets_every_row(eye, [0, 1])
+    assert not meets_every_row(eye, [])
+    assert meets_every_row(paper_V, [0, 1, 7])
 
 
 @settings(max_examples=25, deadline=None)

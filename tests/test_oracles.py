@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minctrl.oracles
-from helpers import random_instance, random_invertible_rational
+from helpers import (
+    diagonal_meets_every_row,
+    meets_every_row,
+    random_instance,
+    random_invertible_rational,
+)
 from minctrl.errors import EnumerationGuardError, InvalidInputError, MinctrlError
 from minctrl.greedy import RANK_BACKENDS
 from minctrl.linalg import left_eigensystem, pbh_controllability_rank
@@ -125,11 +130,12 @@ ZERO_MIDDLE_ROW = [[1, 2, 0], [0, 0, 0], [1, 1, 1]]
     "oracle", [brute_force_min_vector_support, brute_force_min_diagonal_support]
 )
 def test_zero_eigenvector_row_rejected_before_any_candidate(oracle, monkeypatch):
-    examined = []
+    searches = []
     search = minctrl.oracles._first_feasible
 
-    def spying_search(universe, feasible):
-        return search(universe, lambda c: examined.append(c) or feasible(c))
+    def spying_search(universe, masks):
+        searches.append((universe, masks))
+        return search(universe, masks)
 
     monkeypatch.setattr(minctrl.oracles, "_first_feasible", spying_search)
     # past the guard: a search would examine all 2^22 supports before failing
@@ -139,9 +145,10 @@ def test_zero_eigenvector_row_rejected_before_any_candidate(oracle, monkeypatch)
             InvalidInputError, match="^a zero eigenvector row makes every support fail$"
         ):
             oracle(RationalMatrix.from_rows(rows), allow_large=allow_large)
-    assert examined == []
-    # the spy sees every candidate of an ordinary search
-    assert oracle(RationalMatrix.identity(2)).enumerated == len(examined) == 4
+    assert searches == []
+    # an ordinary input is searched once, with one bitmask per row
+    assert oracle(RationalMatrix.identity(2)).enumerated == 4
+    assert searches == [(range(2), [0b01, 0b10])]
 
 
 def _lexrank(positions: tuple[int, ...], n: int) -> int:
@@ -170,22 +177,28 @@ def _assert_first_feasible(result, universe, feasible):
 
 
 @settings(max_examples=60, deadline=None)
-@given(instances())
-def test_oracles_return_first_feasible_candidate(inst):
+@given(instances(), st.integers(1, 8), st.integers(0, 10**6))
+def test_oracles_return_first_feasible_candidate(inst, n, seed):
     _assert_first_feasible(
         brute_force_hitting_set(inst),
         range(1, inst.ground_size + 1),
         lambda c: all(set(c) & s for s in inst.sets),
     )
+    # dense rows (entries in {-1, 0, 1}, so supports vary), and the rows of
+    # the instance's reduction
+    matrices = [random_invertible_rational(random.Random(seed), n, magnitude=1)]
     V = build_reduction(inst).left_eigenvectors
-    if V.cols > 12:
-        return
-
-    def meets_every_row(candidate):
-        return all(any(row[j] != 0 for j in candidate) for row in V.data)
-
-    for oracle in (brute_force_min_vector_support, brute_force_min_diagonal_support):
-        _assert_first_feasible(oracle(V), range(V.cols), meets_every_row)
+    if V.cols <= 12:
+        matrices.append(V)
+    for V in matrices:
+        _assert_first_feasible(
+            brute_force_min_vector_support(V), range(V.cols), lambda c: meets_every_row(V, c)
+        )
+        _assert_first_feasible(
+            brute_force_min_diagonal_support(V),
+            range(V.cols),
+            lambda c: diagonal_meets_every_row(V, c),
+        )
 
 
 def test_witness_certified():
@@ -193,9 +206,7 @@ def test_witness_certified():
     for _ in range(10):
         V = random_invertible_rational(rng, 4)
         result = brute_force_min_vector_support(V)
-        from minctrl.linalg import pbh_support_test
-
-        assert pbh_support_test(V, result.witness)
+        assert meets_every_row(V, result.witness)
         assert result.enumerated >= 1
 
 
@@ -222,7 +233,6 @@ def test_kalman_agrees_with_support_test():
     # support dooms every b carried by it (PBH <-> Kalman, exact arithmetic)
     rng = random.Random(19)
     from helpers import random_unimodular
-    from minctrl.linalg import pbh_support_test
 
     checked_positive = checked_negative = 0
     for _ in range(40):
@@ -235,7 +245,7 @@ def test_kalman_agrees_with_support_test():
         support = [j for j, x in enumerate(b) if x]
         column = RationalMatrix.from_rows([[x] for x in b])
         controllable = kalman_test(A, column, "exact")
-        feasible = pbh_support_test(Pinv, support)
+        feasible = meets_every_row(Pinv, support)
         if controllable:
             assert feasible
             checked_positive += 1
