@@ -65,9 +65,6 @@ _EXPORTS = {
     "SymmetricExtensionOutput": "reductions",
     "build_reduction": "reductions",
     "build_symmetric_extension": "reductions",
-    "eigenvector_matrix": "reductions",
-    "eigenvector_matrix_inverse": "reductions",
-    "incidence_matrix": "reductions",
     "load_instance": "reductions",
     "orthogonal_extension": "reductions",
 }

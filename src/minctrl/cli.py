@@ -111,11 +111,9 @@ def _cmd_oracle(args) -> int:
         target = reductions.load_instance(args.target)
         search = oracles.brute_force_hitting_set
     else:
+        # min-vector and min-diagonal: one search (see ``oracles``)
         target = matrices.as_rational(matrices.load_matrix(args.target))
-        search = {
-            "min-vector": oracles.brute_force_min_vector_support,
-            "min-diagonal": oracles.brute_force_min_diagonal_support,
-        }[args.kind]
+        search = oracles.brute_force_min_vector_support
     result = search(target, allow_large=args.allow_large)
     payload = result.to_json_dict()
     payload["kind"] = args.kind

@@ -21,9 +21,10 @@ candidate is scored:
 (``best_probe``). ``"pbh"`` counts eigenvectors non-orthogonal to the
 candidate (distinct eigenvalues only; far better conditioned than a float
 rank of the controllability matrix). ``"exact"`` counts the same over
-integer left eigenvectors of n distinct eigenvalues that ``certified_left_eigenbasis`` proves, as every plain
-hitting-set reduction has them; then all the probes of a coordinate cost
-one pass over the nonzeros of its column. Without them (a repeated, complex
+integer left eigenvectors of n distinct eigenvalues that
+``certified_left_eigenbasis`` proves, as every plain hitting-set reduction
+has them; then a probe at a coordinate is scored by one count over the
+nonzeros of its column. Without them (a repeated, complex
 or irrational eigenvalue, a Jordan block, or an eigenvector with a large
 denominator, as in the symmetric reductions) it eliminates integer Krylov
 columns, one rank per probe. Both give the same ranks, hence the same
@@ -40,7 +41,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from minctrl import RANK_BACKENDS, np
@@ -176,10 +176,9 @@ class _EigenbasisOracle:
     The nonzeros ``(i, v_ij)`` of each column ``j`` are listed once. A sweep
     forms the products ``P_i = v_i (s b)`` of ``b`` scaled to integers; the
     probe ``p/q`` at ``j`` zeroes row ``i`` exactly when
-    ``q P_i + s p v_ij = 0``: at the one root ``-P_i / (s v_ij)`` if
-    ``v_ij != 0``, else always or never as ``P_i`` is zero or not. So
-    ``best_probe`` counts those roots, as reduced integer pairs, in one pass
-    over column ``j``, and reads each probe's rank off the count.
+    ``q P_i + s p v_ij = 0``, so only the rows of column ``j`` can change,
+    and ``best_probe`` reads each probe's rank off one count of the rows of
+    column ``j`` that it zeroes.
     """
 
     path = "eigenbasis"
@@ -205,27 +204,16 @@ class _EigenbasisOracle:
         self._rank = len(self._products)
 
     def best_probe(self, j: int, values: Sequence[Fraction]) -> tuple[int, Fraction]:
-        # rows with v_ij = 0 keep their product; each other row is zero at
-        # exactly one value, its root -P_i / (s v_ij), kept as (num, den).
-        # ``full`` is the rank at a value that is no row's root.
-        full = self._rank
-        roots: dict[tuple[int, int], int] = {}
-        for i, v in self._columns[j]:
-            product = self._products.get(i, 0)
-            if product:
-                den = self._scale * v
-                g = gcd(product, den)
-                if den < 0:
-                    g = -g
-                root = (-product // g, den // g)
-            else:
-                full += 1
-                root = (0, 1)
-            roots[root] = roots.get(root, 0) + 1
-        return _first_best(
-            ((full - roots.get((v.numerator, v.denominator), 0), v) for v in values),
-            full,
-        )
+        # only the rows of column j can change; ``top``, the rank at a value
+        # that zeroes none of them, adds those whose product is zero now
+        products, column = self._products, self._columns[j]
+        top = self._rank + sum(i not in products for i, _ in column)
+
+        def rank(value: Fraction) -> int:
+            q, shift = value.denominator, self._scale * value.numerator
+            return top - sum(q * products.get(i, 0) + shift * v == 0 for i, v in column)
+
+        return _first_best(((rank(v), v) for v in values), top)
 
     def input_rank(self, B: Sequence[tuple]) -> int:
         rows: set[int] = set()

@@ -3,12 +3,13 @@
 Every oracle asks one question: which smallest support meets every row?
 For ``hitting-set`` the rows are the instance's sets; for ``min-vector``
 and ``min-diagonal`` they are the supports of the left eigenvectors (the
-PBH test, Hautus 1969). Each target becomes a list of int bitmasks once,
-and one search tests them. It enumerates candidate supports in increasing
-cardinality and lexicographic order within a cardinality, so witnesses are
-deterministic: the first feasible candidate wins. Inputs are checked first,
-so the full set is feasible. Size guards keep the worst case around 10^7
-feasibility checks; pass ``allow_large=True`` to go past them deliberately.
+PBH test, Hautus 1969), and the two kinds are one function. Each target
+becomes a list of int bitmasks once, and one search tests them. It
+enumerates candidate supports in increasing cardinality and lexicographic
+order within a cardinality, so witnesses are deterministic: the first
+feasible candidate wins. Inputs are checked first, so the full set is
+feasible. Size guards keep the worst case around 10^7 feasibility checks;
+pass ``allow_large=True`` to go past them deliberately.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def brute_force_hitting_set(
 def brute_force_min_vector_support(
     V_rows: RationalMatrix, *, allow_large: bool = False
 ) -> OracleResult:
-    """Smallest support carrying a controllable input vector.
+    """Smallest support carrying a controllable input vector, or diagonal input.
 
     ``V_rows`` holds exact left eigenvectors (one row per eigenvalue, all
     distinct); a support works iff it meets the support of every row (PBH).
@@ -75,16 +76,9 @@ def brute_force_min_vector_support(
     return _first_feasible(range(V_rows.cols), _row_masks(V_rows, allow_large))
 
 
-def brute_force_min_diagonal_support(
-    V_rows: RationalMatrix, *, allow_large: bool = False
-) -> OracleResult:
-    """Smallest support carrying a controllable diagonal input.
-
-    The same search as ``brute_force_min_vector_support``: with a distinct
-    spectrum, a diagonal input on a support is controllable exactly when a
-    generic vector on it is, that is, when it meets every row's support.
-    """
-    return _first_feasible(range(V_rows.cols), _row_masks(V_rows, allow_large))
+# With a distinct spectrum, a diagonal input on a support is controllable
+# exactly when a generic vector on it is: both ask that it meet every row.
+brute_force_min_diagonal_support = brute_force_min_vector_support
 
 
 def _first_feasible(universe: range, masks: list[int]) -> OracleResult:

@@ -183,23 +183,13 @@ def _pair_columns(s: int) -> list[tuple[tuple[int, int], int]]:
     return [(pair, s + idx) for idx, pair in enumerate(combinations(range(1, s + 1), 2))]
 
 
-def incidence_matrix(inst: HittingSetInstance) -> RationalMatrix:
-    """0/1 matrix with one row per set: entry (i, j) marks element j+1 in set i+1."""
-    return RationalMatrix.from_rows(
-        [
-            [1 if e in s else 0 for e in range(1, inst.ground_size + 1)]
-            for s in inst.sets
-        ]
-    )
-
-
-def eigenvector_matrix(inst: HittingSetInstance) -> RationalMatrix:
-    """The strictly diagonally dominant left-eigenvector matrix of the instance."""
-    return RationalMatrix.from_integers(_eigenvector_rows(inst), 1)
-
-
 def _eigenvector_rows(inst: HittingSetInstance) -> list[list[int]]:
-    """The rows of ``eigenvector_matrix``, which are integers."""
+    """The strictly diagonally dominant left-eigenvector rows of the instance.
+
+    Element rows carry 2 on the diagonal and 1 in the anchor column; the row
+    of a set carries its incidence row and ``m+1`` on the diagonal; the
+    anchor row is the last standard basis vector.
+    """
     m = inst.ground_size
     n = inst.state_dim
     rows = []
@@ -226,25 +216,17 @@ def _strictly_diagonally_dominant(rows: list[list[int]]) -> bool:
     return all(2 * abs(row[i]) > sum(map(abs, row)) for i, row in enumerate(rows))
 
 
-def eigenvector_matrix_inverse(inst: HittingSetInstance) -> RationalMatrix:
-    """Closed-form inverse of ``eigenvector_matrix`` (no elimination).
+def _inverse_rows(inst: HittingSetInstance) -> tuple[list[list[int]], int]:
+    """Integer ``U`` and ``L`` with ``U / L`` the closed-form inverse of
+    ``_eigenvector_rows`` (no elimination; unchecked here, and proved by the
+    build's certificate).
 
     Element rows invert to ``1/2`` on the diagonal and ``-1/2`` in the anchor
     column; the row for a set ``S`` carries ``1/(m+1)`` on the diagonal,
     ``-1/(2(m+1))`` under each element of ``S``, and ``|S|/(2(m+1))`` in the
     anchor column; the anchor row is itself. Same sparsity pattern as the
-    matrix it inverts, except the anchor column.
+    rows it inverts, except the anchor column.
     """
-    U, L = _inverse_rows(inst)
-    scaled_identity = [[L if j == i else 0 for j in range(len(U))] for i in range(len(U))]
-    # a square matrix's right inverse is its inverse
-    if integer_product(_eigenvector_rows(inst), U) != scaled_identity:
-        raise InternalVerificationError("closed-form inverse is not a right inverse")
-    return RationalMatrix.from_integers(U, L)
-
-
-def _inverse_rows(inst: HittingSetInstance) -> tuple[list[list[int]], int]:
-    """Integer ``U`` and ``L`` with ``U / L`` the (unchecked) inverse of ``_eigenvector_rows``."""
     m = inst.ground_size
     n = inst.state_dim
     # Integer numerators over the one denominator L = 2(m+1).

@@ -33,6 +33,7 @@ from minctrl.greedy import (
     _EigenbasisOracle,
     deterministic_greedy_vector,
     greedy_diagonal,
+    randomized_greedy_vector,
     rank_oracle,
 )
 from minctrl.linalg import (
@@ -44,7 +45,7 @@ from minctrl.linalg import (
 )
 from minctrl.matrices import RationalMatrix, save_matrix
 from minctrl.oracles import controllability_rank, kalman_test
-from minctrl.reductions import HittingSetInstance, build_reduction, eigenvector_matrix
+from minctrl.reductions import HittingSetInstance, build_reduction
 from systems import (
     EXACT_PATHS,
     FRACTIONS,
@@ -157,8 +158,9 @@ def test_certificate_recovers_reduction_eigenvectors():
     instances = [golden_instance(), *_benchmark_instances()]
     instances += [random_instance(random.Random(seed)) for seed in (1, 2, 3)]
     for inst in instances:
-        basis = certified_left_eigenbasis(build_reduction(inst).system_matrix)
-        V = eigenvector_matrix(inst)
+        red = build_reduction(inst)
+        basis = certified_left_eigenbasis(red.system_matrix)
+        V = red.left_eigenvectors
         assert basis is not None and len(basis) == V.rows
         assert all(_proportional(row, V.row(i)) for i, row in enumerate(basis))
 
@@ -315,6 +317,88 @@ def test_exact_controllability_rank_matches_rank_exact(A, data):
     path = "eigenbasis" if certified_left_eigenbasis(A) else "bareiss"
     assert rank_oracle(A, "exact").path == path
     assert controllability_rank(A, B, "exact") == rank_exact(controllability_matrix(A, B))
+
+
+# ---------------------------------------------------------------------------
+# best_probe's direct count on the golden reduction, at the cases a drawn
+# probe reaches only by chance; each rank is checked against Bareiss
+
+
+# b = (e_3 + e_5 + e_7) / 2, whose products a sweep scales by s = 2,
+# reaches rows 0, 1, 2, 3, 5 and 7. Column 0 of the golden V has rows 0
+# (entry 2, product 1/2), 3 and 5 (entry 1, product 2) and 6 (entry 1,
+# product 0), so its top is 3 + 4 = 7; column 6 has row 6 alone.
+GOLDEN_B = [Fraction(x, 2) for x in (0, 0, 0, 1, 0, 1, 0, 1)]
+
+
+def _golden_probe_ranks(j: int, values: list[Fraction]) -> list[int]:
+    """Each value's rank at ``j`` from ``GOLDEN_B``, and that a call with all
+    of them returns the first value of the highest, on both exact paths."""
+    A = golden_A()
+    oracle, bareiss = EXACT_PATHS["eigenbasis"](A), EXACT_PATHS["bareiss"](A)
+    ranks = []
+    for o in (oracle, bareiss):
+        o.begin_sweep(GOLDEN_B)
+        ranks.append([o.best_probe(j, (v,))[0] for v in values])
+        best = max(ranks[-1])
+        assert o.best_probe(j, values) == (best, values[ranks[-1].index(best)])
+    assert ranks[0] == ranks[1]
+    return ranks[0]
+
+
+def test_best_probe_loses_both_rows_sharing_a_root():
+    # rows 3 and 5 share the root -2; -1/4 is row 0's alone
+    assert _golden_probe_ranks(0, [Fraction(-2), Fraction(-1, 4), Fraction(1)]) == [5, 6, 7]
+
+
+def test_best_probe_counts_a_row_whose_product_is_zero():
+    # row 6 stays zero at the value 0 only, and counts toward the top
+    assert _golden_probe_ranks(0, [Fraction(0), Fraction(2)]) == [6, 7]
+    assert _golden_probe_ranks(6, [Fraction(0), Fraction(1)]) == [6, 7]
+
+
+def test_best_probe_over_roots_only_is_the_first_value_of_the_highest_rank():
+    values = [Fraction(-2), Fraction(0), Fraction(-1, 4), Fraction(-2)]
+    assert _golden_probe_ranks(0, values) == [5, 6, 6, 5]  # so (6, 0)
+
+
+# ---------------------------------------------------------------------------
+# the exact greedy on a plain reduction is greedy set cover over V's columns
+
+
+def _set_cover_trace(V: RationalMatrix) -> list[tuple[int, int]]:
+    """Greedy set cover of V's rows by its column supports (Chvatal 1979).
+
+    Each step takes the column that covers the most uncovered rows, ties to
+    the lowest index, and records it with the number of rows covered so far.
+    """
+    supports = [{i for i, x in enumerate(column) if x} for column in zip(*V.data)]
+    covered: set[int] = set()
+    trace = []
+    while True:
+        gain, j = max((len(s - covered), -j) for j, s in enumerate(supports))
+        if not gain:
+            return trace
+        covered |= supports[-j]
+        trace.append((-j, len(covered)))
+
+
+def test_exact_greedy_is_greedy_set_cover_on_plain_reductions():
+    instances = [golden_instance(), *_benchmark_instances()]
+    instances += [random_instance(random.Random(seed)) for seed in range(40)]
+    solvers = [
+        lambda A: deterministic_greedy_vector(A, "exact"),
+        *(lambda A, s=seed: randomized_greedy_vector(A, s, "exact") for seed in (0, 1, 2)),
+        lambda A: greedy_diagonal(A, "exact"),
+    ]
+    for inst in instances:
+        red = build_reduction(inst)
+        assert rank_oracle(red.system_matrix, "exact").path == "eigenbasis"
+        expected = _set_cover_trace(red.left_eigenvectors)
+        assert expected[-1][1] == inst.state_dim
+        for solve in solvers:
+            result = solve(red.system_matrix)
+            assert [(t.chosen_index, t.rank_after) for t in result.trace] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,7 @@ PUBLIC = {
     "oracles": "OracleResult brute_force_hitting_set brute_force_min_diagonal_support"
     " brute_force_min_vector_support controllability_rank kalman_test",
     "reductions": "HittingSetInstance ReductionOutput SymmetricExtensionOutput"
-    " build_reduction build_symmetric_extension eigenvector_matrix"
-    " eigenvector_matrix_inverse incidence_matrix load_instance orthogonal_extension",
+    " build_reduction build_symmetric_extension load_instance orthogonal_extension",
 }
 
 
@@ -203,7 +202,7 @@ print(json.dumps(sorted(set(names) - {"__builtins__"})))
 """
     bound = json.loads(_python(script, cwd=tmp_path))
     expected = {*PUBLIC, *(name for names in PUBLIC.values() for name in names.split())}
-    assert len(bound) == 49
+    assert len(bound) == 46
     assert set(bound) == expected
 
 

@@ -74,6 +74,9 @@ def test_min_vector_support_basics(paper_V):
 
 
 def test_min_diagonal_support_matches_vector(paper_V):
+    # one search; test_oracles_return_first_feasible_candidate checks it
+    # against the diagonal reference predicate
+    assert brute_force_min_diagonal_support is brute_force_min_vector_support
     assert brute_force_min_diagonal_support(RationalMatrix.identity(3)).optimum == 3
     vec = brute_force_min_vector_support(paper_V)
     diag = brute_force_min_diagonal_support(paper_V)
@@ -127,7 +130,9 @@ ZERO_MIDDLE_ROW = [[1, 2, 0], [0, 0, 0], [1, 1, 1]]
 
 
 @pytest.mark.parametrize(
-    "oracle", [brute_force_min_vector_support, brute_force_min_diagonal_support]
+    "oracle",
+    [brute_force_min_vector_support, brute_force_min_diagonal_support],
+    ids=["brute_force_min_vector_support", "brute_force_min_diagonal_support"],
 )
 def test_zero_eigenvector_row_rejected_before_any_candidate(oracle, monkeypatch):
     searches = []

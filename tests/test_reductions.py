@@ -29,9 +29,6 @@ from minctrl.reductions import (
     HittingSetInstance,
     build_reduction,
     build_symmetric_extension,
-    eigenvector_matrix,
-    eigenvector_matrix_inverse,
-    incidence_matrix,
     orthogonal_extension,
 )
 
@@ -106,37 +103,20 @@ def test_instance_json_round_trip(paper_instance):
     assert HittingSetInstance.from_json_dict(obj) == paper_instance
 
 
-# --- incidence ------------------------------------------------------------------
-
-def test_incidence_paper(paper_instance):
-    C = incidence_matrix(paper_instance)
-    assert C == RationalMatrix.from_rows(
-        [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
-    )
-
-
-def test_incidence_trivial():
-    assert incidence_matrix(
-        HittingSetInstance.from_sets(1, [[1]])
-    ) == RationalMatrix.from_rows([[1]])
-    assert incidence_matrix(
-        HittingSetInstance.from_sets(2, [[1], [2]])
-    ) == RationalMatrix.identity(2)
-
-
 # --- eigenvector matrix -----------------------------------------------------------
 
 def test_eigenvector_matrix_paper(paper_instance, paper_V):
-    V = eigenvector_matrix(paper_instance)
+    V = build_reduction(paper_instance).left_eigenvectors
     assert V == paper_V
     # spot-check the block layout: set rows carry m+1 on the diagonal and the
-    # element rows share the trailing ones column
+    # incidence row of their set, and the element rows share the trailing
+    # ones column
     assert V.data[3][3] == 4
     assert V.data[0][7] == 1
 
 
 def test_eigenvector_matrix_single_set():
-    V = eigenvector_matrix(HittingSetInstance.from_sets(1, [[1]]))
+    V = build_reduction(HittingSetInstance.from_sets(1, [[1]])).left_eigenvectors
     assert V == RationalMatrix.from_rows([[2, 0, 1], [1, 2, 0], [0, 0, 1]])
 
 
@@ -144,7 +124,7 @@ def test_eigenvector_matrix_full_rank_random():
     rng = random.Random(4)
     for _ in range(20):
         inst = random_instance(rng)
-        V = eigenvector_matrix(inst)
+        V = build_reduction(inst).left_eigenvectors
         assert rank_exact(V) == inst.state_dim
 
 
@@ -180,8 +160,13 @@ def test_left_eigenvector_identity_random():
 
 # --- closed-form inverse -----------------------------------------------------------
 
+def _inverse(inst: HittingSetInstance) -> RationalMatrix:
+    """The closed-form inverse of the instance's eigenvector matrix."""
+    return RationalMatrix.from_integers(*minctrl.reductions._inverse_rows(inst))
+
+
 def test_inverse_closed_form_paper_entries(paper_instance):
-    M = eigenvector_matrix_inverse(paper_instance)
+    M = _inverse(paper_instance)
     assert M.data[0][0] == Fraction(1, 2)
     assert M.data[0][7] == Fraction(-1, 2)
     # first set {1,2}: |S| = 2, m+1 = 4 -> anchor entry 2/8 = 1/4
@@ -194,13 +179,13 @@ def test_inverse_closed_form_equals_elimination_random():
     rng = random.Random(15)
     for _ in range(15):
         inst = random_instance(rng)
-        assert eigenvector_matrix_inverse(inst) == eigenvector_matrix(inst).inverse()
+        assert _inverse(inst) == build_reduction(inst).left_eigenvectors.inverse()
 
 
 def test_inverse_sparsity_pattern(paper_instance):
     # same nonzero pattern as the eigenvector matrix except the anchor column
-    V = eigenvector_matrix(paper_instance)
-    M = eigenvector_matrix_inverse(paper_instance)
+    V = build_reduction(paper_instance).left_eigenvectors
+    M = _inverse(paper_instance)
     n = V.rows
     for i in range(n):
         for j in range(n - 1):
@@ -284,7 +269,7 @@ def test_symmetric_extension_rows_orthogonal(paper_instance):
 
 def test_symmetric_extension_restriction_equals_original():
     inst = HittingSetInstance.from_sets(2, [[1, 2]])
-    V = eigenvector_matrix(inst)
+    V = build_reduction(inst).left_eigenvectors
     sym = build_symmetric_extension(inst)
     k = inst.state_dim
     for i in range(k):
@@ -465,8 +450,6 @@ def _perturbed(rows: list[list[int]], i: int, j: int) -> list[list[int]]:
 def test_closed_form_inverse_certified_as_right_inverse(monkeypatch, paper_instance):
     W = _perturbed(minctrl.reductions._eigenvector_rows(paper_instance), 3, 1)
     monkeypatch.setattr(minctrl.reductions, "_eigenvector_rows", lambda inst: W)
-    with pytest.raises(InternalVerificationError, match="right inverse"):
-        eigenvector_matrix_inverse(paper_instance)
     # the build proves W U == L I through its certificate
     with pytest.raises(InternalVerificationError, match="left-eigenvector identity"):
         build_reduction(paper_instance)
@@ -655,8 +638,9 @@ def test_perturbed_extension_fails_gram_check(monkeypatch):
 
 def _paper_conjugation_inputs(paper_instance):
     """Integer ``W = V``, ``U = 8 V^{-1}`` and ``L = 8`` for the golden instance."""
-    W = [[int(x) for x in row] for row in eigenvector_matrix(paper_instance).data]
-    U = [[int(8 * x) for x in row] for row in eigenvector_matrix_inverse(paper_instance).data]
+    V = build_reduction(paper_instance).left_eigenvectors
+    W = [[int(x) for x in row] for row in V.data]
+    U = [[int(8 * x) for x in row] for row in V.inverse().data]
     return W, U, 8
 
 
