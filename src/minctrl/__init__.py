@@ -42,8 +42,10 @@ _EXPORTS = {
     "sample_er_digraph": "experiments",
     "SolveResult": "greedy",
     "TraceStep": "greedy",
+    "controllability_rank": "greedy",
     "deterministic_greedy_vector": "greedy",
     "greedy_diagonal": "greedy",
+    "kalman_test": "greedy",
     "randomized_greedy_vector": "greedy",
     "EigenSystem": "linalg",
     "controllability_matrix": "linalg",
@@ -58,8 +60,6 @@ _EXPORTS = {
     "brute_force_hitting_set": "oracles",
     "brute_force_min_diagonal_support": "oracles",
     "brute_force_min_vector_support": "oracles",
-    "controllability_rank": "oracles",
-    "kalman_test": "oracles",
     "HittingSetInstance": "reductions",
     "ReductionOutput": "reductions",
     "SymmetricExtensionOutput": "reductions",

@@ -4,9 +4,9 @@ Subcommands: solve, reduce, oracle, experiment, verify. Exit codes are fixed:
 0 success, 1 infeasible / not controllable, 2 invalid input (an unreadable
 input or an unwritable output path included), 3 internal or numeric error.
 Output payloads are JSON with a ``schema_version`` field and go to --out
-when given, stdout otherwise. The default rank backend comes from
-``MINCTRL_BACKEND`` (falling back to "exact"); seeds default to a fixed
-constant, never the clock.
+when given, stdout otherwise. The rank backend is ``--backend``, "exact"
+unless given, and seeds default to a fixed constant, never the clock, so a
+command's output depends only on its arguments and input files.
 
 The command modules are bound as modules and called through when a command
 runs, so a process executes only the modules its command uses (see
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -39,15 +38,6 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 
-def _default_backend() -> str:
-    backend = os.environ.get("MINCTRL_BACKEND", "exact")
-    if backend not in RANK_BACKENDS:
-        raise InvalidInputError(
-            f"MINCTRL_BACKEND={backend!r} is not one of {RANK_BACKENDS}"
-        )
-    return backend
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
@@ -65,13 +55,12 @@ def _check_output_paths(*paths: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     matrix = matrices.load_matrix(args.matrix)
-    backend = args.backend or _default_backend()
     if args.mode == "diagonal":
-        result = greedy.greedy_diagonal(matrix, backend)
+        result = greedy.greedy_diagonal(matrix, args.backend)
     elif args.algo == "rand":
-        result = greedy.randomized_greedy_vector(matrix, args.seed, backend)
+        result = greedy.randomized_greedy_vector(matrix, args.seed, args.backend)
     else:
-        result = greedy.deterministic_greedy_vector(matrix, backend)
+        result = greedy.deterministic_greedy_vector(matrix, args.backend)
     payload = result.to_json_dict()
     payload["mode"] = args.mode
     payload["algorithm"] = "diagonal" if args.mode == "diagonal" else args.algo
@@ -157,7 +146,6 @@ def _cmd_experiment(args) -> int:
 def _cmd_verify(args) -> int:
     matrix = matrices.load_matrix(args.matrix)
     b = matrices.load_matrix(args.b)
-    backend = args.backend or _default_backend()
     n = matrix.rows
     if sorted((b.rows, b.cols)) != sorted((n, 1)):
         raise InvalidInputError(f"b must be an {n}-vector, got {b.rows}x{b.cols}")
@@ -167,14 +155,14 @@ def _cmd_verify(args) -> int:
             if isinstance(b, matrices.RationalMatrix)
             else matrices.DenseMatrix(b.array.T)
         )
-    rank = oracles.controllability_rank(matrix, b, backend)  # also rejects a non-square A
+    rank = greedy.controllability_rank(matrix, b, args.backend)  # also rejects a non-square A
     payload = {
         "schema_version": 1,
         "n": n,
-        "backend": backend,
+        "backend": args.backend,
         "controllable": rank == n,
     }
-    if backend == "pbh":
+    if args.backend == "pbh":
         payload["rank"] = rank
     _emit(payload, args.out)
     return EXIT_OK if rank == n else EXIT_INFEASIBLE
@@ -192,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("matrix", help="system matrix (JSON or CSV)")
     p_solve.add_argument("--mode", choices=("vector", "diagonal"), default="vector")
     p_solve.add_argument("--algo", choices=("rand", "det"), default="det")
-    p_solve.add_argument("--backend", choices=RANK_BACKENDS)
+    p_solve.add_argument("--backend", choices=RANK_BACKENDS, default="exact")
     p_solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_solve.add_argument("--out")
     p_solve.set_defaults(func=_cmd_solve)
@@ -231,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check controllability of (A, b)")
     p_verify.add_argument("matrix")
     p_verify.add_argument("b")
-    p_verify.add_argument("--backend", choices=RANK_BACKENDS)
+    p_verify.add_argument("--backend", choices=RANK_BACKENDS, default="exact")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=_cmd_verify)
     return parser

@@ -27,13 +27,18 @@ has them; then a probe at a coordinate is scored by one count over the
 nonzeros of its column. Without them (a repeated, complex
 or irrational eigenvalue, a Jordan block, or an eigenvector with a large
 denominator, as in the symmetric reductions) it eliminates integer Krylov
-columns, one rank per probe. Both give the same ranks, hence the same
-traces. Every solver takes the system matrix; with ``"pbh"`` it also takes
-an ``EigenSystem`` the caller already has, so a matrix is decomposed once
-however many solves and checks use it. The pbh oracle decomposes a matrix
-with the default ``DEFAULT_EIGEN_GAP`` and takes a passed decomposition as
-it is, since an ``EigenSystem`` has a distinct spectrum by construction;
-the solvers take no threshold of their own.
+columns, one rank per probe until no later probe can score higher. Both
+give the same ranks, hence the same traces. Every solver takes the system
+matrix; with ``"pbh"`` it also takes an ``EigenSystem`` the caller already
+has, so a matrix is decomposed once however many solves and checks use
+it. The pbh oracle decomposes a matrix with the default
+``DEFAULT_EIGEN_GAP`` and takes a passed decomposition as it is, since an
+``EigenSystem`` has a distinct spectrum by construction; the solvers take
+no threshold of their own.
+
+``controllability_rank`` and ``kalman_test``, which ``minctrl verify`` runs,
+are the same oracle's ``input_rank`` of a whole input matrix, so a check
+asks the question the solvers ask.
 """
 
 from __future__ import annotations
@@ -138,14 +143,15 @@ class SolveResult:
 
 # ---------------------------------------------------------------------------
 # rank oracles: ``input_rank(B)`` is the rank of ``C(A, B)`` for the
-# ``sparse_columns`` of ``B``; ``best_probe(j, values)`` is the highest rank
+# ``_sparse_columns`` of ``B``; ``best_probe(j, values)`` is the highest rank
 # of ``C(A, b + value * e_j)`` over ``values``, for the ``b`` last passed to
 # ``begin_sweep``, and the first value, in probe order, that reaches it;
 # each oracle scores the values in order through ``_first_best``, which
-# stops at full rank. ``value(x)`` is the oracle's probe arithmetic.
+# stops at full rank (the Krylov oracle stops sooner where it can; see
+# ``_KrylovOracle``). ``value(x)`` is the oracle's probe arithmetic.
 
 
-def sparse_columns(B: Matrix, value: Callable = Fraction) -> list[tuple]:
+def _sparse_columns(B: Matrix, value: Callable = Fraction) -> list[tuple]:
     """Each column of ``B`` as the pairs ``(i, value(B[i, c]))`` of its nonzeros."""
     if value is float:  # through as_dense, which rejects an entry past float64
         B = as_dense(B)
@@ -240,6 +246,14 @@ class _KrylovOracle:
     ``integer_form``. Scaling ``A`` or ``b`` by a positive constant, and
     dividing a column by the gcd of its entries, leave every rank unchanged,
     so all arithmetic stays in (fast) plain integers.
+
+    ``best_probe`` stops where no later value can score higher. From a zero
+    ``b``, ``C(A, v e_j) = v C(A, e_j)``: every nonzero value has one rank,
+    so a nonzero first value is the only one scored. Otherwise
+    ``C(A, b + v e_j)`` is affine in ``v``, so each of its ``(r+1)``-minors
+    is a polynomial in ``v`` of degree at most ``r + 1``; once ``best + 2``
+    distinct values score at most ``best``, every such minor vanishes
+    identically and no value scores more.
     """
 
     path = "bareiss"
@@ -261,12 +275,15 @@ class _KrylovOracle:
 
     def begin_sweep(self, b: list[Fraction]) -> None:
         self._scale = scale_to_integers(b)[1]
-        self._cols = self._columns(tuple((i, x) for i, x in enumerate(b) if x))
+        self._support = tuple((i, x) for i, x in enumerate(b) if x)
+        self._cols = self._columns(self._support)
 
     def best_probe(self, j: int, values: Sequence[Fraction]) -> tuple[int, Fraction]:
         # s*q*(b + (p/q) e_j) is q*b_int + s*p*e_j, whose power columns are
         # q*b_int + s*p*A^k e_j
         units = self._columns(((j, 1),))
+        if not self._support and values[0]:  # the first-sweep stop
+            values = values[:1]
 
         def rank(value: Fraction) -> int:
             q, shift = value.denominator, self._scale * value.numerator
@@ -275,7 +292,16 @@ class _KrylovOracle:
                 for base, unit in zip(self._cols, units)
             )
 
-        return _first_best(((rank(v), v) for v in values), self.n)
+        def scored():  # each distinct value once, until the degree stop
+            best = -1
+            for count, value in enumerate(dict.fromkeys(values), 1):
+                score = rank(value)
+                yield score, value
+                best = max(best, score)
+                if count >= best + 2:
+                    return
+
+        return _first_best(scored(), self.n)
 
     def input_rank(self, B: Sequence[tuple]) -> int:
         return _krylov_rank([c for column in B for c in self._columns(column)])
@@ -344,6 +370,35 @@ def rank_oracle(A: Matrix | EigenSystem, backend: str):
         raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
     basis = certified_left_eigenbasis(A)
     return _KrylovOracle(A) if basis is None else _EigenbasisOracle(basis)
+
+
+def controllability_rank(
+    A: Matrix | EigenSystem, B: Matrix, rank_backend: str = "exact"
+) -> int:
+    """Rank of the controllability matrix ``(B, AB, ..., A^{n-1}B)``.
+
+    The ``input_rank`` of ``rank_oracle(A, rank_backend)``, the question
+    the solvers score with: ``"exact"`` counts over a certified eigenbasis,
+    else eliminates integer Krylov columns; ``"pbh"`` counts the left
+    eigenvectors of ``A`` not orthogonal to some column of ``B`` (distinct
+    spectra only; see ``pbh_controllability_rank``), and takes an
+    ``EigenSystem`` for ``A`` as the solvers do. ``B`` needs one row per
+    state for every backend: a ``1 x n`` ``B`` is rejected, not read as a
+    column.
+    """
+    oracle = rank_oracle(A, rank_backend)
+    columns = _sparse_columns(B, oracle.value)
+    if B.rows != oracle.n:
+        raise InvalidInputError(f"B has {B.rows} rows but A is {oracle.n}x{oracle.n}")
+    return oracle.input_rank(columns)
+
+
+def kalman_test(
+    A: Matrix | EigenSystem, B: Matrix, rank_backend: str = "exact"
+) -> bool:
+    """Full-rank test of the controllability matrix under a chosen backend."""
+    # B has n rows, or controllability_rank raises; A may be an EigenSystem
+    return controllability_rank(A, B, rank_backend) == B.rows
 
 
 # ---------------------------------------------------------------------------

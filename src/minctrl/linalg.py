@@ -187,7 +187,7 @@ def pbh_controllability_rank(eig: EigenSystem, B: Matrix) -> int:
     """Controllability rank by counting eigenvectors non-orthogonal to `B`.
 
     ``B`` is a matrix with one row per state, dense or rational, as for
-    ``oracles.controllability_rank``: a ``1 x n`` ``B`` is rejected, not
+    ``greedy.controllability_rank``: a ``1 x n`` ``B`` is rejected, not
     read as a column. Row ``i`` counts when ``|v_i^T B[:, c]| > 1e-8 *
     ||B[:, c]||`` for some column ``c``. For a matrix with distinct
     eigenvalues this equals ``rank C(A, B)`` whenever that cutoff separates

@@ -1,6 +1,8 @@
 """Exact brute-force ground truth for small instances.
 
-Every oracle asks one question: which smallest support meets every row?
+The module holds only the brute-force searches; the rank of a
+controllability matrix is ``greedy.controllability_rank``. Every oracle
+asks one question: which smallest support meets every row?
 For ``hitting-set`` the rows are the instance's sets; for ``min-vector``
 and ``min-diagonal`` they are the supports of the left eigenvectors (the
 PBH test, Hautus 1969), and the two kinds are one function. Each target
@@ -18,15 +20,14 @@ import json
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-# modules, not their functions: no search executes greedy, and an
-# eigenvector search does not execute reductions
-from minctrl import greedy, reductions
+# the module, not its names: an eigenvector search does not execute reductions
+from minctrl import reductions
 from minctrl.errors import (
     EnumerationGuardError,
     InternalVerificationError,
     InvalidInputError,
 )
-from minctrl.matrices import Matrix, RationalMatrix
+from minctrl.matrices import RationalMatrix
 
 MAX_GROUND_SIZE = 20
 MAX_STATE_DIM = 14
@@ -118,25 +119,3 @@ def _row_masks(V_rows: RationalMatrix, allow_large: bool) -> list[int]:
     if not all(masks):
         raise InvalidInputError("a zero eigenvector row makes every support fail")
     return masks
-
-
-def controllability_rank(A: Matrix, B: Matrix, rank_backend: str = "exact") -> int:
-    """Rank of the controllability matrix ``(B, AB, ..., A^{n-1}B)``.
-
-    The ``input_rank`` of ``rank_oracle(A, rank_backend)``: ``"exact"``
-    counts over a certified eigenbasis, else eliminates integer Krylov
-    columns; ``"pbh"`` counts the left eigenvectors of ``A`` not orthogonal
-    to some column of ``B`` (distinct spectra only; see
-    ``pbh_controllability_rank``). ``B`` needs one row per state for every
-    backend: a ``1 x n`` ``B`` is rejected, not read as a column.
-    """
-    oracle = greedy.rank_oracle(A, rank_backend)
-    columns = greedy.sparse_columns(B, oracle.value)
-    if B.rows != oracle.n:
-        raise InvalidInputError(f"B has {B.rows} rows but A is {oracle.n}x{oracle.n}")
-    return oracle.input_rank(columns)
-
-
-def kalman_test(A: Matrix, B: Matrix, rank_backend: str = "exact") -> bool:
-    """Full-rank test of the controllability matrix under a chosen backend."""
-    return controllability_rank(A, B, rank_backend) == A.rows

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, one printed line per criterion.
+"""Acceptance suite: one test per criterion, plus criterion 5's log factor on
+Johnson's family, and one printed line per test.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL
 lines. Every tolerance and runtime budget is pinned here; nothing is left
@@ -23,7 +24,11 @@ from helpers import (
 )
 from minctrl.cli import main
 from minctrl.experiments import ExperimentConfig, run_experiment
-from minctrl.greedy import deterministic_greedy_vector, randomized_greedy_vector
+from minctrl.greedy import (
+    deterministic_greedy_vector,
+    greedy_diagonal,
+    randomized_greedy_vector,
+)
 from minctrl.linalg import controllability_matrix, rank_exact
 from minctrl.matrices import RationalMatrix, load_matrix
 from minctrl.oracles import (
@@ -192,6 +197,41 @@ def test_criterion_5_greedy_bound_and_agreement(corpus, capsys):
             f"bound holds on {len(items)} instances "
             f"({bound_violations} violations); randomized == deterministic in "
             f"{agreement_rate:.1%} of {comparisons} runs (>= 99%)",
+        )
+
+
+def johnson_instance(k: int) -> HittingSetInstance:
+    """Johnson's greedy-bad family as hitting set: elements R1 = 1, R2 = 2
+    and S_i = 3 + i, and for each i < k, 2^i sets {R1, S_i} and 2^i sets
+    {R2, S_i}. {R1, R2} hits them all, but S_i meets 2^(i+1) sets, more
+    than all smaller S together, so the greedy takes S_(k-1), ..., S_0."""
+    sets = []
+    for i in range(k):
+        sets += [[1, 3 + i]] * 2**i + [[2, 3 + i]] * 2**i
+    return HittingSetInstance.from_sets(k + 2, sets)
+
+
+def test_criterion_5_log_factor_attained_on_johnsons_family(capsys):
+    # the paper's log n barrier on a concrete family: the greedy's sparsity
+    # grows as log2 n while the optimum stays 3
+    start = time.perf_counter()
+    rows, mismatches = [], 0
+    for k in range(2, 6):
+        inst = johnson_instance(k)
+        A = build_reduction(inst).system_matrix
+        optimum = brute_force_hitting_set(inst).optimum + 1
+        det = deterministic_greedy_vector(A, "exact").sparsity
+        diag = greedy_diagonal(A, "exact").sparsity
+        mismatches += (optimum, det, diag) != (3, k + 1, k + 1)
+        rows.append(f"n={A.rows}: {det}/{diag} vs {optimum}")
+    elapsed = time.perf_counter() - start
+    with capsys.disabled():
+        _report(
+            5,
+            "greedy-log-factor",
+            mismatches == 0,
+            f"det/diag sparsity vs optimum {', '.join(rows)}, "
+            f"{mismatches} mismatches, {elapsed:.1f}s",
         )
 
 

@@ -483,16 +483,15 @@ def test_experiment_csv_output(workdir, capsys):
 
 
 def test_default_backend_env(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("MINCTRL_BACKEND", "pbh")
-    assert run("solve", workdir / "diag123.json") == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["backend"] == "pbh"
-    for name in ("svd", "bogus"):
+    # the backend is --backend, "exact" unless given; no environment variable
+    # sets it, so a command's output depends only on its argv and files
+    (workdir / "ones3.json").write_text(json.dumps({"rows": 3, "cols": 1, "data": [1, 1, 1]}))
+    for name in ("pbh", "svd", "bogus"):
         monkeypatch.setenv("MINCTRL_BACKEND", name)
-        assert run("solve", workdir / "diag123.json") == 2
-        assert capsys.readouterr().err == (
-            f"error: MINCTRL_BACKEND={name!r} is not one of ('exact', 'pbh')\n"
-        )
+        assert run("solve", workdir / "diag123.json") == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == "exact"
+        assert run("verify", workdir / "diag123.json", workdir / "ones3.json") == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == "exact"
 
 
 def test_svd_backend_is_not_a_choice(workdir, capsys):

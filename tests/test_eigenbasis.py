@@ -31,8 +31,10 @@ from helpers import golden_A, golden_instance, random_instance
 from minctrl.cli import main
 from minctrl.greedy import (
     _EigenbasisOracle,
+    controllability_rank,
     deterministic_greedy_vector,
     greedy_diagonal,
+    kalman_test,
     randomized_greedy_vector,
     rank_oracle,
 )
@@ -44,7 +46,6 @@ from minctrl.linalg import (
     rank_exact,
 )
 from minctrl.matrices import RationalMatrix, save_matrix
-from minctrl.oracles import controllability_rank, kalman_test
 from minctrl.reductions import HittingSetInstance, build_reduction
 from systems import (
     EXACT_PATHS,

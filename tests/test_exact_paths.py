@@ -17,15 +17,15 @@ from hypothesis import strategies as st
 import minctrl.greedy
 from helpers import random_unimodular
 from minctrl.greedy import (
+    _sparse_columns,
+    controllability_rank,
     deterministic_greedy_vector,
     greedy_diagonal,
     randomized_greedy_vector,
     rank_oracle,
-    sparse_columns,
 )
 from minctrl.linalg import certified_left_eigenbasis, controllability_matrix, rank_exact
 from minctrl.matrices import RationalMatrix
-from minctrl.oracles import controllability_rank
 from systems import EXACT_PATHS, SOLVERS, SYSTEMS, fractions
 
 ZERO = Fraction(0)
@@ -63,12 +63,12 @@ def test_input_rank_is_exact_and_invariant(path, system, data):
         columns.insert(data.draw(st.integers(0, len(columns))), [ZERO] * n)
     B = _matrix(columns)
     expected = rank_exact(controllability_matrix(A, B))
-    assert oracle.input_rank(sparse_columns(B)) == expected
+    assert oracle.input_rank(_sparse_columns(B)) == expected
     assert controllability_rank(A, B, "exact") == expected
 
     # metamorphic: ranks only, since traces break ties by the lowest index
     for extra in (data.draw(st.sampled_from(columns)), [ZERO] * n):  # a duplicate, a zero
-        assert oracle.input_rank(sparse_columns(_matrix([*columns, extra]))) == expected
+        assert oracle.input_rank(_sparse_columns(_matrix([*columns, extra]))) == expected
     order = data.draw(st.permutations(range(n)))
     P = RationalMatrix.from_rows([[int(k == order[i]) for k in range(n)] for i in range(n)])
     scale = data.draw(st.builds(Fraction, st.integers(1, 81), st.integers(1, 9)))
@@ -77,7 +77,7 @@ def test_input_rank_is_exact_and_invariant(path, system, data):
         T = random_unimodular(random.Random(data.draw(st.integers(0, 2**32 - 1))), n)
         transformed.append((T @ A @ T.inverse(), T @ B))
     for A2, B2 in transformed:
-        assert _oracle(path, A2).input_rank(sparse_columns(B2)) == expected
+        assert _oracle(path, A2).input_rank(_sparse_columns(B2)) == expected
 
 
 @pytest.mark.parametrize("path", EXACT_PATHS)

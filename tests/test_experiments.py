@@ -24,12 +24,12 @@ from minctrl.experiments import (
 )
 from minctrl.greedy import (
     deterministic_greedy_vector,
+    kalman_test,
     randomized_greedy_vector,
     rank_oracle,
 )
 from minctrl.linalg import left_eigensystem
 from minctrl.matrices import DenseMatrix
-from minctrl.oracles import kalman_test
 
 
 def test_sample_trivial_cases():

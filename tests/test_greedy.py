@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,11 +21,11 @@ from minctrl.experiments import sample_er_digraph
 from minctrl.greedy import (
     SolveResult,
     TraceStep,
+    _sparse_columns,
     deterministic_greedy_vector,
     greedy_diagonal,
     randomized_greedy_vector,
     rank_oracle,
-    sparse_columns,
 )
 from minctrl.linalg import (
     controllability_matrix,
@@ -141,7 +142,8 @@ def test_trace_monotone_and_short(paper_instance):
     assert [t["rank_after"] for t in trace] == ranks[1:]
 
 
-def test_rank_evaluations_per_sweep_bounded(monkeypatch):
+def _count_integer_ranks(monkeypatch) -> dict:
+    """Count the exact kernel's rank calls from here on, in ``["n"]``."""
     calls = {"n": 0}
     original = minctrl.greedy.integer_rank
 
@@ -150,6 +152,11 @@ def test_rank_evaluations_per_sweep_bounded(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(minctrl.greedy, "integer_rank", counting)
+    return calls
+
+
+def test_rank_evaluations_per_sweep_bounded(monkeypatch):
+    calls = _count_integer_ranks(monkeypatch)
     # J_2(1) + J_2(2) has no eigenbasis, so every rank falls back to Bareiss.
     A = DenseMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]])
     result = deterministic_greedy_vector(A, "exact")
@@ -158,8 +165,50 @@ def test_rank_evaluations_per_sweep_bounded(monkeypatch):
     sweeps = len(result.trace)
     # one initial rank plus at most n*(2n+1) probes per sweep
     assert 0 < calls["n"] <= 1 + sweeps * n * (2 * n + 1)
-    # probing a coordinate stops at its first full-rank probe, as it always has
-    assert calls["n"] == 55
+    # probing a coordinate stops at its first full-rank probe; the first
+    # sweep scores one probe per coordinate, and a later one stops once
+    # best + 2 distinct probes score at most best (55 calls without the stops)
+    assert calls["n"] == 14
+
+
+def test_exact_det_rank_count_on_a_sparse_er_graph(monkeypatch):
+    # a sparse ER graph is derogatory, so the exact oracle ranks Krylov
+    # columns, and the degree stop ends most coordinates' probing long
+    # before all 2n + 1 values (2,337 calls without the two stops; same trace)
+    A = sample_er_digraph(20, 0.08, 0)
+    calls = _count_integer_ranks(monkeypatch)
+    result = deterministic_greedy_vector(A, "exact")
+    assert rank_oracle(A, "exact").path == "bareiss"
+    assert (result.support, [t.rank_after for t in result.trace]) == ((16, 8), [10, 13])
+    assert calls["n"] == 525
+
+
+def test_krylov_degree_stop_counts_distinct_values(monkeypatch):
+    # J_2(1): from b = e_1, the probe -1 at coordinate 1 gives the zero
+    # input (rank 0) and the probe 1 gives 2 e_1 (rank 2). A stop counting
+    # positions would end after two of the repeated -1s; counting distinct
+    # values scores -1 once and goes on to the first argmax
+    oracle = rank_oracle(RationalMatrix.from_rows([[1, 1], [0, 1]]), "exact")
+    assert oracle.path == "bareiss"
+    calls = _count_integer_ranks(monkeypatch)
+    oracle.begin_sweep([Fraction(0), Fraction(1)])
+    assert oracle.best_probe(1, tuple(map(Fraction, (-1, -1, -1, 1, 2)))) == (2, 1)
+    assert calls["n"] == 2
+    # on the identity every nonzero input has rank 1, so the stop comes
+    # after the third distinct value, repeats not counted
+    oracle = rank_oracle(RationalMatrix.identity(2), "exact")
+    oracle.begin_sweep([Fraction(1), Fraction(0)])
+    calls["n"] = 0
+    assert oracle.best_probe(1, tuple(map(Fraction, (1, 1, 2, 2, 3, 4, 5)))) == (1, 1)
+    assert calls["n"] == 3
+    # from the zero input only the first probe is scored when it is nonzero
+    oracle.begin_sweep([Fraction(0), Fraction(0)])
+    calls["n"] = 0
+    assert oracle.best_probe(1, tuple(map(Fraction, (3, 1, 2)))) == (1, 3)
+    assert calls["n"] == 1
+    # a zero first value scores 0, so the degree stop decides
+    assert oracle.best_probe(1, tuple(map(Fraction, (0, 1, 2, 3)))) == (1, 1)
+    assert calls["n"] == 1 + 3
 
 
 def test_seed_determinism_bit_for_bit(paper_instance):
@@ -422,4 +471,4 @@ def test_exact_oracle_block_rank_matches_controllability_rank(system, data):
         [[int(i == s) for s in support] for i in range(n)]
     )
     expected = rank_exact(controllability_matrix(A, units))
-    assert rank_oracle(A, "exact").input_rank(sparse_columns(units)) == expected
+    assert rank_oracle(A, "exact").input_rank(_sparse_columns(units)) == expected

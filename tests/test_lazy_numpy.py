@@ -109,7 +109,7 @@ _KERNEL = {"_kernels", "_kernels.pure"}
         (["oracle", "V.json", "--kind", "min-vector"], {"matrices", "oracles"}),
         (["oracle", "V.json", "--kind", "min-diagonal"], {"matrices", "oracles"}),
         (["solve", "A.json"], {"matrices", "greedy", "linalg", *_KERNEL}),
-        (["verify", "A.json", "b.json"], {"matrices", "oracles", "greedy", "linalg", *_KERNEL}),
+        (["verify", "A.json", "b.json"], {"matrices", "greedy", "linalg", *_KERNEL}),
         (
             ["experiment", "--n-values", "5", "--trials", "1"],
             {"matrices", "greedy", "linalg", "experiments", *_KERNEL},
@@ -181,13 +181,13 @@ PUBLIC = {
     " InvalidInputError MinctrlError NumericBackendError",
     "experiments": "ExperimentConfig ExperimentReport TrialRecord eigen_gap_filter"
     " run_experiment sample_er_digraph",
-    "greedy": "SolveResult TraceStep deterministic_greedy_vector greedy_diagonal"
-    " randomized_greedy_vector",
+    "greedy": "SolveResult TraceStep controllability_rank deterministic_greedy_vector"
+    " greedy_diagonal kalman_test randomized_greedy_vector",
     "linalg": "EigenSystem controllability_matrix left_eigensystem"
     " pbh_controllability_rank rank_exact",
     "matrices": "DenseMatrix RationalMatrix load_matrix save_matrix",
     "oracles": "OracleResult brute_force_hitting_set brute_force_min_diagonal_support"
-    " brute_force_min_vector_support controllability_rank kalman_test",
+    " brute_force_min_vector_support",
     "reductions": "HittingSetInstance ReductionOutput SymmetricExtensionOutput"
     " build_reduction build_symmetric_extension load_instance orthogonal_extension",
 }

@@ -21,6 +21,7 @@ from minctrl.errors import (
     InvalidInputError,
     NumericBackendError,
 )
+from minctrl.greedy import controllability_rank
 from minctrl.linalg import (
     controllability_matrix,
     left_eigensystem,
@@ -28,7 +29,6 @@ from minctrl.linalg import (
     rank_exact,
 )
 from minctrl.matrices import DenseMatrix, RationalMatrix
-from minctrl.oracles import controllability_rank
 from minctrl.reductions import build_reduction
 
 

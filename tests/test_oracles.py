@@ -17,15 +17,13 @@ from helpers import (
     random_invertible_rational,
 )
 from minctrl.errors import EnumerationGuardError, InvalidInputError, MinctrlError
-from minctrl.greedy import RANK_BACKENDS
+from minctrl.greedy import RANK_BACKENDS, controllability_rank, kalman_test
 from minctrl.linalg import left_eigensystem, pbh_controllability_rank
 from minctrl.matrices import DenseMatrix, RationalMatrix, as_dense
 from minctrl.oracles import (
     brute_force_hitting_set,
     brute_force_min_diagonal_support,
     brute_force_min_vector_support,
-    controllability_rank,
-    kalman_test,
 )
 from minctrl.reductions import HittingSetInstance, build_reduction
 from systems import instances
@@ -73,26 +71,35 @@ def test_min_vector_support_basics(paper_V):
     assert result.witness == (0,)
 
 
+def _first_support(V: RationalMatrix, feasible) -> tuple[int, ...]:
+    """The first support, by size and then lexicographically, that is
+    ``feasible``: a plain enumeration, independent of the oracle."""
+    return next(
+        candidate
+        for size in range(V.cols + 1)
+        for candidate in combinations(range(V.cols), size)
+        if feasible(V, candidate)
+    )
+
+
 def test_min_diagonal_support_matches_vector(paper_V):
-    # one search; test_oracles_return_first_feasible_candidate checks it
-    # against the diagonal reference predicate
+    # one search, so its diagonal answer is checked against the enumeration
     assert brute_force_min_diagonal_support is brute_force_min_vector_support
     assert brute_force_min_diagonal_support(RationalMatrix.identity(3)).optimum == 3
-    vec = brute_force_min_vector_support(paper_V)
     diag = brute_force_min_diagonal_support(paper_V)
-    assert vec.optimum == diag.optimum == 3
-    assert vec.witness == diag.witness
+    assert (diag.optimum, diag.witness) == (3, _first_support(paper_V, diagonal_meets_every_row))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 10**6))
 def test_vector_and_diagonal_oracles_agree(n, seed):
-    rng = random.Random(seed)
-    V = random_invertible_rational(rng, n)
-    assert (
-        brute_force_min_vector_support(V).optimum
-        == brute_force_min_diagonal_support(V).optimum
-    )
+    # entries in {-1, 0, 1}, so the rows' supports, and the optima, vary;
+    # the vector and diagonal references agree, and the one search gives both
+    V = random_invertible_rational(random.Random(seed), n, magnitude=1)
+    witness = _first_support(V, diagonal_meets_every_row)
+    assert _first_support(V, meets_every_row) == witness
+    result = brute_force_min_diagonal_support(V)
+    assert (result.optimum, result.witness) == (len(witness), witness)
 
 
 def test_reduction_identity_random():
@@ -225,6 +232,8 @@ def test_kalman_basics(paper_A):
     b = RationalMatrix.from_rows([[1], [1], [0], [0], [0], [0], [0], [1]])
     assert kalman_test(paper_A, b, "exact")
     assert kalman_test(paper_A.to_dense(), b.to_dense(), "pbh")
+    # the pbh backend also takes a decomposition the caller already has
+    assert kalman_test(left_eigensystem(paper_A.to_dense()), b, "pbh")
 
 
 @pytest.mark.parametrize("backend", RANK_BACKENDS)
