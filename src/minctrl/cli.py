@@ -38,7 +38,7 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | Path | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
@@ -83,9 +83,7 @@ def _cmd_reduce(args) -> int:
         matrices.save_matrix(sym.system_matrix, out_dir / "A_hat.json")
         index_map["symmetric"] = sym.to_json_dict()
         written += ["V_hat.json", "A_hat.json"]
-    (out_dir / "index_map.json").write_text(
-        json.dumps(index_map, sort_keys=True, indent=2) + "\n"
-    )
+    _emit(index_map, out_dir / "index_map.json")
     written.append("index_map.json")
     _emit(
         {"schema_version": 1, "out_dir": str(out_dir), "written": written},

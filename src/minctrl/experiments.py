@@ -34,16 +34,15 @@ gap real numbers, so a malformed config file is invalid input, never coerced.
 
 Per-trial seeds are derived from ``(seed, n, trial_index)``, so serial and
 parallel execution orders would produce identical reports; rerunning a
-config is byte-for-byte reproducible. Wall-clock timings are kept on the
-in-memory records only and never serialized.
+config is byte-for-byte reproducible. A ``TrialRecord`` holds only what the
+report writes: its fields are its JSON object and its CSV row, and it
+carries no timing.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from minctrl import DEFAULT_SEED, np
 from minctrl.errors import (
@@ -161,18 +160,13 @@ class TrialRecord:
     accepted: bool
     sparsity_found: int
     controllable: bool
-    wall_time: float = field(compare=False)
 
     def __post_init__(self):
         if self.controllable and self.sparsity_found < 1:
             raise InvalidInputError("controllable trials need sparsity >= 1")
 
     def to_json_dict(self) -> dict:
-        # wall_time stays in memory only: serialized reports must be
-        # byte-identical across reruns of the same (config, seed).
-        record = dict(vars(self))
-        del record["wall_time"]
-        return record
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -211,11 +205,8 @@ class ExperimentReport:
             "rejected_graph_count": self.rejected_graph_count,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def records_to_csv(self) -> str:
-        header = [f.name for f in fields(TrialRecord) if f.name != "wall_time"]
+        header = [f.name for f in fields(TrialRecord)]
         lines = [",".join(header)]
         for r in self.records:
             values = r.to_json_dict().values()
@@ -304,7 +295,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for n in cfg.n_values:
         p = cfg.probability_for(n)
         for trial in range(cfg.trials_per_n):
-            start = time.perf_counter()
             for regenerations in range(cfg.max_regenerations_per_trial + 1):
                 graph_seed = _derived_seed(cfg.seed, n, trial, _GRAPH_STREAM, regenerations)
                 candidate = sample_er_digraph(
@@ -328,7 +318,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     accepted=eig is not None,
                     sparsity_found=sparsity,
                     controllable=verified_rank == n,
-                    wall_time=time.perf_counter() - start,
                 )
             )
     return ExperimentReport(cfg, tuple(records))

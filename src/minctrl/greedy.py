@@ -43,7 +43,6 @@ asks the question the solvers ask.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -136,9 +135,6 @@ class SolveResult:
                 for k, t in enumerate(self.trace)
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

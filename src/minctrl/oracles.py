@@ -16,7 +16,6 @@ pass ``allow_large=True`` to go past them deliberately.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -51,9 +50,6 @@ class OracleResult:
             "witness": list(self.witness),
             "enumerated": self.enumerated,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def brute_force_hitting_set(

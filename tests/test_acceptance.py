@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, plus criterion 5's log factor on
-Johnson's family, and one printed line per test.
+Johnson's family and the diagonal greedy between exact bounds, and one
+printed line per test (none for the Hypothesis property).
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL
 lines. Every tolerance and runtime budget is pinned here; nothing is left
@@ -11,8 +12,11 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from helpers import (
     GOLDEN_A_ROWS,
@@ -23,14 +27,15 @@ from helpers import (
     random_jordan_spec,
 )
 from minctrl.cli import main
-from minctrl.experiments import ExperimentConfig, run_experiment
+from minctrl.experiments import ExperimentConfig, run_experiment, sample_er_digraph
 from minctrl.greedy import (
     deterministic_greedy_vector,
     greedy_diagonal,
     randomized_greedy_vector,
+    rank_oracle,
 )
 from minctrl.linalg import controllability_matrix, rank_exact
-from minctrl.matrices import RationalMatrix, load_matrix
+from minctrl.matrices import RationalMatrix, integer_form, load_matrix
 from minctrl.oracles import (
     brute_force_hitting_set,
     brute_force_min_diagonal_support,
@@ -41,6 +46,7 @@ from minctrl.reductions import (
     build_reduction,
     build_symmetric_extension,
 )
+from systems import SYSTEMS
 
 CRITERION_2_INSTANCES = 200
 CRITERION_3_INSTANCES = 100
@@ -232,6 +238,76 @@ def test_criterion_5_log_factor_attained_on_johnsons_family(capsys):
             mismatches == 0,
             f"det/diag sparsity vs optimum {', '.join(rows)}, "
             f"{mismatches} mismatches, {elapsed:.1f}s",
+        )
+
+
+def _diagonal_bounds(A: RationalMatrix) -> tuple[int, int, int, Fraction]:
+    """``(LB, OPT, greedy, H(d))`` for unit-column inputs to ``A``.
+
+    OPT is the smallest support S with ``C(A, I_S)`` of full rank, by
+    enumeration with the oracle that ``controllability_rank`` asks, built
+    once rather than once per S. LB is the PBH bound (Hautus 1969),
+    ``max(1, n - rank(M - lambda I))`` over integer lambda for the integer
+    form M of A: a rational eigenvalue of M is an integer, and a candidate
+    that misses one only weakens LB. greedy is ``greedy_diagonal``'s
+    sparsity, at most ``H(d)·OPT`` with ``d = max_j rank C(A, e_j)``
+    (Wolsey 1982).
+    """
+    n = A.rows
+    M, _ = integer_form(A)
+    lower = 1
+    for lam in {round(z.real) for z in np.linalg.eigvals(np.array(M, dtype=float))}:
+        shifted = [[x - lam * (i == k) for k, x in enumerate(row)] for i, row in enumerate(M)]
+        lower = max(lower, n - rank_exact(RationalMatrix.from_rows(shifted)))
+    oracle = rank_oracle(A, "exact")
+
+    def f(S) -> int:
+        return oracle.input_rank([((s, 1),) for s in S])
+
+    optimum = next(
+        size
+        for size in range(1, n + 1)
+        if any(f(S) == n for S in combinations(range(n), size))
+    )
+    d = max(f([j]) for j in range(n))
+    greedy = greedy_diagonal(A, "exact")
+    assert greedy.controllable
+    return lower, optimum, greedy.sparsity, sum(Fraction(1, k) for k in range(1, d + 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SYSTEMS)
+def test_criterion_5_diagonal_greedy_between_exact_bounds(system):
+    A, _ = system
+    assume(A.rows <= 8)
+    lower, optimum, greedy, harmonic = _diagonal_bounds(A)
+    assert lower <= optimum <= greedy <= harmonic * optimum
+
+
+def test_criterion_5_diagonal_greedy_between_exact_bounds_on_sparse_er(capsys):
+    # below the connectivity threshold the PBH bound exceeds 1 and binds
+    start = time.perf_counter()
+    graphs = [(n, seed) for n in range(6, 11) for seed in range(6)]
+    counts = {"LB > 1": 0, "OPT > 1": 0, "LB = OPT": 0, "greedy > OPT": 0}
+    violations = []
+    for n, seed in graphs:
+        A = sample_er_digraph(n, 1.5 / n, seed).to_rational()
+        lower, optimum, greedy, harmonic = _diagonal_bounds(A)
+        if not lower <= optimum <= greedy <= harmonic * optimum:
+            violations.append((n, seed, lower, optimum, greedy))
+        counts["LB > 1"] += lower > 1
+        counts["OPT > 1"] += optimum > 1
+        counts["LB = OPT"] += lower == optimum
+        counts["greedy > OPT"] += greedy > optimum
+    elapsed = time.perf_counter() - start
+    with capsys.disabled():
+        _report(
+            5,
+            "diagonal-greedy-exact-bounds",
+            not violations,
+            f"LB <= OPT <= greedy <= H(d) OPT on {len(graphs)} ER graphs, n = 6-10, "
+            f"p = 1.5/n: {', '.join(f'{k} on {v}' for k, v in counts.items())}; "
+            f"violations {violations}, {elapsed:.2f}s",
         )
 
 

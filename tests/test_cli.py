@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import minctrl.cli
-from helpers import GOLDEN_A_ROWS
+from helpers import GOLDEN_A_ROWS, GOLDEN_INSTANCE_SETS
 from minctrl.cli import main
 from minctrl.matrices import RationalMatrix, load_matrix
 
@@ -108,6 +112,64 @@ def test_reduce_index_map_bytes(workdir, capsys, flags):
         assert pairs[0] == {"pair": [1, 2], "column": 8}
         assert pairs[-1] == {"pair": [7, 8], "column": 35}
         assert index_map["symmetric"]["final_column"] == 36
+
+
+# Every command, run on the golden reduction; each writes NAME.json with --out.
+# Paths are relative to the run's directory, so two runs see the same argv.
+REPEATED_COMMANDS = {
+    **{
+        f"solve-{label}-{backend}": ["solve", "../red/A.json", *flags, "--backend", backend]
+        for label, flags in [
+            ("det", ["--algo", "det"]),
+            ("rand", ["--algo", "rand", "--seed", "5"]),
+            ("diagonal", ["--mode", "diagonal"]),
+        ]
+        for backend in ("exact", "pbh")
+    },
+    "oracle-min-vector": ["oracle", "../red/V.json", "--kind", "min-vector"],
+    "verify": ["verify", "../red/A.json", "../ones.json"],
+    "reduce-symmetric": ["reduce", "../inst.json", "--symmetric", "--out-dir", "sym"],
+}
+REPEATED_FILES = [f"{name}.json" for name in REPEATED_COMMANDS] + [
+    f"sym/{name}.json" for name in ("V", "A", "V_hat", "A_hat", "index_map")
+]
+RUN_COMMANDS = """
+import json, sys
+import minctrl.cli
+print(json.dumps([minctrl.cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+@pytest.fixture(scope="module")
+def repeated_runs(tmp_path_factory):
+    """The output files of two processes that run every command once, as
+    {file: bytes}, under different string hash seeds."""
+    root = tmp_path_factory.mktemp("repeat")
+    (root / "inst.json").write_text(json.dumps({"m": 3, "sets": GOLDEN_INSTANCE_SETS}))
+    (root / "ones.json").write_text(json.dumps({"rows": 8, "cols": 1, "data": [1] * 8}))
+    assert main(["reduce", str(root / "inst.json"), "--out-dir", str(root / "red")]) == 0
+    argvs = [[*argv, "--out", f"{name}.json"] for name, argv in REPEATED_COMMANDS.items()]
+    src = Path(minctrl.cli.__file__).resolve().parents[1]
+    runs = []
+    for hash_seed in ("0", "1"):
+        cwd = root / f"run{hash_seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed,
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_COMMANDS, json.dumps(argvs)],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert json.loads(proc.stdout) == [0] * len(argvs)
+        runs.append({name: (cwd / name).read_bytes() for name in REPEATED_FILES})
+    return runs
+
+
+@pytest.mark.parametrize("name", REPEATED_FILES)
+def test_every_command_writes_identical_bytes_twice(repeated_runs, name):
+    first, second = repeated_runs
+    assert first[name] == second[name]
+    assert first[name].endswith(b"\n")
 
 
 def test_reduce_rejects_invalid_instance(workdir, capsys):

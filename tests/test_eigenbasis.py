@@ -99,7 +99,7 @@ CASES = [f"{name}-{solver}" for name in MATRICES for solver in SOLVERS]
 
 def _outcome(case: str) -> dict:
     name, solver = case.split("-")
-    return json.loads(SOLVERS[solver](MATRICES[name]()).to_json())
+    return SOLVERS[solver](MATRICES[name]()).to_json_dict()
 
 
 @pytest.fixture(scope="module")

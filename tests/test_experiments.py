@@ -260,10 +260,8 @@ def test_run_experiment_deterministic():
     cfg = ExperimentConfig(n_values=(6,), trials_per_n=3, seed=99)
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    assert a.to_json() == b.to_json()
-    # wall_time may differ between runs but never reaches the serialization
-    assert "wall_time" not in a.to_json()
-    assert a.records == b.records  # wall_time excluded from comparison too
+    assert a.to_json_dict() == b.to_json_dict()
+    assert a.records == b.records
 
 
 def test_run_experiment_deterministic_solver():

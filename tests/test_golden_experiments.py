@@ -1,7 +1,7 @@
 """Golden experiment reports: each config reproduces a recorded report.
 
 The expected JSON in ``golden_experiments.json`` pins
-``ExperimentReport.to_json()`` (graph seeds, regenerations, sparsities,
+``ExperimentReport.to_json_dict()`` (graph seeds, regenerations, sparsities,
 verified controllability and the histogram) for a fixed set of configs, so
 any rewrite of the eigendecomposition or of the solve/verify pipeline must
 keep every trial's outcome exactly. Regenerate it only for a deliberate
@@ -77,7 +77,7 @@ def _run(name: str):
 
 
 def _report(name: str) -> dict:
-    return json.loads(_run(name).to_json())
+    return _run(name).to_json_dict()
 
 
 @pytest.fixture(scope="module")

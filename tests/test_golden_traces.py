@@ -71,7 +71,7 @@ def _outcome(case: str) -> dict:
         result = SOLVERS[solver](MATRICES[matrix](), backend)
     except BackendPreconditionError:
         return {"error": "BackendPreconditionError"}
-    return json.loads(result.to_json())
+    return result.to_json_dict()
 
 
 @pytest.fixture(scope="module")
