@@ -109,16 +109,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    base: dict = {}
-    if args.config:
-        try:
-            base = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read {args.config}: {exc}") from exc
-        except ValueError as exc:  # also a JSON integer past the digit limit
-            raise InvalidInputError(f"{args.config}: not valid JSON: {exc}") from exc
-        if not isinstance(base, dict):
-            raise InvalidInputError(f"{args.config}: expected a JSON object")
+    base = matrices.load_json_object(args.config, "object") if args.config else {}
     overrides = {
         "n_values": tuple(args.n_values) if args.n_values else None,
         "trials_per_n": args.trials,
@@ -148,11 +139,7 @@ def _cmd_verify(args) -> int:
     if sorted((b.rows, b.cols)) != sorted((n, 1)):
         raise InvalidInputError(f"b must be an {n}-vector, got {b.rows}x{b.cols}")
     if b.rows == 1 and n != 1:
-        b = (
-            b.transpose()
-            if isinstance(b, matrices.RationalMatrix)
-            else matrices.DenseMatrix(b.array.T)
-        )
+        b = b.transpose()
     rank = greedy.controllability_rank(matrix, b, args.backend)  # also rejects a non-square A
     payload = {
         "schema_version": 1,

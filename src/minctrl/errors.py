@@ -28,12 +28,6 @@ class EnumerationGuardError(InvalidInputError):
 class NumericBackendError(MinctrlError, RuntimeError):
     """Numeric factorization failure (the eigensolver did not converge)."""
 
-    def __init__(self, message: str, matrix_hash: str | None = None):
-        if matrix_hash is not None:
-            message = f"{message} [matrix sha256: {matrix_hash}]"
-        super().__init__(message)
-        self.matrix_hash = matrix_hash
-
 
 class InternalVerificationError(MinctrlError):
     """A construction failed its own exact self-check; indicates a bug."""

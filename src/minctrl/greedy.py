@@ -57,7 +57,6 @@ from minctrl.linalg import (
     pbh_reached,
 )
 from minctrl.matrices import (
-    DenseMatrix,
     Matrix,
     RationalMatrix,
     as_dense,
@@ -149,9 +148,8 @@ class SolveResult:
 
 def _sparse_columns(B: Matrix, value: Callable = Fraction) -> list[tuple]:
     """Each column of ``B`` as the pairs ``(i, value(B[i, c]))`` of its nonzeros."""
-    if value is float:  # through as_dense, which rejects an entry past float64
-        B = as_dense(B)
-    rows = B.array.tolist() if isinstance(B, DenseMatrix) else as_rational(B).data
+    # as_dense rejects an entry past float64; as_rational converts floats exactly
+    rows = as_dense(B).array.tolist() if value is float else as_rational(B).data
     return [tuple((i, value(x)) for i, x in enumerate(col) if x) for col in zip(*rows)]
 
 
@@ -406,6 +404,8 @@ def _greedy(
 ) -> SolveResult:
     """Commit the best (coordinate, probe) per sweep until the rank stalls.
 
+    A sweep picks with ``_first_best``, as each probe argmax does: the
+    first coordinate with the highest score, stopping at full rank.
     ``block`` scores a candidate as a new unit diagonal entry instead of a
     new entry of the input vector.
     """
@@ -419,26 +419,23 @@ def _greedy(
             return oracle.input_rank([((s, 1),) for s in (*support, j)]), values[0]
     else:
         best_probe = oracle.best_probe
+
+    def candidates():  # each unused coordinate's best probe, in index order
+        for j in range(n):
+            if j not in support:
+                score, value = best_probe(j, probe_values(j))
+                yield score, (j, value)
+
     while rank < n:
         if not block:
             oracle.begin_sweep(b)
-        cap = n - rank
-        best_c, best_j, best_v = 0, -1, None
-        for j in range(n):
-            if j in support:
-                continue
-            score, value = best_probe(j, probe_values(j))
-            c = score - rank
-            if c > best_c:
-                best_c, best_j, best_v = c, j, value
-                if c == cap:
-                    break
-        if best_c <= 0:
+        score, (j, value) = _first_best(candidates(), n)
+        if score <= rank:
             break
-        b[best_j] = best_v
-        support.append(best_j)
-        rank += best_c
-        trace.append(TraceStep(best_j, float(best_v), rank))
+        b[j] = value
+        support.append(j)
+        rank = score
+        trace.append(TraceStep(j, float(value), rank))
     return SolveResult(n, backend, tuple(trace))
 
 

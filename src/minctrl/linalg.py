@@ -132,7 +132,7 @@ def left_eigensystem(
         values, vectors = np.linalg.eig(A.array.T)
     except np.linalg.LinAlgError as exc:
         raise NumericBackendError(
-            f"eigensolver did not converge: {exc}", matrix_hash=A.sha256()
+            f"eigensolver did not converge: {exc} [matrix sha256: {A.sha256()}]"
         ) from exc
     order = np.lexsort((values.imag, values.real))
     values = values[order]
@@ -148,8 +148,7 @@ def left_eigensystem(
     if not residual <= tolerance:
         raise NumericBackendError(
             f"eigenvector residual {residual:.3e} exceeds tolerance "
-            f"{tolerance:.3e}",
-            matrix_hash=A.sha256(),
+            f"{tolerance:.3e} [matrix sha256: {A.sha256()}]"
         )
 
     if n == 1:

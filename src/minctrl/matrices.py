@@ -31,6 +31,10 @@ File formats:
   in chunks of 4,000 digits.
 * Headerless CSV, one row per line, for dense real matrices.
 
+Every other JSON input, a hitting-set instance or an experiment config, is
+read by ``load_json_object``, so each kind of unreadable, invalid or
+non-object file gets one error message.
+
 numpy runs on first use: ``np`` is the package's lazy binding of it (see
 ``minctrl.__init__``), which this module, ``linalg``, ``greedy`` and
 ``experiments`` take from the package. A process that makes no numeric call,
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isfinite, lcm
@@ -107,6 +112,9 @@ class DenseMatrix:
     @classmethod
     def diagonal(cls, values: Sequence[float]) -> "DenseMatrix":
         return cls(np.diag(np.asarray(values, dtype=np.float64)))
+
+    def transpose(self) -> "DenseMatrix":
+        return DenseMatrix(self.array.T)
 
     def to_rational(self) -> "RationalMatrix":
         """Exact conversion: every finite float is a dyadic rational."""
@@ -213,6 +221,7 @@ def _rational_text(x: Fraction) -> str:
     return num if x.denominator == 1 else f"{num}/{_integer_text(x.denominator)}"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class RationalMatrix:
     """Immutable exact-fraction matrix.
 
@@ -223,18 +232,14 @@ class RationalMatrix:
     sum of ``Fraction`` products would give.
     """
 
-    __slots__ = ("data",)
+    data: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, data: tuple[tuple[Fraction, ...], ...]):
-        if len(data) < 1 or len(data[0]) < 1:
+    def __post_init__(self):
+        if len(self.data) < 1 or len(self.data[0]) < 1:
             raise InvalidInputError("matrix dimensions must be positive")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
+        width = len(self.data[0])
+        if any(len(r) != width for r in self.data):
             raise InvalidInputError("ragged rows in rational matrix")
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
 
     @property
     def rows(self) -> int:
@@ -321,14 +326,6 @@ class RationalMatrix:
     def to_dense(self) -> DenseMatrix:
         return DenseMatrix.from_rows(self.data)  # an entry past float64 is invalid input
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
@@ -394,6 +391,20 @@ def matrix_from_json_dict(obj: dict) -> Matrix:
             tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
         )
     return DenseMatrix.from_rows([data[i * cols : (i + 1) * cols] for i in range(rows)])
+
+
+def load_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names it in the error
+    raised for any other JSON value."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # also undecodable text and a JSON integer past the digit limit
+        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{path}: expected a JSON {what}")
+    return obj
 
 
 def load_matrix(path: str | Path) -> Matrix:

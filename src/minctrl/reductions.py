@@ -48,16 +48,20 @@ coordinates are 0-based.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, count
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from pathlib import Path
 from typing import Sequence
 
 from minctrl.errors import InternalVerificationError, InvalidInputError, is_integer
-from minctrl.matrices import RationalMatrix, integer_product, primitive_vector
+from minctrl.matrices import (
+    RationalMatrix,
+    integer_product,
+    load_json_object,
+    primitive_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -130,15 +134,7 @@ def _check_elements(idx: int, elements) -> None:
 
 
 def load_instance(path: str | Path) -> HittingSetInstance:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also a JSON integer past the digit limit
-        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidInputError(f"{path}: expected a JSON instance object")
-    return HittingSetInstance.from_json_dict(obj)
+    return HittingSetInstance.from_json_dict(load_json_object(path, "instance object"))
 
 
 @dataclass(frozen=True)
@@ -370,8 +366,10 @@ def orthogonal_extension(vectors: Sequence[Sequence[int]]) -> tuple[list[list[in
             continue
         na, da = ext[0]
         p, q = _dot(na, na) * du, _dot(nu, nu) * da
-        ext[l] = _lowest([p * x + q * y for x, y in zip(nu, na)], q * da)
-        ext[0] = _lowest([du * y - da * x for x, y in zip(nu, na)], da * du)
+        # each as ``num / den`` in lowest terms: [*num, den] made primitive
+        u = primitive_vector([*(p * x + q * y for x, y in zip(nu, na)), q * da])
+        a = primitive_vector([*(du * y - da * x for x, y in zip(nu, na)), da * du])
+        ext[l], ext[0] = (u[:-1], u[-1]), (a[:-1], a[-1])
 
     out_ints = [primitive_vector(num) for num, _ in ext]
     for i, v in enumerate(out_ints):
@@ -385,12 +383,6 @@ def orthogonal_extension(vectors: Sequence[Sequence[int]]) -> tuple[list[list[in
                 raise InternalVerificationError("extension not orthogonal to inputs")
     L = lcm(*(d for _, d in ext))
     return [[x * (L // d) for x in num] for num, d in ext], L
-
-
-def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
-    """``num / den`` with the common factor of ``den`` and every entry divided out."""
-    g = gcd(den, *num)
-    return ([x // g for x in num], den // g) if g > 1 else (num, den)
 
 
 def _dot(a, b):

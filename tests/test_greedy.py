@@ -454,6 +454,56 @@ def test_pbh_best_probe_stops_at_the_first_full_rank_value(monkeypatch):
     assert sum(scored) == 3
 
 
+class _ScriptedOracle:
+    """A vector oracle whose ``best_probe`` answers come from a script, one
+    ``{j: (score, value)}`` per sweep; it records each sweep's ``b`` and the
+    coordinates it scores."""
+
+    value = Fraction
+
+    def __init__(self, n, script):
+        self.n, self._script = n, script
+        self.begun, self.scored = [], []
+
+    def begin_sweep(self, b):
+        self.begun.append(list(b))
+        self.scored.append([])
+
+    def best_probe(self, j, values):
+        self.scored[-1].append(j)
+        return self._script[len(self.scored) - 1][j]
+
+
+def _scripted_solve(n, script):
+    oracle = _ScriptedOracle(n, script)
+    probes = lambda j: (Fraction(100 + j),)  # never what best_probe returns
+    return minctrl.greedy._greedy(oracle, probes, "exact", block=False), oracle
+
+
+def test_sweep_commits_the_first_best_coordinate_until_no_gain():
+    one = Fraction(1)
+    result, oracle = _scripted_solve(4, [
+        # a tie between 1 and 2 goes to the lower index, with its probe's value
+        {0: (1, one), 1: (2, Fraction(7)), 2: (2, Fraction(9)), 3: (0, one)},
+        # from rank 2 a score must exceed 2; 0 and 2 tie at 3
+        {0: (3, Fraction(-5, 2)), 2: (3, one), 3: (2, one)},
+        # no coordinate scores above 3: the sweep ends the solve
+        {2: (3, one), 3: (1, one)},
+    ])
+    assert result.trace == (TraceStep(1, 7.0, 2), TraceStep(0, -2.5, 3))
+    assert oracle.begun == [[0] * 4, [0, 7, 0, 0], [Fraction(-5, 2), 7, 0, 0]]
+    assert oracle.scored == [[0, 1, 2, 3], [0, 2, 3], [2, 3]]
+
+
+def test_sweep_scores_no_coordinate_after_full_rank():
+    result, oracle = _scripted_solve(3, [
+        {0: (1, Fraction(1)), 1: (3, Fraction(5)), 2: (3, Fraction(6))},
+    ])
+    assert result.trace == (TraceStep(1, 5.0, 3),)
+    # coordinate 2 is never scored, and no second sweep begins
+    assert oracle.scored == [[0, 1]]
+
+
 # The exact oracle the solvers get, against the exact rank of the
 # controllability matrix, on rational matrices with non-integer entries and
 # on sparse ones, whose zeros the integer products skip.

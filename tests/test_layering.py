@@ -24,6 +24,10 @@ compares the smallest eigenvalue gap with its threshold: every decomposition
 has a distinct spectrum, so no PBH count and not the experiment harness's
 accept test read or compare a gap of their own.
 
+No module but ``matrices`` parses JSON: ``load_matrix`` reads a matrix
+file and ``load_json_object`` every other JSON input, an instance or an
+experiment config, with one set of error messages.
+
 No module imports numpy when it is imported itself: ``minctrl.np``, made in
 the package's ``__init__`` by its one lazy loader, is the one binding of
 numpy, which runs numpy on its first attribute use, so ``reduce`` and
@@ -234,6 +238,59 @@ def test_guard_flags_orth_tol_scale_reads(tmp_path):
         "mask = pbh_reached(products, norm)\n"
     )
     assert _name_uses(bad, "DEFAULT_ORTH_TOL_SCALE") == ["line 2", "line 3"]
+
+
+def _json_parsing(path: Path) -> list[str]:
+    """Calls of ``json.loads`` or ``json.load``, also when imported by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name in ("load", "loads")
+    }
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("load", "loads")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+            )
+            or (isinstance(node.func, ast.Name) and node.func.id in names)
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "matrices.py"],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_json_parsed_only_in_matrices(path):
+    assert _json_parsing(path) == []
+
+
+def test_json_parsing_found_in_matrices():
+    assert len(_json_parsing(SRC / "matrices.py")) == 2
+
+
+def test_guard_flags_json_parsing(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "obj = json.loads(text)\n"
+        "obj = json.load(handle)\n"
+        "from json import loads as parse\n"
+        "obj = parse(text)\n"
+        "text = json.dumps(obj)\n"
+        "obj = matrices.load_json_object(path, 'object')\n"
+        "obj = yaml.load(text)\n"
+    )
+    assert _json_parsing(bad) == ["line 1", "line 2", "line 4"]
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)

@@ -20,6 +20,7 @@ from minctrl.matrices import (
     as_dense,
     as_rational,
     integer_form,
+    load_json_object,
     load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -91,6 +92,34 @@ def test_dense_immutable():
         m.array[0, 0] = 5.0
     with pytest.raises(AttributeError):
         m.array = np.zeros((2, 2))
+
+
+def test_dense_transpose():
+    m = DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    t = m.transpose()
+    assert (t.rows, t.cols) == (3, 2)
+    assert t.entries == [1, 4, 2, 5, 3, 6]
+    assert t.transpose() == m
+    # its own array, read-only like every DenseMatrix's
+    assert not np.shares_memory(t.array, m.array)
+    assert not t.array.flags.writeable
+
+
+def test_rational_is_an_immutable_value():
+    m = RationalMatrix.from_rows([["1/2", 3]])
+    same = RationalMatrix.from_rows([[Fraction(1, 2), "3"]])
+    assert m == same and hash(m) == hash(same) and len({m, same}) == 1
+    assert m != m.to_dense() and m != m.transpose()
+    with pytest.raises(AttributeError):
+        m.data = same.data
+    # no attribute can be added either; Python 3.11 reports it as a TypeError,
+    # from the frozen __setattr__ that dataclasses gives a slots class
+    with pytest.raises((AttributeError, TypeError)):
+        m.extra = 1
+    with pytest.raises(InvalidInputError, match="ragged rows"):
+        RationalMatrix(((Fraction(1),), ()))
+    with pytest.raises(InvalidInputError, match="dimensions must be positive"):
+        RationalMatrix(())
 
 
 def test_rational_entries_normalized():
@@ -300,6 +329,29 @@ def test_malformed_json_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(InvalidInputError):
         load_matrix(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read .*nope.json: "),
+        (b"{broken", "nope.json: not valid JSON: "),
+        (b"\xff\xfe{", "nope.json: not valid JSON: "),
+        (b"[1, 2]", "nope.json: expected a JSON instance object$"),
+    ],
+)
+def test_load_json_object_errors(tmp_path, content, message):
+    path = tmp_path / "nope.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(InvalidInputError, match=message):
+        load_json_object(path, "instance object")
+
+
+def test_load_json_object_reads_an_object(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"n_values": [10], "trials_per_n": 2}')
+    assert load_json_object(str(path), "object") == {"n_values": [10], "trials_per_n": 2}
 
 
 def test_scale_to_integers():
