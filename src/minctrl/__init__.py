@@ -45,10 +45,8 @@ _EXPORTS = {
     "controllability_rank": "greedy",
     "deterministic_greedy_vector": "greedy",
     "greedy_diagonal": "greedy",
-    "kalman_test": "greedy",
     "randomized_greedy_vector": "greedy",
     "EigenSystem": "linalg",
-    "controllability_matrix": "linalg",
     "left_eigensystem": "linalg",
     "pbh_controllability_rank": "linalg",
     "rank_exact": "linalg",

@@ -36,9 +36,9 @@ it. The pbh oracle decomposes a matrix with the default
 ``EigenSystem`` has a distinct spectrum by construction; the solvers take
 no threshold of their own.
 
-``controllability_rank`` and ``kalman_test``, which ``minctrl verify`` runs,
-are the same oracle's ``input_rank`` of a whole input matrix, so a check
-asks the question the solvers ask.
+``controllability_rank``, which ``minctrl verify`` runs, is the same
+oracle's ``input_rank`` of a whole input matrix, so a check asks the question
+the solvers ask; the Kalman test is ``controllability_rank(A, B) == n``.
 """
 
 from __future__ import annotations
@@ -385,14 +385,6 @@ def controllability_rank(
     if B.rows != oracle.n:
         raise InvalidInputError(f"B has {B.rows} rows but A is {oracle.n}x{oracle.n}")
     return oracle.input_rank(columns)
-
-
-def kalman_test(
-    A: Matrix | EigenSystem, B: Matrix, rank_backend: str = "exact"
-) -> bool:
-    """Full-rank test of the controllability matrix under a chosen backend."""
-    # B has n rows, or controllability_rank raises; A may be an EigenSystem
-    return controllability_rank(A, B, rank_backend) == B.rows
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from minctrl.matrices import (
     Matrix,
     RationalMatrix,
     as_dense,
-    as_rational,
     integer_form,
     integer_product,
     primitive_vector,
@@ -58,25 +57,6 @@ DEFAULT_ORTH_TOL_SCALE = 1e-8
 # numeric eigenvector. It bounds only which inputs can be certified: the
 # exact check, not the rounding, decides.
 EIGENBASIS_MAX_DENOMINATOR = 10**6
-
-def controllability_matrix(A: Matrix, B: Matrix) -> RationalMatrix:
-    """Horizontal stack of ``B, AB, A^2 B, ..., A^{n-1} B``, exactly.
-
-    `A` must be square and `B` must have matching row count. Both are taken
-    with ``as_rational``, which converts every float exactly, so the result
-    is a ``RationalMatrix``.
-    """
-    A, B = as_rational(A), as_rational(B)
-    n = A.rows
-    if A.cols != n:
-        raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
-    if B.rows != n:
-        raise InvalidInputError(f"B has {B.rows} rows but A is {n}x{n}")
-    blocks = [B]
-    for _ in range(1, n):
-        blocks.append(A @ blocks[-1])
-    rows = [tuple(x for blk in blocks for x in blk.row(i)) for i in range(n)]
-    return RationalMatrix(tuple(rows))
 
 
 def rank_exact(M: RationalMatrix) -> int:

@@ -96,15 +96,6 @@ class DenseMatrix:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    @property
-    def entries(self) -> list[float]:
-        """Row-major flat copy of the entries."""
-        return [float(x) for x in self.array.ravel()]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "DenseMatrix":
-        return cls(rows)
-
     @classmethod
     def identity(cls, n: int) -> "DenseMatrix":
         return cls(np.eye(n))
@@ -115,12 +106,6 @@ class DenseMatrix:
 
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(self.array.T)
-
-    def to_rational(self) -> "RationalMatrix":
-        """Exact conversion: every finite float is a dyadic rational."""
-        return RationalMatrix.from_rows(
-            [[Fraction(float(x)) for x in row] for row in self.array]
-        )
 
     def sha256(self) -> str:
         import hashlib  # here, not at the top: only error reports digest a matrix
@@ -277,9 +262,6 @@ class RationalMatrix:
             [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(tuple(zip(*self.data)))
 
@@ -323,9 +305,6 @@ class RationalMatrix:
         # tuple equality tries identity first, so a shared mirror costs no Fraction.__eq__
         return self.rows == self.cols and self.data == tuple(zip(*self.data))
 
-    def to_dense(self) -> DenseMatrix:
-        return DenseMatrix.from_rows(self.data)  # an entry past float64 is invalid input
-
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
@@ -342,7 +321,7 @@ def matrix_to_json_dict(mat: Matrix) -> dict:
     written by ``_rational_text``, in chunks, and shares its text the same way.
     """
     if isinstance(mat, DenseMatrix):
-        return {"rows": mat.rows, "cols": mat.cols, "data": mat.entries}
+        return {"rows": mat.rows, "cols": mat.cols, "data": mat.array.ravel().tolist()}
     texts: dict[int, str] = {}  # by id: ``mat`` keeps every entry alive
     data = []
     for row in mat.data:
@@ -390,7 +369,7 @@ def matrix_from_json_dict(obj: dict) -> Matrix:
         return RationalMatrix(
             tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
         )
-    return DenseMatrix.from_rows([data[i * cols : (i + 1) * cols] for i in range(rows)])
+    return DenseMatrix([data[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
 def load_json_object(path: str | Path, what: str) -> dict:
@@ -443,7 +422,7 @@ def _parse_csv(text: str, label: str) -> DenseMatrix:
         raise InvalidInputError(f"{label}: empty matrix file")
     if any(len(r) != len(rows[0]) for r in rows):
         raise InvalidInputError(f"{label}: ragged CSV rows")
-    return DenseMatrix.from_rows(rows)
+    return DenseMatrix(rows)
 
 
 def save_matrix(mat: Matrix, path: str | Path) -> None:
@@ -454,7 +433,7 @@ def as_dense(mat: Matrix) -> DenseMatrix:
     if isinstance(mat, DenseMatrix):
         return mat
     if isinstance(mat, RationalMatrix):
-        return mat.to_dense()
+        return DenseMatrix(mat.data)  # an entry past float64 is invalid input
     raise InvalidInputError(f"expected a matrix, got {type(mat).__name__}")
 
 
@@ -462,7 +441,10 @@ def as_rational(mat: Matrix) -> RationalMatrix:
     if isinstance(mat, RationalMatrix):
         return mat
     if isinstance(mat, DenseMatrix):
-        return mat.to_rational()
+        # exact: every finite float is a dyadic rational
+        return RationalMatrix.from_rows(
+            [[Fraction(float(x)) for x in row] for row in mat.array]
+        )
     raise InvalidInputError(f"expected a matrix, got {type(mat).__name__}")
 
 

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 from minctrl.errors import InvalidInputError
 from minctrl.linalg import rank_exact
-from minctrl.matrices import RationalMatrix
+from minctrl.matrices import Matrix, RationalMatrix, as_rational
 from minctrl.reductions import HittingSetInstance
 
 # Golden 8x8 pair for the four-set instance over {1,2,3}: the eigenvector
@@ -51,6 +51,27 @@ def golden_A() -> RationalMatrix:
     return RationalMatrix.from_rows(GOLDEN_A_ROWS)
 
 
+def controllability_matrix(A: Matrix, B: Matrix) -> RationalMatrix:
+    """Horizontal stack of ``B, AB, A^2 B, ..., A^{n-1} B``, exactly.
+
+    The tests' independent reference for ``greedy.controllability_rank``:
+    ``rank_exact`` of this matrix is the rank every backend must report.
+    `A` must be square and `B` must have matching row count. Both are taken
+    with ``as_rational``, which converts every float exactly.
+    """
+    A, B = as_rational(A), as_rational(B)
+    n = A.rows
+    if A.cols != n:
+        raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
+    if B.rows != n:
+        raise InvalidInputError(f"B has {B.rows} rows but A is {n}x{n}")
+    blocks = [B]
+    for _ in range(1, n):
+        blocks.append(A @ blocks[-1])
+    rows = [tuple(x for blk in blocks for x in blk.data[i]) for i in range(n)]
+    return RationalMatrix(tuple(rows))
+
+
 # The two support predicates the brute-force oracles once called, kept as
 # references: ``minctrl.oracles`` tests one bitmask per row instead.
 def meets_every_row(V_rows: RationalMatrix, support: Iterable[int]) -> bool:
@@ -89,6 +110,29 @@ def random_instance(rng: random.Random, max_m: int = 5, max_p: int = 5) -> Hitti
         if not any(element in s for s in sets):
             sets[rng.randrange(p)].add(element)
     return HittingSetInstance.from_sets(m, [sorted(s) for s in sets])
+
+
+# The plain reduction's two witness maps. Columns ``0..m-1`` are the
+# elements ``1..m``, column ``m + j`` is set ``j`` and column ``m + p`` is the
+# anchor, the only column the anchor eigenvector row meets.
+def support_of_hitting_set(inst: HittingSetInstance, hitting: Iterable[int]) -> list[int]:
+    """Forward: ``H -> {h - 1 : h in H} | {m + p}``, a controllable support."""
+    m, p = inst.ground_size, inst.num_sets
+    return sorted({h - 1 for h in hitting} | {m + p})
+
+
+def hitting_set_of_support(inst: HittingSetInstance, support: Iterable[int]) -> set[int]:
+    """Backward: ``S -> {s + 1 : s < m} | {min(set j) : m + j in S}``.
+
+    A controllable support meets every set row, at an element of the set or
+    at the set's own column, so the image hits every set; the anchor adds
+    nothing, so it has at most ``len(S) - 1`` elements.
+    """
+    m, p = inst.ground_size, inst.num_sets
+    chosen = set(support)
+    return {s + 1 for s in chosen if s < m} | {
+        min(inst.sets[j]) for j in range(p) if m + j in chosen
+    }
 
 
 def random_invertible_rational(rng: random.Random, n: int, magnitude: int = 5) -> RationalMatrix:
@@ -169,7 +213,7 @@ class JordanSpec:
     def block_row(self, block: int, j: int) -> tuple[Fraction, ...]:
         """Row ``j`` (1-based within the block) of the inverse transform."""
         offset = sum(self.block_sizes[:block])
-        return self.t_inverse.row(offset + j - 1)
+        return self.t_inverse.data[offset + j - 1]
 
     def jordan_matrix(self) -> RationalMatrix:
         n = self.n

@@ -19,7 +19,7 @@ from minctrl.experiments import sample_er_digraph
 from minctrl.greedy import _EigenbasisOracle, _KrylovOracle
 from minctrl.greedy import deterministic_greedy_vector, greedy_diagonal, randomized_greedy_vector
 from minctrl.linalg import certified_left_eigenbasis, rank_exact
-from minctrl.matrices import RationalMatrix
+from minctrl.matrices import RationalMatrix, as_rational
 from minctrl.reductions import HittingSetInstance, build_reduction, build_symmetric_extension
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -109,7 +109,7 @@ def er_graphs(draw) -> tuple:
     """0/1 adjacency matrices of Erdos-Renyi digraphs at ``p = 2 ln n / n``."""
     n = draw(st.integers(2, 6))
     A = sample_er_digraph(n, min(1.0, 2 * math.log(n) / n), draw(st.integers(0, 2**32 - 1)))
-    return A.to_rational(), FRACTIONS
+    return as_rational(A), FRACTIONS
 
 
 SYSTEMS = st.one_of(

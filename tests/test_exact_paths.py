@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minctrl.greedy
-from helpers import random_unimodular
+from helpers import controllability_matrix, random_unimodular
 from minctrl.greedy import (
     _sparse_columns,
     controllability_rank,
@@ -24,7 +24,7 @@ from minctrl.greedy import (
     randomized_greedy_vector,
     rank_oracle,
 )
-from minctrl.linalg import certified_left_eigenbasis, controllability_matrix, rank_exact
+from minctrl.linalg import certified_left_eigenbasis, rank_exact
 from minctrl.matrices import RationalMatrix
 from systems import EXACT_PATHS, SOLVERS, SYSTEMS, fractions
 

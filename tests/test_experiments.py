@@ -23,17 +23,18 @@ from minctrl.experiments import (
     sample_er_digraph,
 )
 from minctrl.greedy import (
+    controllability_rank,
     deterministic_greedy_vector,
-    kalman_test,
+    greedy_diagonal,
     randomized_greedy_vector,
     rank_oracle,
 )
 from minctrl.linalg import left_eigensystem
-from minctrl.matrices import DenseMatrix
+from minctrl.matrices import DenseMatrix, save_matrix
 
 
 def test_sample_trivial_cases():
-    assert sample_er_digraph(1, 1.0, 0) == DenseMatrix.from_rows([[1]])
+    assert sample_er_digraph(1, 1.0, 0) == DenseMatrix([[1]])
     assert np.all(sample_er_digraph(3, 1e-12, 1).array == 0)
     assert np.all(sample_er_digraph(4, 1.0, 2).array == 1)
 
@@ -93,12 +94,12 @@ def test_eigen_gap_filter():
     assert not eigen_gap_filter(DenseMatrix.identity(2), 0.01)
     assert not eigen_gap_filter(DenseMatrix.diagonal([1, 1.005]), 0.01)
     assert eigen_gap_filter(DenseMatrix.diagonal([1, 1.005]), 0.001)
-    assert eigen_gap_filter(DenseMatrix.from_rows([[7]]), 0.01)
+    assert eigen_gap_filter(DenseMatrix([[7]]), 0.01)
     # the filter decomposes what it accepts: it takes only a square matrix
     for bad in (
         left_eigensystem(DenseMatrix.diagonal([1, 2, 3])),
         left_eigensystem(DenseMatrix.diagonal([1, 1.005]), cluster_gap=0.001),
-        DenseMatrix.from_rows([[1, 2]]),
+        DenseMatrix([[1, 2]]),
     ):
         with pytest.raises(InvalidInputError, match="square DenseMatrix"):
             eigen_gap_filter(bad, 0.01)
@@ -169,7 +170,7 @@ def test_eigen_gap_filter_rejects_bad_threshold_on_both_branches(threshold, deco
     ],
 )
 def test_repeats_isolated_eigenvalue(rows, repeated):
-    A = DenseMatrix.from_rows(rows)
+    A = DenseMatrix(rows)
     assert repeats_isolated_eigenvalue(A) is repeated
     if repeated:
         with pytest.raises(BackendPreconditionError, match="gap 0.000e[+]00 is below"):
@@ -387,12 +388,33 @@ def test_gap_filter_rejects_a_failed_decomposition(monkeypatch):
 
 
 def test_pbh_paths_control_triangular_system(tmp_path):
-    A = DenseMatrix.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
-    b = DenseMatrix.from_rows([[0], [0], [1]])
+    A = DenseMatrix([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+    b = DenseMatrix([[0], [0], [1]])
     assert randomized_greedy_vector(A, 0, "pbh").controllable
     assert deterministic_greedy_vector(A, "pbh").controllable
-    assert kalman_test(A, b, "pbh")
+    assert controllability_rank(A, b, "pbh") == 3
     a_path, b_path = tmp_path / "A.json", tmp_path / "b.json"
-    a_path.write_text(json.dumps({"rows": 3, "cols": 3, "data": A.entries}))
-    b_path.write_text(json.dumps({"rows": 3, "cols": 1, "data": b.entries}))
+    save_matrix(A, a_path)
+    save_matrix(b, b_path)
     assert cli_main(["verify", str(a_path), str(b_path), "--backend", "pbh"]) == 0
+
+
+def test_pbh_and_exact_traces_agree_on_harness_graphs():
+    # the harness's own graphs: sparse ER digraphs at its edge probability
+    # 2 ln n / n that its gap filter accepts. Every solver must take the same
+    # steps under "pbh", on the filter's decomposition, as under "exact" on A.
+    accepted = 0
+    for seed in range(10000, 10012):
+        for n in range(5, 31, 5):
+            A = sample_er_digraph(n, 2 * math.log(n) / n, seed)
+            eig = eigen_gap_filter(A, 0.01)
+            if eig is None:
+                continue
+            accepted += 1
+            for solve in (
+                deterministic_greedy_vector,
+                lambda M, backend: randomized_greedy_vector(M, seed, backend),
+                greedy_diagonal,
+            ):
+                assert solve(eig, "pbh").trace == solve(A, "exact").trace, (n, seed)
+    assert accepted >= 60  # of 72 graphs

@@ -31,7 +31,7 @@ SYSTEMS = {
     ),
     # dense floats, upper triangular with eigenvalues 0.5, 1.5, -2
     "float3": (
-        DenseMatrix.from_rows([[0.5, 1.0, 0.0], [0.0, 1.5, 0.25], [0.0, 0.0, -2.0]]),
+        DenseMatrix([[0.5, 1.0, 0.0], [0.0, 1.5, 0.25], [0.0, 0.0, -2.0]]),
         {"ctrb": [0.0, 0.0, 1.0], "unctrb": [1.0, 0.0, 0.0]},
     ),
     # a repeated eigenvalue with a two-dimensional eigenspace: no b works,
@@ -62,7 +62,7 @@ def _run(case, tmp: Path) -> dict:
     b_matrix = (
         RationalMatrix.from_rows(rows)
         if isinstance(A, RationalMatrix)
-        else DenseMatrix.from_rows(rows)
+        else DenseMatrix(rows)
     )
     save_matrix(A, tmp / "A.json")
     save_matrix(b_matrix, tmp / "b.json")

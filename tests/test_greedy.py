@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minctrl.greedy
-from helpers import random_unimodular
+from helpers import controllability_matrix, random_unimodular
 from minctrl.errors import (
     BackendPreconditionError,
     InternalVerificationError,
@@ -28,12 +28,11 @@ from minctrl.greedy import (
     rank_oracle,
 )
 from minctrl.linalg import (
-    controllability_matrix,
     left_eigensystem,
     pbh_controllability_rank,
     rank_exact,
 )
-from minctrl.matrices import DenseMatrix, RationalMatrix
+from minctrl.matrices import DenseMatrix, RationalMatrix, as_dense
 from minctrl.oracles import brute_force_min_vector_support
 from minctrl.reductions import build_reduction
 from systems import rationals
@@ -89,7 +88,7 @@ def test_diagonal_diag12():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_paper_instance_sparsity_three(paper_instance, backend):
     red = build_reduction(paper_instance)
-    A = red.system_matrix if backend == "exact" else red.system_matrix.to_dense()
+    A = red.system_matrix if backend == "exact" else as_dense(red.system_matrix)
     result = deterministic_greedy_vector(A, backend)
     assert result.controllable and result.final_rank == 8
     # optimum is 3; greedy attains it here, and must stay within the
@@ -100,7 +99,7 @@ def test_paper_instance_sparsity_three(paper_instance, backend):
 
 def test_paper_instance_randomized_seeds(paper_instance):
     red = build_reduction(paper_instance)
-    dense = red.system_matrix.to_dense()
+    dense = as_dense(red.system_matrix)
     bound = 3 * (math.floor(math.log(8)) + 1)
     for seed in range(5):
         result = randomized_greedy_vector(dense, seed, "pbh")
@@ -158,7 +157,7 @@ def _count_integer_ranks(monkeypatch) -> dict:
 def test_rank_evaluations_per_sweep_bounded(monkeypatch):
     calls = _count_integer_ranks(monkeypatch)
     # J_2(1) + J_2(2) has no eigenbasis, so every rank falls back to Bareiss.
-    A = DenseMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]])
+    A = DenseMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]])
     result = deterministic_greedy_vector(A, "exact")
     assert result.controllable
     n = 4
@@ -213,7 +212,7 @@ def test_krylov_degree_stop_counts_distinct_values(monkeypatch):
 
 def test_seed_determinism_bit_for_bit(paper_instance):
     red = build_reduction(paper_instance)
-    dense = red.system_matrix.to_dense()
+    dense = as_dense(red.system_matrix)
     a = randomized_greedy_vector(dense, 123, "pbh")
     b = randomized_greedy_vector(dense, 123, "pbh")
     assert a == b
@@ -364,7 +363,7 @@ def test_eigensystem_needs_pbh_backend(backend):
     ids=["det", "rand", "diag"],
 )
 def test_pbh_solvers_take_a_decomposition(paper_A, solve):
-    A = paper_A.to_dense()
+    A = as_dense(paper_A)
     assert solve(left_eigensystem(A)).to_json_dict() == solve(A).to_json_dict()
 
 
@@ -374,7 +373,7 @@ def test_pbh_solvers_take_a_decomposition(paper_A, solve):
         lambda eig: deterministic_greedy_vector(eig, "pbh"),
         lambda eig: randomized_greedy_vector(eig, 4, "pbh"),
         lambda eig: greedy_diagonal(eig, "pbh"),
-        lambda eig: pbh_controllability_rank(eig, DenseMatrix.from_rows([[1], [1], [1]])),
+        lambda eig: pbh_controllability_rank(eig, DenseMatrix([[1], [1], [1]])),
     ],
     ids=["det", "rand", "diag", "rank"],
 )
@@ -393,7 +392,7 @@ def test_pbh_input_rank_of_one_entry_columns_is_the_dense_count(paper_A, system)
     # a one-entry column's products are exactly the dense product's entries,
     # and each column's tolerance is its own: the counts agree on every
     # support, whichever columns the oracle has seen before
-    A = paper_A.to_dense() if system == "golden" else sample_er_digraph(40, 0.09, 3)
+    A = as_dense(paper_A) if system == "golden" else sample_er_digraph(40, 0.09, 3)
     eig = left_eigensystem(A)
     n = eig.n
     oracle = rank_oracle(eig, "pbh")
@@ -411,7 +410,7 @@ def test_pbh_input_rank_of_one_entry_columns_is_the_dense_count(paper_A, system)
 @pytest.mark.parametrize("system", ["golden", "er12", "diag"])
 def test_float_best_probe_is_first_argmax_of_single_probes(paper_A, backend, system):
     A = {
-        "golden": paper_A.to_dense(),
+        "golden": as_dense(paper_A),
         "er12": sample_er_digraph(12, 0.4, 7),
         "diag": DenseMatrix.diagonal([1.0, 2.0, 3.0, 4.0]),
     }[system]

@@ -13,8 +13,8 @@ matrix, ``scale_to_integers`` for one row, and
 ``RationalMatrix.from_integers`` back.
 
 No module but ``linalg`` uses ``rank_exact``: exact ranks go through the
-rank oracles, and ``rank_exact(controllability_matrix(A, B))`` stays an
-independent reference for the tests.
+rank oracles, and ``rank_exact(controllability_matrix(A, B))``, with the
+builder in ``tests/helpers.py``, stays an independent reference for the tests.
 
 No module but ``linalg`` reads ``DEFAULT_ORTH_TOL_SCALE``: the PBH
 threshold is ``linalg.pbh_reached``, and every PBH count counts its mask.

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     JordanSpec,
+    controllability_matrix,
     covered_count,
     meets_every_row,
     random_jordan_spec,
@@ -23,12 +24,11 @@ from minctrl.errors import (
 )
 from minctrl.greedy import controllability_rank
 from minctrl.linalg import (
-    controllability_matrix,
     left_eigensystem,
     pbh_controllability_rank,
     rank_exact,
 )
-from minctrl.matrices import DenseMatrix, RationalMatrix
+from minctrl.matrices import DenseMatrix, RationalMatrix, as_dense
 from minctrl.reductions import build_reduction
 
 
@@ -36,7 +36,7 @@ from minctrl.reductions import build_reduction
 
 def test_ctrb_identity():
     C = controllability_matrix(
-        DenseMatrix.identity(2), DenseMatrix.from_rows([[1], [0]])
+        DenseMatrix.identity(2), DenseMatrix([[1], [0]])
     )
     assert C == RationalMatrix.from_rows([[1, 1], [0, 0]])
     assert rank_exact(C) == 1
@@ -44,7 +44,7 @@ def test_ctrb_identity():
 
 def test_ctrb_diagonal():
     C = controllability_matrix(
-        DenseMatrix.diagonal([1, 2]), DenseMatrix.from_rows([[1], [1]])
+        DenseMatrix.diagonal([1, 2]), DenseMatrix([[1], [1]])
     )
     assert C == RationalMatrix.from_rows([[1, 1], [1, 2]])
     # a float converts exactly, and the two inputs need not be of one kind
@@ -64,18 +64,18 @@ def test_ctrb_paper_example_full_rank(paper_A):
 def test_ctrb_dimension_mismatch():
     with pytest.raises(InvalidInputError):
         controllability_matrix(
-            DenseMatrix.identity(2), DenseMatrix.from_rows([[1], [0], [0]])
+            DenseMatrix.identity(2), DenseMatrix([[1], [0], [0]])
         )
     with pytest.raises(InvalidInputError):
         controllability_matrix(
-            DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6]]),
-            DenseMatrix.from_rows([[1], [1]]),
+            DenseMatrix([[1, 2, 3], [4, 5, 6]]),
+            DenseMatrix([[1], [1]]),
         )
 
 
 def test_ctrb_matrix_input_block_order():
-    A = DenseMatrix.from_rows([[0, 1], [0, 0]])
-    B = DenseMatrix.from_rows([[1, 0], [0, 1]])
+    A = DenseMatrix([[0, 1], [0, 0]])
+    B = DenseMatrix([[1, 0], [0, 1]])
     C = controllability_matrix(A, B)
     assert C == RationalMatrix.from_rows([[1, 0, 0, 1], [0, 1, 0, 0]])
 
@@ -123,12 +123,12 @@ def test_left_eigensystem_diagonal():
 
 def test_left_eigensystem_reduction_instance(paper_instance, paper_V):
     red = build_reduction(paper_instance)
-    eig = left_eigensystem(red.system_matrix.to_dense())
+    eig = left_eigensystem(as_dense(red.system_matrix))
     assert np.allclose(eig.eigenvalues.real, np.arange(1, 9), atol=1e-8)
     assert np.allclose(eig.eigenvalues.imag, 0, atol=1e-10)
     # eigenvector for eigenvalue k is parallel to row k of the eigenvector matrix
     for k in range(8):
-        expected = np.array([float(x) for x in paper_V.row(k)])
+        expected = np.array([float(x) for x in paper_V.data[k]])
         expected = expected / np.linalg.norm(expected)
         got = eig.left_eigenvectors[k].real
         cosine = abs(np.dot(expected, got))
@@ -152,7 +152,7 @@ def test_left_eigensystem_residuals_well_conditioned():
 
 def test_left_eigensystem_requires_square():
     with pytest.raises(InvalidInputError):
-        left_eigensystem(DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+        left_eigensystem(DenseMatrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_left_eigensystem_rejects_a_nan_residual(monkeypatch):
@@ -184,7 +184,7 @@ def test_left_eigensystem_rejects_a_gap_past_float64(gap):
 # --- PBH operations -----------------------------------------------------------
 
 def column(*entries) -> DenseMatrix:
-    return DenseMatrix.from_rows([[x] for x in entries])
+    return DenseMatrix([[x] for x in entries])
 
 
 def test_pbh_rank_diag():
@@ -195,7 +195,7 @@ def test_pbh_rank_diag():
 
 def test_pbh_rank_paper_example(paper_instance):
     red = build_reduction(paper_instance)
-    eig = left_eigensystem(red.system_matrix.to_dense())
+    eig = left_eigensystem(as_dense(red.system_matrix))
     assert pbh_controllability_rank(eig, column(1, 1, 0, 0, 0, 0, 0, 1)) == 8
 
 
@@ -253,9 +253,9 @@ def test_pbh_rank_takes_columns_rows_and_matrices():
 @pytest.mark.parametrize(
     "B",
     [
-        DenseMatrix.from_rows([[1, 0, 1]]),
+        DenseMatrix([[1, 0, 1]]),
         RationalMatrix.from_rows([[1, 0, 1]]),
-        DenseMatrix.from_rows([[1], [1]]),
+        DenseMatrix([[1], [1]]),
     ],
     ids=["dense-row", "rational-row", "two-rows"],
 )
@@ -296,12 +296,12 @@ def test_pbh_rank_rejects_non_finite_vector(bad):
 )
 def test_pbh_rank_takes_rational_input_and_rejects_non_numbers(B):
     # non-numbers never become a matrix to count with, dense or rational
-    A = DenseMatrix.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+    A = DenseMatrix([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
     eig = left_eigensystem(A)
     if isinstance(B, RationalMatrix):
         assert pbh_controllability_rank(eig, B) == controllability_rank(A, B, "pbh")
         return
-    for matrix in (DenseMatrix.from_rows, RationalMatrix.from_rows):
+    for matrix in (DenseMatrix, RationalMatrix.from_rows):
         with pytest.raises(InvalidInputError):
             pbh_controllability_rank(eig, matrix(B))
 
@@ -327,14 +327,14 @@ def test_pbh_rank_matches_exact_rank(n, seed):
     expected = rank_exact(
         controllability_matrix(A, RationalMatrix.from_rows([[x] for x in b]))
     )
-    eig = left_eigensystem(A.to_dense())
+    eig = left_eigensystem(as_dense(A))
     assert pbh_controllability_rank(eig, column(*b)) == expected
     # a multi-column input: one sparse 0/1 column beside b
     B = RationalMatrix.from_rows(
         [[x, int(rng.random() < 0.3)] for x in b]
     )
     expected = rank_exact(controllability_matrix(A, B))
-    assert pbh_controllability_rank(eig, B.to_dense()) == expected
+    assert pbh_controllability_rank(eig, as_dense(B)) == expected
     assert pbh_controllability_rank(eig, B) == expected
 
 

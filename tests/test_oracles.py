@@ -17,9 +17,9 @@ from helpers import (
     random_invertible_rational,
 )
 from minctrl.errors import EnumerationGuardError, InvalidInputError, MinctrlError
-from minctrl.greedy import RANK_BACKENDS, controllability_rank, kalman_test
+from minctrl.greedy import RANK_BACKENDS, controllability_rank
 from minctrl.linalg import left_eigensystem, pbh_controllability_rank
-from minctrl.matrices import DenseMatrix, RationalMatrix, as_dense
+from minctrl.matrices import DenseMatrix, RationalMatrix, as_dense, as_rational
 from minctrl.oracles import (
     brute_force_hitting_set,
     brute_force_min_diagonal_support,
@@ -223,23 +223,21 @@ def test_witness_certified():
 
 
 def test_kalman_basics(paper_A):
-    assert kalman_test(
-        DenseMatrix.diagonal([1, 2]), DenseMatrix.from_rows([[1], [1]]), "pbh"
-    )
-    assert not kalman_test(
-        DenseMatrix.identity(2), DenseMatrix.from_rows([[1], [1]]), "exact"
-    )
+    # the Kalman test: full rank n of the controllability matrix
+    ones = DenseMatrix([[1], [1]])
+    assert controllability_rank(DenseMatrix.diagonal([1, 2]), ones, "pbh") == 2
+    assert controllability_rank(DenseMatrix.identity(2), ones, "exact") == 1
     b = RationalMatrix.from_rows([[1], [1], [0], [0], [0], [0], [0], [1]])
-    assert kalman_test(paper_A, b, "exact")
-    assert kalman_test(paper_A.to_dense(), b.to_dense(), "pbh")
+    assert controllability_rank(paper_A, b, "exact") == 8
+    assert controllability_rank(as_dense(paper_A), as_dense(b), "pbh") == 8
     # the pbh backend also takes a decomposition the caller already has
-    assert kalman_test(left_eigensystem(paper_A.to_dense()), b, "pbh")
+    assert controllability_rank(left_eigensystem(as_dense(paper_A)), b, "pbh") == 8
 
 
 @pytest.mark.parametrize("backend", RANK_BACKENDS)
 def test_kalman_rejects_non_matrices(backend):
     with pytest.raises(InvalidInputError):
-        kalman_test(np.eye(2), np.ones((2, 1)), backend)
+        controllability_rank(np.eye(2), np.ones((2, 1)), backend)
 
 
 def test_kalman_agrees_with_support_test():
@@ -258,7 +256,7 @@ def test_kalman_agrees_with_support_test():
         b = [rng.randint(-2, 2) for _ in range(n)]
         support = [j for j, x in enumerate(b) if x]
         column = RationalMatrix.from_rows([[x] for x in b])
-        controllable = kalman_test(A, column, "exact")
+        controllable = controllability_rank(A, column, "exact") == n
         feasible = meets_every_row(Pinv, support)
         if controllable:
             assert feasible
@@ -288,7 +286,7 @@ def test_kalman_backends_agree_on_multi_column_inputs():
             ]
             rng.shuffle(cols)
             B = RationalMatrix.from_rows([list(row) for row in zip(*cols)])
-            answers = {kalman_test(A, B, backend) for backend in RANK_BACKENDS}
+            answers = {controllability_rank(A, B, backend) == n for backend in RANK_BACKENDS}
             assert len(answers) == 1
             outcomes.append(answers.pop())
     assert True in outcomes and False in outcomes
@@ -306,10 +304,10 @@ def test_controllability_rank_backends_agree(paper_A):
 def test_controllability_rank_rejects_row_b_for_every_backend(backend):
     A = DenseMatrix.diagonal([1, 2, 3])
     with pytest.raises(InvalidInputError, match="B has 1 rows but A is 3x3"):
-        controllability_rank(A, DenseMatrix.from_rows([[1, 1, 1]]), backend)
+        controllability_rank(A, DenseMatrix([[1, 1, 1]]), backend)
     with pytest.raises(InvalidInputError, match="B has 1 rows"):
-        kalman_test(A.to_rational(), RationalMatrix.from_rows([[1, 1, 1]]), backend)
-    assert controllability_rank(A, DenseMatrix.from_rows([[1], [1], [1]]), backend) == 3
+        controllability_rank(as_rational(A), RationalMatrix.from_rows([[1, 1, 1]]), backend)
+    assert controllability_rank(A, DenseMatrix([[1], [1], [1]]), backend) == 3
 
 
 # The pbh backend of ``controllability_rank`` goes through the greedy
@@ -333,10 +331,10 @@ def test_numeric_backends_match_their_formulas(data):
         # distinct or repeated eigenvalues, and often rank-deficient inputs
         A = DenseMatrix.diagonal(data.draw(st.lists(_entries, min_size=n, max_size=n)))
     else:
-        A = DenseMatrix.from_rows(data.draw(_grid(n, n)))
-    B = DenseMatrix.from_rows(data.draw(_grid(n, m)))
+        A = DenseMatrix(data.draw(_grid(n, n)))
+    B = DenseMatrix(data.draw(_grid(n, m)))
     if data.draw(st.booleans(), label="rational inputs"):
-        A, B = A.to_rational(), B.to_rational()
+        A, B = as_rational(A), as_rational(B)
     dense_A, dense_B = as_dense(A), as_dense(B)
     try:
         expected = pbh_controllability_rank(left_eigensystem(dense_A), dense_B)

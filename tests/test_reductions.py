@@ -273,7 +273,7 @@ def test_symmetric_extension_restriction_equals_original():
     sym = build_symmetric_extension(inst)
     k = inst.state_dim
     for i in range(k):
-        assert sym.left_eigenvectors.row(i)[:k] == V.row(i)
+        assert sym.left_eigenvectors.data[i][:k] == V.data[i]
 
 
 def test_symmetric_extension_eigen_identity():
