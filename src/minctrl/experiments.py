@@ -220,12 +220,17 @@ def sample_er_digraph(
     """0/1 adjacency matrix with each ordered pair present independently.
 
     Self-loops are ordinary ordered pairs by default; disable them to zero
-    the diagonal (this measurably shifts the eigenvalue gaps).
+    the diagonal (this measurably shifts the eigenvalue gaps). The arguments
+    are checked as ``ExperimentConfig`` checks its fields.
     """
-    if not 0 < p <= 1:
-        raise InvalidInputError(f"edge probability must be in (0, 1], got {p}")
-    if n < 1:
-        raise InvalidInputError("n must be positive")
+    if not (is_real(p) and 0 < p <= 1):
+        raise InvalidInputError(f"edge probability must be in (0, 1], got {p!r}")
+    if not is_integer(n) or n < 1:
+        raise InvalidInputError(f"n must be a positive integer, got {n!r}")
+    if not is_integer(seed) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(include_self_loops, bool):
+        raise InvalidInputError("include_self_loops must be true or false")
     rng = np.random.default_rng(seed)
     try:
         draws = rng.random((n, n))

@@ -305,20 +305,18 @@ class _PbhOracle:
     """Counts left eigenvectors non-orthogonal to the input (distinct spectra).
 
     Takes the system matrix, or a decomposition the caller already has,
-    whose spectrum is distinct by construction.
-    ``input_rank`` reads each column's nonzeros off the eigenvector columns
-    they select, as ``pbh_controllability_rank`` counts a dense input; for a
-    one-entry column the product is exactly the dense one. Every count is of
-    a row mask from ``pbh_reached``, the one PBH threshold.
+    whose spectrum is distinct by construction. ``input_rank`` counts as
+    ``pbh_controllability_rank`` does, reading only the eigenvector columns
+    that ``B``'s nonzeros select, and ``best_probe`` counts a row mask from
+    ``pbh_reached``, the one PBH threshold.
     """
 
     value = float
 
     def __init__(self, A: Matrix | EigenSystem):
-        eig = A if isinstance(A, EigenSystem) else left_eigensystem(as_dense(A))
+        eig = A if isinstance(A, EigenSystem) else left_eigensystem(A)
         self.n = eig.n
         self._eig = eig
-        self._reached: dict[tuple, np.ndarray] = {}  # column -> row mask, once asked
 
     def begin_sweep(self, b: list[float]) -> None:
         vec = np.asarray(b, dtype=np.float64)
@@ -336,19 +334,17 @@ class _PbhOracle:
 
         return _first_best(((rank(v), v) for v in values), self.n)
 
-    def _reached_rows(self, column: tuple) -> np.ndarray:
-        values = np.array([x for _, x in column], dtype=np.float64)
-        products = self._eig.left_eigenvectors[:, [i for i, _ in column]] @ values
-        return pbh_reached(products, np.linalg.norm(values))
-
     def input_rank(self, B: Sequence[tuple]) -> int:
-        reached = np.zeros(self.n, dtype=bool)
-        for column in B:
-            rows = self._reached.get(column)
-            if rows is None:
-                rows = self._reached[column] = self._reached_rows(column)
-            reached |= rows
-        return int(np.count_nonzero(reached))
+        # each nonzero scales the eigenvector column it selects, O(n nnz): a
+        # one-entry column's products are exactly the dense product's
+        B = [column for column in B if column]  # a zero column reaches no row
+        values = np.array([x for column in B for _, x in column], dtype=np.float64)
+        products = self._eig.left_eigenvectors[:, [i for column in B for i, _ in column]] * values
+        if len(values) > len(B):  # sum each column's terms
+            starts = np.cumsum([0, *map(len, B[:-1])])
+            products = np.add.reduceat(products, starts, axis=1)
+            values = np.sqrt(np.add.reduceat(values * values, starts))
+        return int(np.count_nonzero(pbh_reached(products, np.abs(values))))
 
 
 def rank_oracle(A: Matrix | EigenSystem, backend: str):

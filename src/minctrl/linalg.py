@@ -36,7 +36,6 @@ from minctrl.errors import (
     is_real,
 )
 from minctrl.matrices import (
-    DenseMatrix,
     Matrix,
     RationalMatrix,
     as_dense,
@@ -84,11 +83,12 @@ class EigenSystem:
 
 
 def left_eigensystem(
-    A: DenseMatrix,
+    A: Matrix,
     *,
     cluster_gap: float = DEFAULT_EIGEN_GAP,
 ) -> EigenSystem:
-    """Eigenvalues and unit-norm left eigenvectors of a square matrix.
+    """Eigenvalues and unit-norm left eigenvectors of a square matrix, dense
+    or rational.
 
     ``cluster_gap``, a positive real number, is the PBH distinctness
     threshold: eigenvalues closer than it are deliberately treated as
@@ -104,6 +104,7 @@ def left_eigensystem(
         raise InvalidInputError(
             f"cluster_gap must be a positive number, got {cluster_gap!r}"
         )
+    A = as_dense(A)
     if A.rows != A.cols:
         raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
     n = A.rows

@@ -441,10 +441,8 @@ def as_rational(mat: Matrix) -> RationalMatrix:
     if isinstance(mat, RationalMatrix):
         return mat
     if isinstance(mat, DenseMatrix):
-        # exact: every finite float is a dyadic rational
-        return RationalMatrix.from_rows(
-            [[Fraction(float(x)) for x in row] for row in mat.array]
-        )
+        # exact: _as_fraction turns each finite float into its dyadic rational
+        return RationalMatrix.from_rows(mat.array.tolist())
     raise InvalidInputError(f"expected a matrix, got {type(mat).__name__}")
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,46 @@ def test_reduce_golden_and_round_trip(workdir, capsys):
     e1 = workdir / "e1.csv"
     e1.write_text("1,0,0,0,0,0,0,0\n")
     assert run("verify", out_dir / "A.json", e1) == 1
+
+
+@pytest.mark.parametrize("backend", ["exact", "pbh"])
+def test_verify_ones_and_anchor_on_the_golden_reduction(workdir, capsys, backend):
+    # b = ones(8) reaches all 8 eigenvector rows; the anchor e_7 reaches
+    # rows 0, 1, 2 and 7 only; pbh also reports the count
+    out_dir = workdir / "red"
+    assert run("reduce", workdir / "inst.json", "--out-dir", out_dir) == 0
+    capsys.readouterr()
+    for name, data, code, rank in [
+        ("ones", [1] * 8, 0, 8),
+        ("anchor", [0] * 7 + [1], 1, 4),
+    ]:
+        b = workdir / f"{name}.json"
+        b.write_text(json.dumps({"rows": 8, "cols": 1, "data": data}))
+        assert run("verify", out_dir / "A.json", b, "--backend", backend) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["controllable"] is (code == 0)
+        assert ("rank" in payload) == (backend == "pbh")
+        assert payload.get("rank", rank) == rank
+
+
+@pytest.mark.parametrize(
+    "data, support",
+    [
+        # J_3(1) has no eigenbasis: the exact solve ranks Krylov columns
+        ([1, 1, 0, 0, 1, 1, 0, 0, 1], [2]),
+        # J_2(1) + J_2(2): the exact det solve runs the Krylov probe stops
+        ([1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 1, 0, 0, 0, 2], [1, 3]),
+    ],
+    ids=["J3(1)", "J2(1)+J2(2)"],
+)
+def test_solve_jordan_blocks_exact(workdir, capsys, data, support):
+    n = math.isqrt(len(data))
+    matrix = workdir / "jordan.json"
+    matrix.write_text(json.dumps({"rows": n, "cols": n, "data": data}))
+    assert run("solve", matrix, "--backend", "exact", "--algo", "det") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["controllable"] is True
+    assert payload["support"] == support
 
 
 def test_reduce_symmetric_outputs(workdir, capsys):
@@ -541,7 +582,16 @@ def test_experiment_csv_output(workdir, capsys):
     csv_path = workdir / "records.csv"
     assert run("experiment", "--n-values", "5", "--trials", "2",
                "--seed", "2", "--csv", csv_path, "--out", workdir / "r.json") == 0
-    assert csv_path.read_text().startswith("n,trial_index")
+    header = csv_path.read_text().splitlines()[0]
+    assert header == (
+        "n,trial_index,graph_seed,regenerations_used,accepted,sparsity_found,controllable"
+    )
+    payload = json.loads((workdir / "r.json").read_text())
+    assert payload["schema_version"] == 1 and len(payload["records"]) == 2
+    for record in payload["records"]:
+        # no key past the record fields, which are the CSV header
+        assert set(record) <= set(header.split(","))
+        assert record["controllable"] or not record["accepted"]
 
 
 def test_default_backend_env(workdir, capsys, monkeypatch):

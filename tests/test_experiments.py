@@ -46,6 +46,24 @@ def test_sample_rejects_bad_probability():
         sample_er_digraph(3, 1.5, 0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n": 2.5, "p": 0.5, "seed": 0},
+        {"n": 3, "p": "0.5", "seed": 0},
+        {"n": True, "p": 0.5, "seed": 0},
+        {"n": 3, "p": 0.5, "seed": -1},
+        {"n": 3, "p": 0.5, "seed": 0, "include_self_loops": 1},
+    ],
+    ids=repr,
+)
+def test_sample_checks_argument_types(kwargs):
+    # as ExperimentConfig does: n an integer >= 1, p a real in (0, 1], the
+    # seed an integer >= 0 and include_self_loops a boolean
+    with pytest.raises(InvalidInputError):
+        sample_er_digraph(**kwargs)
+
+
 def test_impossible_graph_size_is_invalid_input(capsys):
     # numpy refuses a 3e9 x 3e9 array before allocating any of it
     with pytest.raises(InvalidInputError, match="n = 3000000000 is too large"):

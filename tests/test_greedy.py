@@ -390,8 +390,7 @@ def test_cluster_gap_is_the_pbh_threshold(pbh_entry):
 @pytest.mark.parametrize("system", ["golden", "er40"])
 def test_pbh_input_rank_of_one_entry_columns_is_the_dense_count(paper_A, system):
     # a one-entry column's products are exactly the dense product's entries,
-    # and each column's tolerance is its own: the counts agree on every
-    # support, whichever columns the oracle has seen before
+    # and each column's tolerance is its own: the counts agree on every support
     A = as_dense(paper_A) if system == "golden" else sample_er_digraph(40, 0.09, 3)
     eig = left_eigensystem(A)
     n = eig.n

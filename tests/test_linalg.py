@@ -121,6 +121,13 @@ def test_left_eigensystem_diagonal():
         assert np.isclose(np.linalg.norm(row), 1.0)
 
 
+def test_left_eigensystem_takes_a_rational_matrix(paper_A):
+    rational = left_eigensystem(paper_A)
+    dense = left_eigensystem(as_dense(paper_A))
+    assert np.array_equal(rational.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(rational.left_eigenvectors, dense.left_eigenvectors)
+
+
 def test_left_eigensystem_reduction_instance(paper_instance, paper_V):
     red = build_reduction(paper_instance)
     eig = left_eigensystem(as_dense(red.system_matrix))
@@ -288,18 +295,24 @@ def test_pbh_rank_rejects_non_finite_vector(bad):
     [
         RationalMatrix.from_rows([[Fraction(1, 3)], [0], [2]]),
         RationalMatrix.from_rows([[Fraction(1, 3), 0], [0, 0], [0, Fraction(-5, 7)]]),
+        # columns of two, zero and three nonzeros: the first reaches only the
+        # eigenvalue-2 row and the last only the eigenvalue-3 row
+        RationalMatrix.from_rows(
+            [[Fraction(1, 3), 0, Fraction(-1, 2)], [Fraction(1, 3), 0, -1], [0, 0, -1]]
+        ),
         [["a"], ["b"], ["c"]],
         [[None], [None], [None]],
         [[1], [2, 3], [4]],
     ],
-    ids=["rational-column", "rational-matrix", "strings", "nones", "ragged"],
+    ids=["rational-column", "rational-matrix", "several-nonzeros", "strings", "nones", "ragged"],
 )
 def test_pbh_rank_takes_rational_input_and_rejects_non_numbers(B):
     # non-numbers never become a matrix to count with, dense or rational
     A = DenseMatrix([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
     eig = left_eigensystem(A)
     if isinstance(B, RationalMatrix):
-        assert pbh_controllability_rank(eig, B) == controllability_rank(A, B, "pbh")
+        rank = pbh_controllability_rank(eig, B)
+        assert rank == controllability_rank(A, B, "pbh") == controllability_rank(A, B, "exact")
         return
     for matrix in (DenseMatrix, RationalMatrix.from_rows):
         with pytest.raises(InvalidInputError):

@@ -1,8 +1,9 @@
 """The CI workflow's inline Python compiles.
 
 ``.github/workflows/tests.yml`` runs Python written inside its YAML: the
-``ALL_CORRECT`` block, which checks the benchmark's output, and each
-``python -c "..."`` check of the installed package. A syntax error there
+``ALL_CORRECT`` block, which checks the benchmark's output, and the
+``python -c "..."`` check that the package imports from site-packages once
+installed. A syntax error there
 shows only when the workflow runs, so each snippet is compiled here, read
 off the file's text (no YAML parser needed).
 """
@@ -56,7 +57,7 @@ def test_workflow_snippets_compile():
     text = WORKFLOW.read_text()
     found = _snippets(text)
     # every "-c" in the file is one snippet: none slipped past the pattern
-    assert len(found) == text.count(' -c "') >= 8
+    assert len(found) == text.count(' -c "') >= 3
     assert _compile_errors(text) == []
 
 
