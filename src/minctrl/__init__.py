@@ -56,7 +56,6 @@ _EXPORTS = {
     "save_matrix": "matrices",
     "OracleResult": "oracles",
     "brute_force_hitting_set": "oracles",
-    "brute_force_min_diagonal_support": "oracles",
     "brute_force_min_vector_support": "oracles",
     "HittingSetInstance": "reductions",
     "ReductionOutput": "reductions",

@@ -47,8 +47,11 @@ def _emit(payload: dict, out: str | Path | None) -> None:
 
 
 def _check_output_paths(*paths: str | None) -> None:
-    """Reject an output path whose directory is missing, before any work."""
+    """Reject an output path that is a directory or lies in a missing one,
+    before any work."""
     for path in paths:
+        if path and Path(path).is_dir():
+            raise InvalidInputError(f"cannot write {path}: is a directory")
         if path and not Path(path).parent.is_dir():
             raise InvalidInputError(f"cannot write {path}: no such directory")
 

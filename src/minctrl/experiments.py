@@ -9,24 +9,16 @@ trial's output vector is re-verified against the PBH eigenvector count
 before being recorded.
 
 ``eigen_gap_filter`` is the harness's one accept test, called once per
-sampled graph, and each graph is decomposed at most once. After the
-isolated-node pre-check below, one ``left_eigensystem`` call, made with
-``cluster_gap`` set to the config's gap threshold, decomposes the graph and
-decides the gap as it does so: a graph with no decomposition is rejected.
-The filter returns the decomposition, and the trial hands that same
-``EigenSystem`` to the greedy solver and to the verification, so the
-filter, the solver and the verification can never disagree about the gap.
-A graph whose decomposition fails its residual check is rejected like any
-other. The verification still recomputes every
+sampled graph, and decomposes each graph exactly once. Its one
+``left_eigensystem`` call, made with ``cluster_gap`` set to the config's gap
+threshold, decomposes the graph and decides the gap as it does so: a graph
+with no decomposition is rejected. The filter returns the decomposition, and
+the trial hands that same ``EigenSystem`` to the greedy solver and to the
+verification, so the filter, the solver and the verification can never
+disagree about the gap. A graph whose decomposition fails its residual check
+is rejected like any other. The verification still recomputes every
 ``v_i^T b`` from the recorded support and values, independently of the
 solver's incremental products.
-
-Before any decomposition, an exact O(n^2) scan rejects a graph with two
-*isolated* nodes (no off-diagonal nonzero in the node's row, or none in its
-column) that carry equal diagonal entries. LAPACK's balancing step permutes
-an isolated node out of the eigenproblem, so its eigenvalue is exactly its
-diagonal entry: the two give a gap of exactly 0, which the filter could only
-reject. Sparse graphs (``p`` around ``1.5 / n``) are mostly rejected this way.
 
 Configs are type-checked when built: counts and the seed must be integers
 (not booleans), ``include_self_loops`` a boolean, and the probability and the
@@ -60,6 +52,7 @@ from minctrl.greedy import (
 from minctrl.linalg import (
     DEFAULT_EIGEN_GAP,
     EigenSystem,
+    is_gap_threshold,
     left_eigensystem,
     pbh_controllability_rank,
 )
@@ -95,11 +88,12 @@ class ExperimentConfig:
                 raise InvalidInputError(f"{name} must be an integer")
         if not isinstance(self.include_self_loops, bool):
             raise InvalidInputError("include_self_loops must be true or false")
-        if not is_real(self.eigen_gap_threshold) or not (
-            self.edge_probability is None or is_real(self.edge_probability)
-        ):
+        if not (self.edge_probability is None or is_real(self.edge_probability)):
+            raise InvalidInputError("edge_probability must be a number")
+        if not is_gap_threshold(self.eigen_gap_threshold):
             raise InvalidInputError(
-                "eigen_gap_threshold and edge_probability must be numbers"
+                "eigen_gap_threshold must be a positive number within the float "
+                f"range, got {self.eigen_gap_threshold!r}"
             )
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise InvalidInputError("n_values must be positive counts")
@@ -107,8 +101,6 @@ class ExperimentConfig:
             raise InvalidInputError("trials_per_n must be positive")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
-        if not self.eigen_gap_threshold > 0:
-            raise InvalidInputError("eigen_gap_threshold must be positive")
         if self.max_regenerations_per_trial < 0:
             raise InvalidInputError("max_regenerations_per_trial must be >= 0")
         if self.solver not in ("randomized", "deterministic"):
@@ -245,43 +237,17 @@ def sample_er_digraph(
 def eigen_gap_filter(A: DenseMatrix, threshold: float) -> EigenSystem | None:
     """The harness's accept test: ``A``'s one decomposition, or ``None``.
 
-    ``A`` is a square ``DenseMatrix``. A repeated isolated eigenvalue
-    rejects it before any decomposition; otherwise it is accepted iff
-    ``left_eigensystem(A, cluster_gap=threshold)`` decomposes it, which
-    refuses a gap not above ``threshold`` and a failed residual check. The
-    accepted decomposition is returned, for the solver and the verification
-    to share; it is truthy, so the result also reads as a ``bool``.
+    ``A`` is accepted iff ``left_eigensystem(A, cluster_gap=threshold)``
+    decomposes it, which refuses a gap not above ``threshold`` and a failed
+    residual check, and raises ``InvalidInputError`` for an invalid
+    threshold or a non-square ``A``. The accepted decomposition is returned,
+    for the solver and the verification to share; it is truthy, so the
+    result also reads as a ``bool``.
     """
-    if not (is_real(threshold) and threshold > 0):
-        raise InvalidInputError("threshold must be positive")
-    if not isinstance(A, DenseMatrix) or A.rows != A.cols:
-        raise InvalidInputError("the gap filter takes a square DenseMatrix")
-    if repeats_isolated_eigenvalue(A):
-        return None
     try:
         return left_eigensystem(A, cluster_gap=threshold)
     except (NumericBackendError, BackendPreconditionError):
         return None
-
-
-def repeats_isolated_eigenvalue(A: DenseMatrix) -> bool:
-    """Whether two isolated nodes of a square ``A`` have equal diagonal entries.
-
-    A node is isolated when its row or its column has no off-diagonal
-    nonzero. Balancing in LAPACK's ``geev`` deflates every such node, so its
-    computed eigenvalue is exactly ``A[i, i]``, and two equal ones make the
-    computed gap exactly 0. The check is exact and costs O(n^2).
-    """
-    off_diagonal = A.array != 0
-    np.fill_diagonal(off_diagonal, False)
-    isolated = ~(off_diagonal.any(axis=1) & off_diagonal.any(axis=0))
-    # a set, not np.unique: the first np.unique call adds about 1.7 MB of RSS
-    seen: set[float] = set()
-    for value in np.diagonal(A.array)[isolated].tolist():
-        if value in seen:
-            return True
-        seen.add(value)
-    return False
 
 
 def _derived_seed(*entropy: int) -> int:

@@ -49,6 +49,17 @@ from minctrl.matrices import (
 # be built with another ``cluster_gap``.
 DEFAULT_EIGEN_GAP = 0.01
 
+
+def is_gap_threshold(value) -> bool:
+    """Whether ``value`` is a valid eigenvalue-gap threshold: a positive real
+    number within the float range, a float infinity included (no gap meets it).
+
+    The gap check compares and formats the threshold as a float, so a number
+    past float64, such as ``10**400``, is refused rather than rounded.
+    """
+    return is_real(value) and (0 < value <= sys.float_info.max or value == math.inf)
+
+
 # Scale factor for the |v^T b| zero threshold in the PBH test.
 DEFAULT_ORTH_TOL_SCALE = 1e-8
 
@@ -97,17 +108,22 @@ def left_eigensystem(
     eigenvector count only equals the controllability rank for distinct
     spectra.
     """
-    # a float infinity, but no number past float64: the gap check formats it as one
-    if not (
-        is_real(cluster_gap) and 0 < cluster_gap <= sys.float_info.max or cluster_gap == math.inf
-    ):
+    if not is_gap_threshold(cluster_gap):
         raise InvalidInputError(
-            f"cluster_gap must be a positive number, got {cluster_gap!r}"
+            f"cluster_gap must be a positive number within the float range, got {cluster_gap!r}"
         )
     A = as_dense(A)
     if A.rows != A.cols:
         raise InvalidInputError(f"A must be square, got {A.rows}x{A.cols}")
     n = A.rows
+    # ||A||_F overflows for entries above about 1.3e154; no residual is then bounded
+    with np.errstate(over="ignore"):
+        tolerance = 1e-8 * max(1.0, float(np.linalg.norm(A.array, ord="fro")))
+    if not math.isfinite(tolerance):
+        raise NumericBackendError(
+            "||A||_F overflows float64, so no residual check can bound the "
+            f"decomposition [matrix sha256: {A.sha256()}]"
+        )
     try:
         # Right eigenvectors of A^T are plain-transpose left eigenvectors of A.
         values, vectors = np.linalg.eig(A.array.T)
@@ -121,7 +137,6 @@ def left_eigensystem(
     norms = np.linalg.norm(rows, axis=1)
     rows = rows / norms[:, None]
 
-    tolerance = 1e-8 * max(1.0, float(np.linalg.norm(A.array, ord="fro")))
     residual = float(
         np.linalg.norm(rows @ A.array - values[:, None] * rows, axis=1).max()
     )

@@ -68,14 +68,11 @@ def brute_force_min_vector_support(
 
     ``V_rows`` holds exact left eigenvectors (one row per eigenvalue, all
     distinct); a support works iff it meets the support of every row (PBH).
-    Witness indices are 0-based.
+    With a distinct spectrum, a diagonal input on a support is controllable
+    exactly when a generic vector on it is, so this is both optima. Witness
+    indices are 0-based.
     """
     return _first_feasible(range(V_rows.cols), _row_masks(V_rows, allow_large))
-
-
-# With a distinct spectrum, a diagonal input on a support is controllable
-# exactly when a generic vector on it is: both ask that it meet every row.
-brute_force_min_diagonal_support = brute_force_min_vector_support
 
 
 def _first_feasible(universe: range, masks: list[int]) -> OracleResult:

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 from minctrl.errors import InvalidInputError
 from minctrl.linalg import rank_exact
-from minctrl.matrices import Matrix, RationalMatrix, as_rational
+from minctrl.matrices import DenseMatrix, Matrix, RationalMatrix, as_rational
 from minctrl.reductions import HittingSetInstance
 
 # Golden 8x8 pair for the four-set instance over {1,2,3}: the eigenvector
@@ -97,6 +97,26 @@ def diagonal_meets_every_row(V_rows: RationalMatrix, support: Iterable[int]) -> 
     return all(
         any([row[j] if j in chosen else 0 for j in range(n)]) for row in V_rows.data
     )
+
+
+def repeats_isolated_eigenvalue(A: DenseMatrix) -> bool:
+    """Whether two isolated nodes of a square ``A`` have equal diagonal entries.
+
+    A node is isolated when its row or its column has no off-diagonal
+    nonzero. Balancing in LAPACK's ``geev`` deflates every such node, so its
+    computed eigenvalue is exactly ``A[i, i]``, and two equal ones make the
+    computed gap exactly 0: the reference for graphs that the harness's gap
+    filter must reject.
+    """
+    rows = A.array.tolist()
+    n = len(rows)
+
+    def isolated(i: int) -> bool:
+        off = [j for j in range(n) if j != i]
+        return not any(rows[i][j] for j in off) or not any(rows[j][i] for j in off)
+
+    diagonal = [rows[i][i] for i in range(n) if isolated(i)]
+    return len(set(diagonal)) < len(diagonal)
 
 
 def random_instance(rng: random.Random, max_m: int = 5, max_p: int = 5) -> HittingSetInstance:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -405,12 +406,43 @@ def test_boolean_matrix_entries_are_invalid_input(workdir, capsys, command, matr
             ("experiment", "--n-values", "5", "--trials", "1", "--out", "no/dir/r.json"),
             "minctrl.experiments.run_experiment",
         ),
+        # an existing directory is no file to write
+        (("solve", "diag123.json", "--out", "a_dir"), "minctrl.matrices.load_matrix"),
+        (
+            ("reduce", "inst.json", "--out-dir", "r", "--out", "a_dir"),
+            "minctrl.reductions.load_instance",
+        ),
+        (
+            ("oracle", "inst.json", "--kind", "hitting-set", "--out", "a_dir"),
+            "minctrl.reductions.load_instance",
+        ),
+        (
+            ("experiment", "--n-values", "5", "--trials", "1", "--csv", "a_dir"),
+            "minctrl.experiments.run_experiment",
+        ),
+        (
+            ("experiment", "--n-values", "5", "--trials", "1", "--out", "a_dir"),
+            "minctrl.experiments.run_experiment",
+        ),
+        (("verify", "diag123.json", "b.json", "--out", "a_dir"), "minctrl.matrices.load_matrix"),
     ],
-    ids=["reduce-out-dir", "solve-out", "experiment-csv", "experiment-out"],
+    ids=[
+        "reduce-out-dir",
+        "solve-out",
+        "experiment-csv",
+        "experiment-out",
+        "solve-out-is-dir",
+        "reduce-out-is-dir",
+        "oracle-out-is-dir",
+        "experiment-csv-is-dir",
+        "experiment-out-is-dir",
+        "verify-out-is-dir",
+    ],
 )
 def test_unusable_output_path_is_invalid_input(workdir, capsys, monkeypatch, args, work):
     monkeypatch.chdir(workdir)
     (workdir / "a_file").write_text("")
+    (workdir / "a_dir").mkdir()
     if work is not None:
         # the output path is checked before any input is read or trial run
 
@@ -446,6 +478,25 @@ def test_exact_backend_answers_powers_past_float64(workdir, capsys, monkeypatch,
     assert payload["controllable"] is True
     if args[0] == "solve":
         assert payload["support"] == [2]
+
+
+def test_pbh_refuses_a_matrix_whose_norm_overflows(workdir, capsys, monkeypatch):
+    # ||A||_F overflows float64, so no residual check can bound a numeric
+    # decomposition: PBH refuses the matrix with one error line and no numpy
+    # warning, while the exact backend answers it
+    monkeypatch.chdir(workdir)
+    (workdir / "A.json").write_text(
+        json.dumps({"rows": 2, "cols": 2, "data": [1e308, 1e308, 1e308, 1e308]})
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("solve", "A.json", "--backend", "pbh") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ||A||_F overflows float64")
+    assert captured.err.count("\n") == 1
+    assert run("solve", "A.json", "--backend", "exact") == 0
+    assert json.loads(capsys.readouterr().out)["controllable"] is True
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -564,6 +615,8 @@ def test_experiment_config_file(workdir, capsys):
         {"edge_probability": True},
         {"eigen_gap_threshold": "0.01"},
         {"eigen_gap_threshold": float("nan")},
+        # a positive number past float64: the gap check compares floats
+        pytest.param({"eigen_gap_threshold": 10**400}, id='{"eigen_gap_threshold": 10**400}'),
     ],
     ids=lambda extra: json.dumps(extra),
 )
@@ -571,7 +624,11 @@ def test_experiment_config_types_checked(workdir, capsys, extra):
     cfg = workdir / "cfg.json"
     cfg.write_text(json.dumps({"n_values": [5], "trials_per_n": 1, **extra}))
     assert run("experiment", cfg) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    if "eigen_gap_threshold" in extra:
+        assert captured.err.startswith("error: eigen_gap_threshold must be a positive number")
 
 
 def test_experiment_zero_trials_rejected(workdir, capsys):

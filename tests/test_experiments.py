@@ -9,6 +9,7 @@ import pytest
 import minctrl.experiments
 import minctrl.greedy
 import minctrl.linalg
+from helpers import repeats_isolated_eigenvalue
 from minctrl.cli import main as cli_main
 from minctrl.errors import (
     BackendPreconditionError,
@@ -18,7 +19,6 @@ from minctrl.errors import (
 from minctrl.experiments import (
     ExperimentConfig,
     eigen_gap_filter,
-    repeats_isolated_eigenvalue,
     run_experiment,
     sample_er_digraph,
 )
@@ -117,10 +117,11 @@ def test_eigen_gap_filter():
     for bad in (
         left_eigensystem(DenseMatrix.diagonal([1, 2, 3])),
         left_eigensystem(DenseMatrix.diagonal([1, 1.005]), cluster_gap=0.001),
-        DenseMatrix([[1, 2]]),
     ):
-        with pytest.raises(InvalidInputError, match="square DenseMatrix"):
+        with pytest.raises(InvalidInputError, match="expected a matrix"):
             eigen_gap_filter(bad, 0.01)
+    with pytest.raises(InvalidInputError, match="A must be square"):
+        eigen_gap_filter(DenseMatrix([[1, 2]]), 0.01)
     with pytest.raises(InvalidInputError):
         eigen_gap_filter(DenseMatrix.diagonal([1, 2]), 0.0)
 
@@ -168,7 +169,7 @@ def test_eigen_gap_filter_is_the_pbh_accept_test(threshold):
 @pytest.mark.parametrize("decomposed", [False, True], ids=["matrix", "eigensystem"])
 def test_eigen_gap_filter_rejects_bad_threshold_on_both_branches(threshold, decomposed):
     A = DenseMatrix.diagonal([1, 2, 3])
-    with pytest.raises(InvalidInputError, match="threshold must be positive"):
+    with pytest.raises(InvalidInputError, match="cluster_gap must be a positive number"):
         eigen_gap_filter(left_eigensystem(A) if decomposed else A, threshold)
 
 
@@ -198,9 +199,9 @@ def test_repeats_isolated_eigenvalue(rows, repeated):
 
 @pytest.mark.parametrize("include_self_loops", [True, False])
 def test_isolated_precheck_rejects_only_repeated_spectra(include_self_loops):
-    # Differential check of the pre-check against both eigensolver calls the
-    # gap filter has used: whenever it rejects a graph, each one's gap is
-    # within the threshold (in fact exactly 0).
+    # The isolated-node scan, a test reference, fires only on exactly
+    # repeated spectra: on each graph it flags, the gap filter's one
+    # decomposition finds a gap of exactly 0 and rejects the graph.
     threshold = 0.01
     fired = 0
     graphs = 0
@@ -215,8 +216,8 @@ def test_isolated_precheck_rejects_only_repeated_spectra(include_self_loops):
                 if not repeats_isolated_eigenvalue(A):
                     continue
                 fired += 1
-                assert _min_gap(np.linalg.eigvals(A.array)) <= threshold
-                with pytest.raises(BackendPreconditionError, match="below"):
+                assert eigen_gap_filter(A, threshold) is None
+                with pytest.raises(BackendPreconditionError, match="gap 0.000e[+]00 is below"):
                     left_eigensystem(A, cluster_gap=threshold)
     assert 0 < fired < graphs
 
@@ -323,10 +324,10 @@ def no_eigvals(monkeypatch):
 
 @pytest.mark.parametrize("solver", ["randomized", "deterministic"])
 def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
-    # The gap filter runs once per sampled graph, and makes one
-    # left_eigensystem call for each graph its isolated-node pre-check lets
-    # through; the accepted graph's call is its trial's only decomposition,
-    # shared by the gap filter, the solver and the verification.
+    # The gap filter runs once per sampled graph and makes its one
+    # left_eigensystem call, rejected graphs included; the accepted graph's
+    # call is its trial's only decomposition, shared by the gap filter, the
+    # solver and the verification.
     calls = []
     sampled = []
     filtered = []
@@ -356,9 +357,10 @@ def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
     assert len(accepted) == 6
     assert all(r.controllable for r in accepted)
     assert len(sampled) == len(accepted) + report.rejected_graph_count
-    assert len(calls) == len(sampled)  # no graph here has an isolated repeat
+    assert len(calls) == len(sampled)
     assert len(filtered) == len(sampled)
-    # sparse graphs: most are rejected by the pre-check, without a call
+    # sparse graphs: most repeat an isolated node's diagonal entry, and each
+    # is rejected by its one decomposition
     sparse = ExperimentConfig(
         n_values=(30,), trials_per_n=3, seed=1, edge_probability=0.08, solver=solver
     )
@@ -367,9 +369,9 @@ def test_experiment_decomposes_each_trial_once(solver, no_eigvals, monkeypatch):
     filtered.clear()
     report = run_experiment(sparse)
     assert len(sampled) == len(report.accepted_records()) + report.rejected_graph_count
-    decomposed = [A for A in sampled if not repeats_isolated_eigenvalue(A)]
-    assert 0 < len(decomposed) < len(sampled)
-    assert len(calls) == len(decomposed)
+    repeated = [A for A in sampled if repeats_isolated_eigenvalue(A)]
+    assert 0 < len(repeated) < len(sampled)
+    assert len(calls) == len(sampled)
     assert len(filtered) == len(sampled)
 
 

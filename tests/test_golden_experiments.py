@@ -35,9 +35,10 @@ CONFIGS = {
     "edge-probability": ExperimentConfig(
         n_values=(7, 14), trials_per_n=3, seed=6, edge_probability=0.3
     ),
-    # sparse regime: 103 of the 108 sampled graphs repeat an isolated node's
-    # diagonal entry and are rejected before any eigendecomposition, four
-    # more after it, and two of the three trials exhaust their regenerations
+    # sparse regime: each of the 108 sampled graphs is decomposed once; 103
+    # repeat an isolated node's diagonal entry, a gap of exactly 0, four
+    # more have a gap within the threshold, and two of the three trials
+    # exhaust their regenerations
     "rejection-regime": ExperimentConfig(
         n_values=(30,), trials_per_n=3, seed=1, edge_probability=0.08
     ),

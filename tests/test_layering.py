@@ -22,7 +22,9 @@ threshold is ``linalg.pbh_reached``, and every PBH count counts its mask.
 Only ``linalg.left_eigensystem`` builds an ``EigenSystem``, right after it
 compares the smallest eigenvalue gap with its threshold: every decomposition
 has a distinct spectrum, so no PBH count and not the experiment harness's
-accept test read or compare a gap of their own.
+accept test read or compare a gap of their own. No module but ``linalg``
+calls ``np.linalg.eig`` or ``np.linalg.eigvals``, so no second
+decomposition or pre-pass outside it can decide a graph or a spectrum.
 
 No module but ``matrices`` parses JSON: ``load_matrix`` reads a matrix
 file and ``load_json_object`` every other JSON input, an instance or an
@@ -213,6 +215,77 @@ def test_guard_flags_eigensystem_builds(tmp_path):
         "line 1 in module level",
         "line 3 in left_eigensystem",
         "line 7 in Oracle",
+    ]
+
+
+_EIGENSOLVERS = ("eig", "eigvals")
+
+
+def _eigensolver_calls(path: Path) -> list[str]:
+    """Calls of numpy's ``eig`` or ``eigvals``, as ``<x>.linalg.eig(...)``,
+    ``linalg.eig(...)`` or a name imported from ``numpy.linalg``, with the
+    top-level definition that makes each."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+        for alias in node.names
+        if alias.name in _EIGENSOLVERS
+    }
+
+    def is_eigensolver(func) -> bool:
+        if isinstance(func, ast.Name):
+            return func.id in imported
+        owner = getattr(func, "value", None)  # ``linalg`` or ``<x>.linalg``
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr in _EIGENSOLVERS
+            and getattr(owner, "attr", getattr(owner, "id", None)) == "linalg"
+        )
+
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "module level")
+        found += [
+            (node.lineno, f"line {node.lineno} in {owner}")
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and is_eigensolver(node.func)
+        ]
+    return [where for _, where in sorted(found)]
+
+
+@_OUTSIDE_LINALG
+def test_eigensolver_called_only_in_linalg(path):
+    assert _eigensolver_calls(path) == []
+
+
+def test_eigensolver_calls_in_linalg():
+    calls = _eigensolver_calls(SRC / "linalg.py")
+    assert [where.split(" in ")[1] for where in calls] == [
+        "left_eigensystem",
+        "certified_left_eigenbasis",
+    ]
+
+
+def test_guard_flags_eigensolver_calls(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "values = np.linalg.eigvals(A.array)\n"
+        "def pre_pass(A):\n"
+        "    return numpy.linalg.eig(A)\n"
+        "from numpy.linalg import eigvals as spectrum\n"
+        "gaps = spectrum(A)\n"
+        "w, v = linalg.eig(A)\n"
+        "ok = left_eigensystem(A)\n"
+        "s = np.linalg.eigh(A)\n"
+        "e = eig(A)\n"
+    )
+    assert _eigensolver_calls(bad) == [
+        "line 1 in module level",
+        "line 3 in pre_pass",
+        "line 5 in module level",
+        "line 6 in module level",
     ]
 
 

@@ -185,8 +185,7 @@ PUBLIC = {
     " greedy_diagonal randomized_greedy_vector",
     "linalg": "EigenSystem left_eigensystem pbh_controllability_rank rank_exact",
     "matrices": "DenseMatrix RationalMatrix load_matrix save_matrix",
-    "oracles": "OracleResult brute_force_hitting_set brute_force_min_diagonal_support"
-    " brute_force_min_vector_support",
+    "oracles": "OracleResult brute_force_hitting_set brute_force_min_vector_support",
     "reductions": "HittingSetInstance ReductionOutput SymmetricExtensionOutput"
     " build_reduction build_symmetric_extension load_instance orthogonal_extension",
 }
@@ -201,11 +200,16 @@ print(json.dumps(sorted(set(names) - {"__builtins__"})))
 """
     bound = json.loads(_python(script, cwd=tmp_path))
     expected = {*PUBLIC, *(name for names in PUBLIC.values() for name in names.split())}
-    assert len(bound) == 44
+    assert len(bound) == 43
     assert set(bound) == expected
-    # retired: the Kalman test is ``controllability_rank(A, B) == n``, and the
-    # controllability matrix is built only by the tests' reference in helpers
-    for retired in ("kalman_test", "controllability_matrix"):
+    # retired: the Kalman test is ``controllability_rank(A, B) == n``, the
+    # controllability matrix is built only by the tests' reference in helpers,
+    # and the diagonal optimum is ``brute_force_min_vector_support``
+    for retired in (
+        "kalman_test",
+        "controllability_matrix",
+        "brute_force_min_diagonal_support",
+    ):
         with pytest.raises(AttributeError, match=f"no attribute '{retired}'"):
             getattr(minctrl, retired)
 

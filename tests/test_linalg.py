@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,18 @@ def test_left_eigensystem_rejects_a_nan_residual(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", nan_entry)
     with pytest.raises(NumericBackendError, match="residual nan"):
         left_eigensystem(DenseMatrix.diagonal([1, 2, 3]))
+
+
+def test_left_eigensystem_refuses_an_unbounded_residual_check():
+    # ||A||_F overflows float64, so the residual tolerance would be inf and
+    # pass any decomposition; it is refused without a numpy warning
+    A = DenseMatrix([[1e308, 1e308], [1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericBackendError, match="overflows float64"):
+            left_eigensystem(A)
+    # just inside the range, the check is finite and the decomposition stands
+    assert left_eigensystem(DenseMatrix.diagonal([1e153, 2e153])).n == 2
 
 
 @pytest.mark.parametrize("gap", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])

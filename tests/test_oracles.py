@@ -22,7 +22,6 @@ from minctrl.linalg import left_eigensystem, pbh_controllability_rank
 from minctrl.matrices import DenseMatrix, RationalMatrix, as_dense, as_rational
 from minctrl.oracles import (
     brute_force_hitting_set,
-    brute_force_min_diagonal_support,
     brute_force_min_vector_support,
 )
 from minctrl.reductions import HittingSetInstance, build_reduction
@@ -84,9 +83,8 @@ def _first_support(V: RationalMatrix, feasible) -> tuple[int, ...]:
 
 def test_min_diagonal_support_matches_vector(paper_V):
     # one search, so its diagonal answer is checked against the enumeration
-    assert brute_force_min_diagonal_support is brute_force_min_vector_support
-    assert brute_force_min_diagonal_support(RationalMatrix.identity(3)).optimum == 3
-    diag = brute_force_min_diagonal_support(paper_V)
+    assert brute_force_min_vector_support(RationalMatrix.identity(3)).optimum == 3
+    diag = brute_force_min_vector_support(paper_V)
     assert (diag.optimum, diag.witness) == (3, _first_support(paper_V, diagonal_meets_every_row))
 
 
@@ -98,7 +96,7 @@ def test_vector_and_diagonal_oracles_agree(n, seed):
     V = random_invertible_rational(random.Random(seed), n, magnitude=1)
     witness = _first_support(V, diagonal_meets_every_row)
     assert _first_support(V, meets_every_row) == witness
-    result = brute_force_min_diagonal_support(V)
+    result = brute_force_min_vector_support(V)
     assert (result.optimum, result.witness) == (len(witness), witness)
 
 
@@ -136,12 +134,7 @@ def test_non_square_rejected():
 ZERO_MIDDLE_ROW = [[1, 2, 0], [0, 0, 0], [1, 1, 1]]
 
 
-@pytest.mark.parametrize(
-    "oracle",
-    [brute_force_min_vector_support, brute_force_min_diagonal_support],
-    ids=["brute_force_min_vector_support", "brute_force_min_diagonal_support"],
-)
-def test_zero_eigenvector_row_rejected_before_any_candidate(oracle, monkeypatch):
+def test_zero_eigenvector_row_rejected_before_any_candidate(monkeypatch):
     searches = []
     search = minctrl.oracles._first_feasible
 
@@ -156,10 +149,12 @@ def test_zero_eigenvector_row_rejected_before_any_candidate(oracle, monkeypatch)
         with pytest.raises(
             InvalidInputError, match="^a zero eigenvector row makes every support fail$"
         ):
-            oracle(RationalMatrix.from_rows(rows), allow_large=allow_large)
+            brute_force_min_vector_support(
+                RationalMatrix.from_rows(rows), allow_large=allow_large
+            )
     assert searches == []
     # an ordinary input is searched once, with one bitmask per row
-    assert oracle(RationalMatrix.identity(2)).enumerated == 4
+    assert brute_force_min_vector_support(RationalMatrix.identity(2)).enumerated == 4
     assert searches == [(range(2), [0b01, 0b10])]
 
 
@@ -207,7 +202,7 @@ def test_oracles_return_first_feasible_candidate(inst, n, seed):
             brute_force_min_vector_support(V), range(V.cols), lambda c: meets_every_row(V, c)
         )
         _assert_first_feasible(
-            brute_force_min_diagonal_support(V),
+            brute_force_min_vector_support(V),
             range(V.cols),
             lambda c: diagonal_meets_every_row(V, c),
         )
