@@ -134,7 +134,14 @@ def test_non_square_rejected():
 ZERO_MIDDLE_ROW = [[1, 2, 0], [0, 0, 0], [1, 1, 1]]
 
 
-def test_zero_eigenvector_row_rejected_before_any_candidate(monkeypatch):
+@pytest.mark.parametrize(
+    "reference",
+    [meets_every_row, diagonal_meets_every_row],
+    ids=["brute_force_min_vector_support", "brute_force_min_diagonal_support"],
+)
+def test_zero_eigenvector_row_rejected_before_any_candidate(reference, monkeypatch):
+    # one search answers both optima; each case checks its answer against
+    # the reference enumeration of one of them
     searches = []
     search = minctrl.oracles._first_feasible
 
@@ -154,7 +161,10 @@ def test_zero_eigenvector_row_rejected_before_any_candidate(monkeypatch):
             )
     assert searches == []
     # an ordinary input is searched once, with one bitmask per row
-    assert brute_force_min_vector_support(RationalMatrix.identity(2)).enumerated == 4
+    identity = RationalMatrix.identity(2)
+    result = brute_force_min_vector_support(identity)
+    assert result.enumerated == 4
+    assert result.witness == _first_support(identity, reference)
     assert searches == [(range(2), [0b01, 0b10])]
 
 
